@@ -25,8 +25,7 @@
 // sessions acquire pages lazily). -kv-pages bounds the total pool —
 // admission is gated by KV budget and requests are preempted/requeued
 // under pressure, without changing their tokens — and -kv-page-rows sets
-// the page granularity. -kv-contiguous restores the preallocating
-// contiguous baseline. -prefix-cache additionally shares the KV pages of
+// the page granularity. -prefix-cache additionally shares the KV pages of
 // common prompt prefixes across requests (refcounted, copy-on-write,
 // bit-identical; -prefix-cache-rows caps the retained positions).
 //
@@ -104,16 +103,13 @@ func main() {
 		qaa           = flag.Bool("qaa", false, "quantize activation-activation matmuls")
 		batch         = flag.Int("batch", 8, "max active requests per scheduler iteration")
 		queue         = flag.Int("queue", 0, "admission queue depth (0 = 4×batch)")
-		prefillChunk  = flag.Int("prefill-chunk", 32, "max prompt tokens per iteration per request")
-		workers       = flag.Int("workers", 0, "iteration worker pool size (0 = GOMAXPROCS)")
-		batchFused    = flag.Bool("batch-fused", true, "fuse same-engine decode steps into one forward pass per iteration (bit-identical; disable to step every request separately)")
+		prefillChunk  = flag.Int("prefill-chunk", 32, "max prompt tokens per iteration per request (row-coupled engines such as olive prefill whole prompts)")
 		specDraft     = flag.String("spec-draft", "", "engine spec that drafts candidate tokens for speculative draft-k-verify decoding at low batch occupancy (bit-identical to plain decode; added to the hosted engines if absent; \"\" = off)")
 		specK         = flag.Int("spec-k", 0, "max candidate tokens drafted per speculative pass (0 = default 4; needs -spec-draft)")
 		kvPages       = flag.Int("kv-pages", 0, "total KV budget in pages across all active sessions (0 = unlimited); admission and preemption keep KV memory under pages×kv-page-rows positions")
 		kvPageRows    = flag.Int("kv-page-rows", 0, "rows per KV page (0 = default 16)")
-		kvDtype       = flag.String("kv-dtype", "", "KV page storage format: f64 (reference), f16 (4x denser) or int8 (~7.5x); the KV budget is denominated in f64-equivalent rows, so compressed dtypes admit proportionally more concurrent sessions (requires the paged layout)")
-		kvContiguous  = flag.Bool("kv-contiguous", false, "use contiguous per-session KV buffers (worst-case MaxSeq reservation under a budget) instead of the shared paged pool")
-		prefixCache   = flag.Bool("prefix-cache", false, "share KV pages of common prompt prefixes across requests: completed prefills are indexed and later prompts mount the matched prefix instead of recomputing it (bit-identical; requires the paged KV layout)")
+		kvDtype       = flag.String("kv-dtype", "", "KV page storage format: f64 (reference), f16 (4x denser) or int8 (~7.5x); the KV budget is denominated in f64-equivalent rows, so compressed dtypes admit proportionally more concurrent sessions")
+		prefixCache   = flag.Bool("prefix-cache", false, "share KV pages of common prompt prefixes across requests: completed prefills are indexed and later prompts mount the matched prefix instead of recomputing it (bit-identical)")
 		prefixRows    = flag.Int("prefix-cache-rows", 0, "cap on KV positions retained by cached prefixes (0 = the KV budget when set, else unbounded); rounded up to kv-page-rows")
 		traceOn       = flag.Bool("trace", false, "record request-lifecycle events into a bounded ring, exported at GET /debug/trace as Chrome trace_event JSON (open in Perfetto)")
 		traceEvents   = flag.Int("trace-events", 0, "trace ring capacity in events (0 = default 65536); the oldest events are overwritten when full")
@@ -277,20 +273,18 @@ func main() {
 		srv, err := serve.New(serve.Config{
 			Model: m, Engines: engines, DefaultScheme: def,
 			MaxBatch: *batch, QueueDepth: *queue,
-			PrefillChunk: *prefillChunk, Workers: *workers,
-			DisableFusedDecode: !*batchFused,
-			SpecDraftSpec:      draftSpec,
-			SpecDraftK:         *specK,
-			KVBudgetRows:       *kvPages * pageRows,
-			KVPageRows:         pageRows,
-			KVDtype:            *kvDtype,
-			ContiguousKV:       *kvContiguous,
-			PrefixCache:        *prefixCache,
-			PrefixCacheRows:    *prefixRows,
-			Tracer:             tracer,
-			BrownoutQueueWait:  *brownoutQueueWait,
-			BrownoutKVFrac:     *brownoutKVFrac,
-			Chaos:              inj,
+			PrefillChunk:      *prefillChunk,
+			SpecDraftSpec:     draftSpec,
+			SpecDraftK:        *specK,
+			KVBudgetRows:      *kvPages * pageRows,
+			KVPageRows:        pageRows,
+			KVDtype:           *kvDtype,
+			PrefixCache:       *prefixCache,
+			PrefixCacheRows:   *prefixRows,
+			Tracer:            tracer,
+			BrownoutQueueWait: *brownoutQueueWait,
+			BrownoutKVFrac:    *brownoutKVFrac,
+			Chaos:             inj,
 		})
 		if err != nil {
 			fatalf("%v", err)

@@ -23,9 +23,10 @@
 // fuses decode: all sessions on one engine advance through a single
 // forward pass per iteration (model.BatchStepper) — one MatMul per weight
 // site over the stacked batch, per-session attention, an arena-recycled
-// zero-allocation hot path — bit-identical to stepping each session
-// alone, for every scheme whose quantization treats activation rows
-// independently (schemes.RowIndependent documents the audit).
+// zero-allocation hot path. It is the same incremental block
+// model.Session.Append runs, so fusion is bit-identical to stepping each
+// session alone for every scheme whose quantization treats activation
+// rows independently (schemes.RowIndependent documents the audit).
 //
 // KV cache memory is paged: session caches live behind model.KVStore,
 // implemented by contiguous tensor.RowBuffer (reference) and

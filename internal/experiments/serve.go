@@ -53,9 +53,8 @@ type prefixBenchResult struct {
 	PrefillSpeedupVsCold float64 `json:"prefill_speedup_vs_cold"`
 }
 
-// kvBenchResult is the JSON summary of one memory-pressure configuration:
-// the paged scheduler and the contiguous preallocating baseline under the
-// same KV row budget.
+// kvBenchResult is the JSON summary of the memory-pressure configuration:
+// the paged scheduler under a KV row budget of a few worst-case sessions.
 type kvBenchResult struct {
 	Scheme              string  `json:"scheme"`
 	Batch               int     `json:"batch"`
@@ -67,9 +66,6 @@ type kvBenchResult struct {
 	PeakActiveSessions  int64   `json:"peak_active_sessions"`
 	Preemptions         int64   `json:"preemptions"`
 	KVPeakOccupancyRows int64   `json:"kv_peak_occupancy_rows"`
-	// SessionsVsContiguous is the paged row's concurrency multiple over
-	// the contiguous baseline (1.0 on the baseline row itself).
-	SessionsVsContiguous float64 `json:"sessions_vs_contiguous"`
 }
 
 // scenarioTracer returns a fresh lifecycle tracer when artifacts were
@@ -112,13 +108,10 @@ func writeServeArtifacts(dir, rowName string, tracer *obs.Tracer, srv *serve.Ser
 }
 
 // ServeBench benchmarks the continuous-batching server: a deterministic
-// closed-loop load test over calibrated engines comparing the batch-1
-// baseline, the per-request batched scheduler (scheduling-only batching,
-// the pre-fusion behaviour) and the fused batched decode path at batch 8
-// and 32. Per-request rows keep the plain scheme name; fused rows are
-// recorded as "fused-decode/<spec>" with the same schema, both against
-// the shared batch-1 baseline. Every row is also written to
-// BENCH_serve.json to seed the serving perf trajectory.
+// closed-loop load test over calibrated engines at batch 1, 8 and 32,
+// recorded as "fused-decode/<spec>" rows with speedups against the
+// scheme's batch-1 row. Every row is also written to BENCH_serve.json to
+// seed the serving perf trajectory.
 func ServeBench(o Options) Table {
 	modelName := "opt-6.7b"
 	schemeNames := []string{"fp32", "tender", "tender:int"}
@@ -143,48 +136,40 @@ func ServeBench(o Options) Table {
 	t := Table{
 		ID:    "serve",
 		Title: "Continuous-batching serving throughput (closed-loop load)",
-		Note: fmt.Sprintf("%s, %d requests, prompts %d-%d, %d decode tokens, GOMAXPROCS=%d; fused-decode/* rows share the scheme's batch-1 baseline",
+		Note: fmt.Sprintf("%s, %d requests, prompts %d-%d, %d decode tokens, GOMAXPROCS=%d; speedups against the scheme's batch-1 row",
 			modelName, requests, minP, maxP, newTok, runtime.GOMAXPROCS(0)),
 		Columns: []string{"Scheme", "Batch", "tok/s", "p50 ms", "p99 ms", "TTFT p50", "Mean batch", "Speedup"},
 	}
-	configs := []struct {
-		batch int
-		fused bool
-	}{{1, false}, {8, false}, {8, true}, {32, true}}
 	var emit []serveBenchResult
 	for _, name := range schemeNames {
 		var base float64
-		for _, c := range configs {
+		rowName := "fused-decode/" + name
+		for _, batch := range []int{1, 8, 32} {
 			tracer := o.scenarioTracer()
 			srv, err := serve.New(serve.Config{
 				Model: m, Engines: engines, DefaultScheme: name,
-				MaxBatch: c.batch, PrefillChunk: 16,
-				DisableFusedDecode: !c.fused,
-				Tracer:             tracer,
+				MaxBatch: batch, PrefillChunk: 16,
+				Tracer: tracer,
 			})
 			if err != nil {
 				panic(err)
 			}
 			srv.Start()
-			rep := serve.RunLoad(srv, serve.LoadConfig{Trace: trace, Clients: c.batch, Scheme: name})
+			rep := serve.RunLoad(srv, serve.LoadConfig{Trace: trace, Clients: batch, Scheme: name})
 			srv.Stop()
 			if rep.Failed > 0 {
 				panic(fmt.Sprintf("serve bench: %d requests failed", rep.Failed))
 			}
-			if c.batch == 1 && !c.fused {
+			if batch == 1 {
 				base = rep.TokensPerSec
 			}
 			speedup := 1.0
 			if base > 0 {
 				speedup = rep.TokensPerSec / base
 			}
-			rowName := name
-			if c.fused {
-				rowName = "fused-decode/" + name
-			}
-			writeServeArtifacts(o.ArtifactDir, fmt.Sprintf("%s-b%d", rowName, c.batch), tracer, srv)
+			writeServeArtifacts(o.ArtifactDir, fmt.Sprintf("%s-b%d", rowName, batch), tracer, srv)
 			t.Rows = append(t.Rows, []string{
-				rowName, fmt.Sprintf("%d", c.batch),
+				rowName, fmt.Sprintf("%d", batch),
 				fmt.Sprintf("%.1f", rep.TokensPerSec),
 				fmt.Sprintf("%.1f", rep.LatencyP50Ms),
 				fmt.Sprintf("%.1f", rep.LatencyP99Ms),
@@ -193,7 +178,7 @@ func ServeBench(o Options) Table {
 				FormatX(speedup),
 			})
 			emit = append(emit, serveBenchResult{
-				Scheme: rowName, Batch: c.batch,
+				Scheme: rowName, Batch: batch,
 				TokensPerSec: rep.TokensPerSec,
 				LatencyP50Ms: rep.LatencyP50Ms, LatencyP99Ms: rep.LatencyP99Ms,
 				TTFTP50Ms: rep.TTFTP50Ms, MeanBatchSize: rep.MeanBatchSize,
@@ -202,16 +187,14 @@ func ServeBench(o Options) Table {
 		}
 	}
 	// Memory-pressure scenario: many long-prompt Poisson arrivals against
-	// a small shared KV budget. The paged scheduler admits by pages and
-	// preempts under pressure; the contiguous baseline reserves worst-case
-	// MaxSeq per session, so the same budget caps it at
-	// budget/MaxSeq concurrent sessions. Outputs are bit-identical either
-	// way — the scenario measures how much concurrency (and throughput)
-	// the same KV memory buys.
+	// a small shared KV budget. The scheduler admits by pages and preempts
+	// under pressure, so the budget holds several times the
+	// budget/MaxSeq sessions a worst-case preallocating layout could;
+	// outputs are bit-identical to an unpressured run either way.
 	kvScheme := "fp32"
 	// Prompts land mid-page and decodes run long enough to cross page
-	// boundaries past the admission reservation, so the paged scheduler
-	// has to preempt once the pool saturates.
+	// boundaries past the admission reservation, so the scheduler has to
+	// preempt once the pool saturates.
 	kvBudget := 2 * m.Cfg.MaxSeq
 	mpRequests, mpBatch := 24, 24
 	poissonMean := 2 * time.Millisecond
@@ -223,61 +206,47 @@ func ServeBench(o Options) Table {
 		Requests: mpRequests, Vocab: m.Cfg.Vocab,
 		MinPrompt: 24, MaxPrompt: 40, MinNew: 24, MaxNew: 24,
 	}, 2+o.Seed)
-	var kvEmit []kvBenchResult
-	for _, contiguous := range []bool{true, false} {
-		tracer := o.scenarioTracer()
-		srv, err := serve.New(serve.Config{
-			Model: m, Engines: engines, DefaultScheme: kvScheme,
-			MaxBatch: mpBatch, QueueDepth: mpRequests, PrefillChunk: 16,
-			KVBudgetRows: kvBudget, ContiguousKV: contiguous,
-			Tracer: tracer,
-		})
-		if err != nil {
-			panic(err)
-		}
-		srv.Start()
-		rep := serve.RunLoad(srv, serve.LoadConfig{
-			Trace: mpTrace, Scheme: kvScheme,
-			PoissonMean: poissonMean, ArrivalSeed: 3 + o.Seed,
-		})
-		snap := srv.Metrics().Snapshot()
-		srv.Stop()
-		if rep.Failed > 0 {
-			panic(fmt.Sprintf("serve bench: %d memory-pressure requests failed", rep.Failed))
-		}
-		rowName := "kv-paged/" + kvScheme
-		if contiguous {
-			rowName = "kv-contiguous/" + kvScheme
-		}
-		writeServeArtifacts(o.ArtifactDir, rowName, tracer, srv)
-		kvEmit = append(kvEmit, kvBenchResult{
-			Scheme: rowName, Batch: mpBatch,
-			KVBudgetRows: snap.KVBudgetRows, KVPageRows: snap.KVPageRows,
-			TokensPerSec: rep.TokensPerSec,
-			LatencyP50Ms: rep.LatencyP50Ms, TTFTP50Ms: rep.TTFTP50Ms,
-			PeakActiveSessions:  snap.PeakActiveSessions,
-			Preemptions:         snap.Preemptions,
-			KVPeakOccupancyRows: snap.KVPeakOccupancyRows,
-		})
+	tracer := o.scenarioTracer()
+	srv, err := serve.New(serve.Config{
+		Model: m, Engines: engines, DefaultScheme: kvScheme,
+		MaxBatch: mpBatch, QueueDepth: mpRequests, PrefillChunk: 16,
+		KVBudgetRows: kvBudget,
+		Tracer:       tracer,
+	})
+	if err != nil {
+		panic(err)
 	}
-	ratio := 1.0
-	if base := kvEmit[0].PeakActiveSessions; base > 0 {
-		ratio = float64(kvEmit[1].PeakActiveSessions) / float64(base)
+	srv.Start()
+	rep := serve.RunLoad(srv, serve.LoadConfig{
+		Trace: mpTrace, Scheme: kvScheme,
+		PoissonMean: poissonMean, ArrivalSeed: 3 + o.Seed,
+	})
+	snap := srv.Metrics().Snapshot()
+	srv.Stop()
+	if rep.Failed > 0 {
+		panic(fmt.Sprintf("serve bench: %d memory-pressure requests failed", rep.Failed))
 	}
-	kvEmit[0].SessionsVsContiguous = 1
-	kvEmit[1].SessionsVsContiguous = ratio
-	for _, e := range kvEmit {
-		t.Rows = append(t.Rows, []string{
-			e.Scheme, fmt.Sprintf("%d", e.Batch),
-			fmt.Sprintf("%.1f", e.TokensPerSec),
-			fmt.Sprintf("%.1f", e.LatencyP50Ms),
-			fmt.Sprintf("peak %d sess", e.PeakActiveSessions),
-			fmt.Sprintf("%.1f", e.TTFTP50Ms),
-			fmt.Sprintf("%d preempt", e.Preemptions),
-			FormatX(e.SessionsVsContiguous),
-		})
+	kvRow := "kv-paged/" + kvScheme
+	writeServeArtifacts(o.ArtifactDir, kvRow, tracer, srv)
+	kv := kvBenchResult{
+		Scheme: kvRow, Batch: mpBatch,
+		KVBudgetRows: snap.KVBudgetRows, KVPageRows: snap.KVPageRows,
+		TokensPerSec: rep.TokensPerSec,
+		LatencyP50Ms: rep.LatencyP50Ms, TTFTP50Ms: rep.TTFTP50Ms,
+		PeakActiveSessions:  snap.PeakActiveSessions,
+		Preemptions:         snap.Preemptions,
+		KVPeakOccupancyRows: snap.KVPeakOccupancyRows,
 	}
-	t.Note += fmt.Sprintf("; kv-* rows: memory pressure under a %d-row KV budget (Poisson arrivals, mean %v) — p99 column = peak concurrent sessions, mean-batch column = preemptions, speedup = concurrency vs the contiguous MaxSeq-preallocating baseline", kvBudget, poissonMean)
+	t.Rows = append(t.Rows, []string{
+		kv.Scheme, fmt.Sprintf("%d", kv.Batch),
+		fmt.Sprintf("%.1f", kv.TokensPerSec),
+		fmt.Sprintf("%.1f", kv.LatencyP50Ms),
+		fmt.Sprintf("peak %d sess", kv.PeakActiveSessions),
+		fmt.Sprintf("%.1f", kv.TTFTP50Ms),
+		fmt.Sprintf("%d preempt", kv.Preemptions),
+		"-",
+	})
+	t.Note += fmt.Sprintf("; kv-paged row: memory pressure under a %d-row KV budget (Poisson arrivals, mean %v) — p99 column = peak concurrent sessions, mean-batch column = preemptions", kvBudget, poissonMean)
 
 	// Shared-system-prompt scenario: every request carries the same long
 	// page-aligned system prefix plus a short unique user tail — the
@@ -370,24 +339,16 @@ func ServeBench(o Options) Table {
 
 	// Best-effort: the table is the primary artifact, the JSON file seeds
 	// perf tracking across PRs.
-	rows := make([]map[string]any, 0, len(emit)+len(kvEmit))
+	results := make([]any, 0, len(emit)+1+len(pcEmit))
 	for _, e := range emit {
-		if blob, err := json.Marshal(e); err == nil {
-			var row map[string]any
-			if json.Unmarshal(blob, &row) == nil {
-				rows = append(rows, row)
-			}
-		}
+		results = append(results, e)
 	}
-	for _, e := range kvEmit {
-		if blob, err := json.Marshal(e); err == nil {
-			var row map[string]any
-			if json.Unmarshal(blob, &row) == nil {
-				rows = append(rows, row)
-			}
-		}
-	}
+	results = append(results, kv)
 	for _, e := range pcEmit {
+		results = append(results, e)
+	}
+	rows := make([]map[string]any, 0, len(results))
+	for _, e := range results {
 		if blob, err := json.Marshal(e); err == nil {
 			var row map[string]any
 			if json.Unmarshal(blob, &row) == nil {
@@ -395,17 +356,11 @@ func ServeBench(o Options) Table {
 			}
 		}
 	}
-	// Own only the rows this run measured (plain, fused, kv- and
-	// prefix-scenario spellings), so rows any other writer records survive
-	// the rewrite.
-	owned := make(map[string]bool, 2*len(schemeNames)+4)
-	owned["kv-paged/"+kvScheme] = true
-	owned["kv-contiguous/"+kvScheme] = true
-	owned["prefix-cache/"+pcScheme] = true
-	owned["prefix-cold/"+pcScheme] = true
-	for _, n := range schemeNames {
-		owned[n] = true
-		owned["fused-decode/"+n] = true
+	// Own only the rows this run measured, so rows any other writer records
+	// survive the rewrite.
+	owned := make(map[string]bool, len(rows))
+	for _, row := range rows {
+		owned[row["scheme"].(string)] = true
 	}
 	if err := RewriteServeBench(ServeBenchFile, func(scheme string) bool {
 		return owned[scheme]

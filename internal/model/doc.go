@@ -6,10 +6,14 @@
 //
 // Every matmul routes through the Engine interface, which is how exact
 // FP32 (Exact), the paper's Tender algorithm and all baseline schemes
-// execute the same model: Model.Forward for full-sequence evaluation,
-// Session for incremental (KV-cached) decoding, and BatchStepper for
-// fused batched decode — one forward pass over the stacked current tokens
-// of many sessions, attention still per session. Calibrate records
+// execute the same model. The transformer block exists twice: Model.block
+// behind Model.Forward (full-sequence evaluation and the encoder), and
+// one incremental block behind every KV-cached path — Session.Append
+// (prefill chunks, decode steps) and BatchStepper (fused batched decode,
+// one forward pass over the stacked current tokens of many sessions,
+// attention still per session). The full-sequence block is the
+// independent reference the identity tests hold the incremental one to.
+// Calibrate records
 // per-site operands with a Recorder and compiles a SchemeEngine whose
 // weight packs are prepared once (the compile-once split internal/engine
 // exposes).
@@ -28,6 +32,7 @@
 // Throughout the package the contract is bit-identity: chunked prefill,
 // batched or fused decode, paged or contiguous KV, and prefix mounts all
 // produce exactly the logits of a one-shot single-session run, for every
-// engine built with the Serving option — the tests in paged_test.go,
+// engine built with the Serving option whose weight sites treat rows
+// independently — the tests in session_test.go, paged_test.go,
 // batch_test.go and prefix_test.go enforce it per registry scheme.
 package model

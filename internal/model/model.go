@@ -244,7 +244,7 @@ type Engine interface {
 
 // EngineInto is an optional Engine extension for allocation-free hot
 // paths: MatMulInto computes the site's product into a caller-owned
-// matrix, bit-identical to MatMul. The fused decode step uses it to run
+// matrix, bit-identical to MatMul. The incremental block uses it to run
 // steady-state decode without heap allocations.
 type EngineInto interface {
 	Engine
@@ -256,7 +256,7 @@ type EngineInto interface {
 // site once over rows stacked from several sessions is bit-identical, row
 // for row, to running it on each row alone. Fused batched decode requires
 // it of every weight-matmul site; engines that do not implement the
-// interface are treated as row-dependent and served per request.
+// interface are treated as row-dependent and served one request at a time.
 type RowIndependentEngine interface {
 	Engine
 	RowIndependentMatMul(site Site) bool
@@ -264,7 +264,7 @@ type RowIndependentEngine interface {
 
 // exactActAct is an optional Engine extension reporting that activation-
 // activation sites (attention score and value) execute the exact float
-// GEMM. The fused step then computes per-session attention with direct
+// GEMM. The incremental block then computes attention with direct
 // dot-product loops over the KV cache instead of materializing per-head
 // operand copies — bit-identical because the loops replicate
 // tensor.MatMul's per-row accumulation order exactly.
@@ -274,9 +274,9 @@ type exactActAct interface {
 
 // Exact is the engine with no quantization. Kernel optionally routes
 // weight-matmul GEMMs through a pluggable backend (tensor.KernelBlocked);
-// activation-activation sites always run the reference GEMM so the fused
-// decode's direct attention loops stay bit-identical to per-request
-// execution, and a nil Kernel is the bit-exact reference everywhere.
+// activation-activation sites always run the reference GEMM so the
+// incremental block's direct attention loops stay bit-identical to
+// Model.Forward, and a nil Kernel is the bit-exact reference everywhere.
 type Exact struct {
 	Kernel tensor.Kernel
 }

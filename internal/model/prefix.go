@@ -94,20 +94,7 @@ type PrefixCacheStats struct {
 // quantizes activation rows independently — the same audit fused decode
 // runs. Row-coupled engines (OliVe's outlier-victim pairing) must keep
 // cold-prefilling every prompt.
-func (m *Model) PrefixShareable(eng Engine) bool {
-	rie, ok := eng.(RowIndependentEngine)
-	if !ok {
-		return false
-	}
-	for l := 0; l < m.Cfg.Layers; l++ {
-		for _, kind := range weightSiteKinds {
-			if !rie.RowIndependentMatMul(Site{l, kind, -1}) {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (m *Model) PrefixShareable(eng Engine) bool { return m.rowIndependent(eng) == nil }
 
 // NewPrefixCache returns an empty cache over pool for a model with layers
 // transformer layers. maxRows, if positive, caps the positions the cache

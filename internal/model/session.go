@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"tender/internal/tensor"
 )
@@ -12,6 +11,10 @@ import (
 // matmul site instead of a full-sequence forward. All matmuls route
 // through the same Engine interface as Model.Forward, so Tender, every
 // baseline scheme, and exact FP serve through one code path.
+//
+// Append and BatchStepper.Step run the same incremental block (pass), so
+// a session advanced alone or inside a fused batch computes the same
+// values.
 //
 // A Session is owned by a single request and is not safe for concurrent
 // use; different Sessions over the same Model and Engine may run
@@ -24,7 +27,10 @@ import (
 // chunked prefill diverge from one-shot prefill. Incremental decode is
 // exact for engines whose per-row treatment is position-independent —
 // which engine.BuildEngines guarantees for every scheme built with the
-// Serving option.
+// Serving option — and whose activation rows are quantized independently
+// (RowIndependentEngine); a row-coupled engine (OliVe) is exact only for
+// the Append calls it was given, which is why the serving scheduler feeds
+// it the whole prompt at once and then one token per call.
 type Session struct {
 	m   *Model
 	eng Engine
@@ -190,104 +196,21 @@ func (s *Session) Len() int { return s.pos }
 // Model returns the session's model.
 func (s *Session) Model() *Model { return s.m }
 
-// Append runs the transformer over the next tokens (absolute positions
-// Len()..Len()+n-1), extends the KV cache, and returns the logits for the
-// appended positions (n × vocab). Appending the whole prompt in one call
-// is the prefill step and is bit-identical to Model.Forward; subsequent
-// single-token calls are decode steps.
+// Append runs the incremental block over the next tokens (absolute
+// positions Len()..Len()+n-1), extends the KV cache, and returns the
+// logits for the appended positions (n × vocab) in a fresh matrix the
+// caller owns. Appending the whole prompt in one call is the prefill step
+// and is bit-identical to Model.Forward; subsequent single-token calls are
+// decode steps.
 func (s *Session) Append(tokens []int) *tensor.Matrix {
-	n := len(tokens)
-	if n == 0 {
+	if len(tokens) == 0 {
 		panic("model: Session.Append with no tokens")
 	}
-	if s.pos+n > s.m.Cfg.MaxSeq {
-		panic(fmt.Sprintf("model: session length %d+%d exceeds max %d", s.pos, n, s.m.Cfg.MaxSeq))
-	}
-	m := s.m
-	d := m.Cfg.DModel
-	x := tensor.New(n, d)
-	for i, t := range tokens {
-		if t < 0 || t >= m.Cfg.Vocab {
-			panic(fmt.Sprintf("model: token %d out of vocab", t))
-		}
-		copy(x.Row(i), m.Embed.Row(t))
-		row := x.Row(i)
-		pos := m.Pos.Row(s.pos + i)
-		for c := range row {
-			row[c] += pos[c]
-		}
-	}
-	for l := range m.Layers {
-		x = s.stepBlock(l, x)
-	}
-	s.pos += n
-	tensor.LayerNormRows(x, m.LNFGain, m.LNFBias)
-	return tensor.MatMul(x, m.Unembed)
-}
-
-// stepBlock is Model.block for the n newest positions against the cached
-// keys/values of all earlier positions.
-func (s *Session) stepBlock(l int, x *tensor.Matrix) *tensor.Matrix {
-	m := s.m
-	lay := &m.Layers[l]
-	n := x.Rows
-	d := m.Cfg.DModel
-	heads := m.Cfg.Heads
-	dh := m.Cfg.HeadDim()
-
-	// --- Attention sub-layer ---
-	h := x.Clone()
-	tensor.LayerNormRows(h, lay.LN1Gain, lay.LN1Bias)
-	xq := s.eng.MatMul(Site{l, KindQ, -1}, h, lay.WQ)
-	xk := s.eng.MatMul(Site{l, KindK, -1}, h, lay.WK)
-	xv := s.eng.MatMul(Site{l, KindV, -1}, h, lay.WV)
-	s.kv[l].k.AppendRows(xk)
-	s.kv[l].v.AppendRows(xv)
-	kst, vst := s.kv[l].k, s.kv[l].v
-	seq := kst.Rows()
-
-	attnOut := tensor.New(n, d)
-	invSqrt := 1 / math.Sqrt(float64(dh))
-	for hd := 0; hd < heads; hd++ {
-		lo, hi := hd*dh, (hd+1)*dh
-		qh := xq.SubColsRange(lo, hi)
-		kh := gatherHeadCols(kst, seq, lo, hi)
-		vh := gatherHeadCols(vst, seq, lo, hi)
-		score := s.eng.MatMul(Site{l, KindScore, hd}, qh, kh.Transpose())
-		score.Scale(invSqrt)
-		tensor.CausalMaskOffsetInPlace(score, s.pos)
-		tensor.SoftmaxRows(score)
-		av := s.eng.MatMul(Site{l, KindValue, hd}, score, vh)
-		for r := 0; r < n; r++ {
-			copy(attnOut.Row(r)[lo:hi], av.Row(r))
-		}
-	}
-	xo := s.eng.MatMul(Site{l, KindOut, -1}, attnOut, lay.WO)
-	x = tensor.Add(x, xo)
-
-	// --- Feed-forward sub-layer ---
-	h = x.Clone()
-	tensor.LayerNormRows(h, lay.LN2Gain, lay.LN2Bias)
-	f := s.eng.MatMul(Site{l, KindFC1, -1}, h, lay.WFC1)
-	if m.Cfg.UseGELU {
-		tensor.GELU(f)
-	} else {
-		tensor.ReLU(f)
-	}
-	f = s.eng.MatMul(Site{l, KindFC2, -1}, f, lay.WFC2)
-	return tensor.Add(x, f)
-}
-
-// gatherHeadCols materializes columns [lo, hi) of the store's first seq
-// rows as a fresh matrix: the KVStore analogue of View().SubColsRange —
-// the same per-row copy of the same values, so the engine's attention
-// matmuls see identical operands whichever store backs the cache.
-func gatherHeadCols(st KVStore, seq, lo, hi int) *tensor.Matrix {
-	out := tensor.New(seq, hi-lo)
-	for r := 0; r < seq; r++ {
-		copy(out.Row(r), st.Row(r)[lo:hi])
-	}
-	return out
+	p := newPass(s.m, s.eng)
+	x := p.forward([]segment{{s, tokens}})
+	logits := tensor.MatMul(x, s.m.Unembed)
+	scratch.Put(x)
+	return logits
 }
 
 // Greedy returns the argmax token of a logits row.

@@ -1,46 +1,87 @@
-package model
+package model_test
 
 import (
 	"runtime"
 	"testing"
 
+	"tender/internal/engine"
+	"tender/internal/model"
+	"tender/internal/model/identtest"
 	"tender/internal/schemes"
 	"tender/internal/tensor"
 	"tender/internal/workload"
 )
 
+// forwardEngines is every registry scheme the identity suites serve, plus
+// tender with quantized attention (QuantActAct), keyed by label.
+func forwardEngines(t *testing.T, m *model.Model) map[string]model.Engine {
+	t.Helper()
+	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor", "uniform:gran=row")
+	engines := identtest.Engines(t, m, names)
+	actact, err := engine.BuildEngines(m, []string{"tender"}, engine.BuildOptions{
+		Bits: 8, Streams: 2, StreamLen: 32, Serving: true, QuantActAct: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines["tender+actact"] = actact["tender"]
+	return engines
+}
+
 // TestSessionPrefillMatchesForward: appending the whole prompt in one call
-// must reproduce Model.Forward bit for bit (same row-wise computation,
-// empty cache, offset-0 mask).
+// runs the incremental block over one segment and must reproduce
+// Model.Forward — the independent full-sequence block — bit for bit, for
+// every engine: same row-wise computation, empty cache, offset-0 mask,
+// and the engine sees exactly Forward's operands at every site.
 func TestSessionPrefillMatchesForward(t *testing.T) {
-	m := New(TinyConfig())
+	m := model.New(model.TinyConfig())
 	toks := workload.TokenStream(workload.Wiki, 11, 24, m.Cfg.Vocab)
-	ref := m.Forward(toks, Exact{})
-	got := m.NewSession(Exact{}, len(toks)).Append(toks)
-	if d := tensor.MaxAbsDiff(ref, got); d != 0 {
-		t.Fatalf("prefill logits differ from Forward by %g", d)
+	for name, eng := range forwardEngines(t, m) {
+		t.Run(name, func(t *testing.T) {
+			ref := m.Forward(toks, eng)
+			got := m.NewSession(eng, len(toks)).Append(toks)
+			if d := tensor.MaxAbsDiff(ref, got); d != 0 {
+				t.Fatalf("prefill logits differ from Forward by %g", d)
+			}
+		})
 	}
 }
 
 // TestSessionIncrementalMatchesForward: feeding tokens one at a time
 // through the KV cache must agree exactly with the full-sequence forward
-// under the exact engine — every per-position computation is row-local.
+// for every engine whose weight sites treat rows independently and whose
+// attention is exact — every per-position computation is then row-local.
+// Row-coupled (olive) and quantized-attention engines are only bound to
+// their one-shot prefill, which TestSessionPrefillMatchesForward covers.
 func TestSessionIncrementalMatchesForward(t *testing.T) {
-	m := New(TinyConfig())
+	m := model.New(model.TinyConfig())
 	toks := workload.TokenStream(workload.Wiki, 12, 16, m.Cfg.Vocab)
-	ref := m.Forward(toks, Exact{})
-	sess := m.NewSession(Exact{}, len(toks))
-	for i, tok := range toks {
-		logits := sess.Append([]int{tok})
-		if logits.Rows != 1 {
-			t.Fatalf("decode step returned %d rows", logits.Rows)
+	ran := 0
+	for name, eng := range forwardEngines(t, m) {
+		exact, ok := eng.(interface{ ExactActAct() bool })
+		if !m.PrefixShareable(eng) || !ok || !exact.ExactActAct() {
+			continue
 		}
-		if d := tensor.MaxAbsDiff(ref.RowView(i, i+1), logits); d != 0 {
-			t.Fatalf("position %d: incremental logits differ by %g", i, d)
-		}
+		ran++
+		t.Run(name, func(t *testing.T) {
+			ref := m.Forward(toks, eng)
+			sess := m.NewSession(eng, len(toks))
+			for i, tok := range toks {
+				logits := sess.Append([]int{tok})
+				if logits.Rows != 1 {
+					t.Fatalf("decode step returned %d rows", logits.Rows)
+				}
+				if d := tensor.MaxAbsDiff(ref.RowView(i, i+1), logits); d != 0 {
+					t.Fatalf("position %d: incremental logits differ by %g", i, d)
+				}
+			}
+			if sess.Len() != len(toks) {
+				t.Fatalf("session length %d after %d tokens", sess.Len(), len(toks))
+			}
+		})
 	}
-	if sess.Len() != len(toks) {
-		t.Fatalf("session length %d after %d tokens", sess.Len(), len(toks))
+	if ran < 10 {
+		t.Fatalf("only %d engines qualified for the incremental check", ran)
 	}
 }
 
@@ -48,19 +89,19 @@ func TestSessionIncrementalMatchesForward(t *testing.T) {
 // regardless of GOMAXPROCS (tensor.MatMul partitions rows, and each row's
 // accumulation order is fixed).
 func TestSessionDecodeDeterministicAcrossCPUs(t *testing.T) {
-	m := New(TinyConfig())
+	m := model.New(model.TinyConfig())
 	calib := workload.CalibrationStreams(m.Cfg.Seed, 2, 24, m.Cfg.Vocab)
-	eng := CalibrateModel(m, schemes.Tender{}, 8, false, calib)
+	eng := model.CalibrateModel(m, schemes.Tender{}, 8, false, calib)
 	prompt := workload.TokenStream(workload.PTB, 5, 8, m.Cfg.Vocab)
 
 	decode := func() []int {
 		sess := m.NewSession(eng, len(prompt)+12)
 		logits := sess.Append(prompt)
 		out := make([]int, 0, 12)
-		tok := Greedy(logits.Row(logits.Rows - 1))
+		tok := model.Greedy(logits.Row(logits.Rows - 1))
 		for i := 0; i < 12; i++ {
 			out = append(out, tok)
-			tok = Greedy(sess.Append([]int{tok}).Row(0))
+			tok = model.Greedy(sess.Append([]int{tok}).Row(0))
 		}
 		return out
 	}
@@ -81,9 +122,9 @@ func TestSessionDecodeDeterministicAcrossCPUs(t *testing.T) {
 // sessions (e.g. the batched and unbatched serving paths) must produce
 // identical logits at every step.
 func TestSessionSchemeMatchesItself(t *testing.T) {
-	m := New(TinyConfig())
+	m := model.New(model.TinyConfig())
 	calib := workload.CalibrationStreams(m.Cfg.Seed, 2, 24, m.Cfg.Vocab)
-	eng := CalibrateModel(m, schemes.Tender{}, 4, true, calib)
+	eng := model.CalibrateModel(m, schemes.Tender{}, 4, true, calib)
 	prompt := workload.TokenStream(workload.Wiki, 6, 10, m.Cfg.Vocab)
 	a := m.NewSession(eng, 0)
 	b := m.NewSession(eng, 0)
@@ -91,13 +132,13 @@ func TestSessionSchemeMatchesItself(t *testing.T) {
 	if d := tensor.MaxAbsDiff(la, lb); d != 0 {
 		t.Fatalf("prefill differs between identical sessions by %g", d)
 	}
-	tok := Greedy(la.Row(la.Rows - 1))
+	tok := model.Greedy(la.Row(la.Rows - 1))
 	for i := 0; i < 6; i++ {
 		la, lb = a.Append([]int{tok}), b.Append([]int{tok})
 		if d := tensor.MaxAbsDiff(la, lb); d != 0 {
 			t.Fatalf("decode step %d differs by %g", i, d)
 		}
-		tok = Greedy(la.Row(0))
+		tok = model.Greedy(la.Row(0))
 	}
 }
 
@@ -108,23 +149,23 @@ func TestSessionRejectsEncoder(t *testing.T) {
 			t.Fatal("expected panic for encoder session")
 		}
 	}()
-	cfg := TinyConfig()
-	cfg.Arch = Encoder
+	cfg := model.TinyConfig()
+	cfg.Arch = model.Encoder
 	cfg.NumClasses = 2
-	New(cfg).NewSession(Exact{}, 0)
+	model.New(cfg).NewSession(model.Exact{}, 0)
 }
 
 // TestSampleDeterminism: Sample is a pure function of (logits, temp, u)
 // and degrades to Greedy at temp <= 0.
 func TestSampleDeterminism(t *testing.T) {
 	logits := []float64{0.1, 2.5, -1, 0.4}
-	if Sample(logits, 0, 0.7) != Greedy(logits) {
+	if model.Sample(logits, 0, 0.7) != model.Greedy(logits) {
 		t.Fatal("temp<=0 must be greedy")
 	}
-	if Sample(logits, 1, 0.3) != Sample(logits, 1, 0.3) {
+	if model.Sample(logits, 1, 0.3) != model.Sample(logits, 1, 0.3) {
 		t.Fatal("Sample not deterministic")
 	}
-	if Sample(logits, 1, 0.999999) >= len(logits) {
+	if model.Sample(logits, 1, 0.999999) >= len(logits) {
 		t.Fatal("Sample out of range")
 	}
 }

@@ -180,8 +180,16 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{start: time.Now(), buf: make([]Event, 0, capacity)}
 }
 
-// Enabled reports whether events will actually be retained.
-func (t *Tracer) Enabled() bool { return t != nil && cap(t.buf) > 0 }
+// Enabled reports whether events will actually be retained. Safe for
+// concurrent use with Record, which rewrites the ring's slice header.
+func (t *Tracer) Enabled() bool {
+	if t == nil {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return cap(t.buf) > 0
+}
 
 // Record appends one event, overwriting the oldest when the ring is full.
 // Safe for concurrent use; a no-op on a nil tracer.

@@ -105,7 +105,7 @@ func startReplica(t *testing.T, m *model.Model, engines map[string]model.Engine,
 	t.Helper()
 	srv, err := serve.New(serve.Config{
 		Model: m, Engines: engines, DefaultScheme: def,
-		MaxBatch: 4, Workers: 2, PrefillChunk: 8,
+		MaxBatch: 4, PrefillChunk: 8,
 		KVPageRows:  testPageRows,
 		PrefixCache: true,
 	})

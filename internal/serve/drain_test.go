@@ -22,7 +22,7 @@ func TestDrainBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := startServer(t, Config{Model: m, Engines: engines, MaxBatch: 2, Workers: 2})
+	srv := startServer(t, Config{Model: m, Engines: engines, MaxBatch: 2})
 
 	// Keep work in flight while the drain begins.
 	trace := tinyTrace(m, 8, 3)
@@ -98,7 +98,7 @@ func TestDrainExpires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := startServer(t, Config{Model: m, Engines: engines, MaxBatch: 2, Workers: 2})
+	srv := startServer(t, Config{Model: m, Engines: engines, MaxBatch: 2})
 	done := make(chan error, 1)
 	go func() {
 		_, err := srv.Generate(context.Background(), Request{Prompt: []int{1, 2, 3}, MaxNewTokens: 32})

@@ -11,9 +11,10 @@ import (
 
 // TestKVDtypeFusedMatchesPerRequest: under a compressed KV dtype the stored
 // keys/values carry quantization error, so tokens may differ from the f64
-// store — but fused batched decode must still be bit-identical to the
-// per-request path under the same dtype (decode is a pure function of the
-// stored codes, and both paths read the same codes in the same order).
+// store — but the batched scheduler (chunked prefill, fused decode) must
+// still be bit-identical to sequential per-request decode over the same
+// dtype (decode is a pure function of the stored codes, and both read the
+// same codes in the same order).
 func TestKVDtypeFusedMatchesPerRequest(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	engines, err := buildEngines(m, []string{"fp32", "tender:int"}, engine.BuildOptions{Bits: 8, Streams: 2, StreamLen: 32})
@@ -24,22 +25,25 @@ func TestKVDtypeFusedMatchesPerRequest(t *testing.T) {
 	for _, dtype := range []string{"f16", "int8"} {
 		for _, scheme := range []string{"fp32", "tender:int"} {
 			t.Run(dtype+"/"+scheme, func(t *testing.T) {
-				run := func(disable bool) ([][]int, Snapshot) {
-					srv := startServer(t, Config{
-						Model: m, Engines: engines, DefaultScheme: scheme,
-						MaxBatch: 4, Workers: 2, PrefillChunk: 4,
-						KVDtype: dtype, DisableFusedDecode: disable,
-					})
-					rep := RunLoad(srv, LoadConfig{Trace: trace, Clients: 4, Scheme: scheme})
-					if rep.Failed != 0 {
-						t.Fatalf("%d requests failed", rep.Failed)
-					}
-					return rep.Outputs, srv.Metrics().Snapshot()
+				srv := startServer(t, Config{
+					Model: m, Engines: engines, DefaultScheme: scheme,
+					MaxBatch: 4, PrefillChunk: 4, KVDtype: dtype,
+				})
+				rep := RunLoad(srv, LoadConfig{Trace: trace, Clients: 4, Scheme: scheme})
+				if rep.Failed != 0 {
+					t.Fatalf("%d requests failed", rep.Failed)
 				}
-				fused, snap := run(false)
-				plain, _ := run(true)
-				identtest.Equal(t, "fused vs per-request under "+dtype,
-					identtest.Output{Tokens: fused}, identtest.Output{Tokens: plain})
+				dt, err := tensor.ParseKVDtype(dtype)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pool := tensor.NewBlockPoolDtype(m.Cfg.DModel, tensor.DefaultPageRows, 0, dt)
+				ref := decodeUnbatched(m, trace, 0, 0, func(int) *model.Session {
+					return m.NewSessionWithKV(engines[scheme], func() model.KVStore { return tensor.NewPagedRows(pool, 0) })
+				})
+				identtest.Equal(t, "batched vs per-request under "+dtype,
+					identtest.Output{Tokens: rep.Outputs}, identtest.Output{Tokens: ref})
+				snap := srv.Metrics().Snapshot()
 				if snap.FusedDecodeTokens == 0 {
 					t.Fatal("fused path never engaged")
 				}
@@ -94,12 +98,6 @@ func TestKVDtypeStretchesBudget(t *testing.T) {
 	}
 
 	cfg = base
-	cfg.KVDtype = "f16"
-	cfg.ContiguousKV = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("compressed dtype must reject the contiguous layout")
-	}
-	cfg = base
 	cfg.KVDtype = "f32"
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unknown dtype must be rejected")
@@ -108,7 +106,7 @@ func TestKVDtypeStretchesBudget(t *testing.T) {
 
 // TestKernelBlockedServingBitIdentical: serving tender:int under
 // kernel=blocked — the blocked per-group integer GEMM path — must produce
-// exactly the tokens of the naive-kernel engine, batched or not, because
+// exactly the tokens of the naive-kernel engine, because
 // the integer path is bit-exact under any backend.
 func TestKernelBlockedServingBitIdentical(t *testing.T) {
 	m := model.New(model.TinyConfig())
@@ -121,7 +119,7 @@ func TestKernelBlockedServingBitIdentical(t *testing.T) {
 	ref := DecodeUnbatched(m, engines["tender:int"], trace, 0, 5)
 	srv := startServer(t, Config{
 		Model: m, Engines: engines, DefaultScheme: "tender:int,kernel=blocked",
-		MaxBatch: 4, Workers: 2, PrefillChunk: 4,
+		MaxBatch: 4, PrefillChunk: 4,
 	})
 	rep := RunLoad(srv, LoadConfig{Trace: trace, Clients: 4, Scheme: "tender:int,kernel=blocked", SeedBase: 5})
 	if rep.Failed != 0 {

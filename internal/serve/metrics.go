@@ -379,7 +379,8 @@ type Snapshot struct {
 	PrefillTokens        int64 `json:"prefill_tokens"`
 	DecodeTokens         int64 `json:"decode_tokens"`
 	// FusedDecodeTokens counts the decode tokens produced by fused batched
-	// passes (the rest went through the per-request path).
+	// passes (the rest came from prefill logits, speculative passes, or
+	// row-coupled engines' one-request decode steps).
 	FusedDecodeTokens int64 `json:"fused_decode_tokens"`
 	// Speculative decoding accounting (all zero with SpecDraftSpec unset):
 	// SpecPasses counts draft-k-verify passes, DraftProposedTokens the

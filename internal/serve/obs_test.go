@@ -24,7 +24,7 @@ func TestTraceReconstructsSnapshot(t *testing.T) {
 	tracer := obs.NewTracer(1 << 16)
 	srv, err := New(Config{
 		Model: m, Engines: map[string]model.Engine{"fp32": model.Exact{}},
-		MaxBatch: 4, QueueDepth: 8, PrefillChunk: 4, Workers: 2,
+		MaxBatch: 4, QueueDepth: 8, PrefillChunk: 4,
 		KVBudgetRows: 48, KVPageRows: 8,
 		Tracer: tracer,
 	})
@@ -104,7 +104,7 @@ func TestStageHistogramsPopulated(t *testing.T) {
 	trace := kvPressureTrace(m, 3)
 	srv, err := New(Config{
 		Model: m, Engines: map[string]model.Engine{"fp32": model.Exact{}},
-		MaxBatch: 4, QueueDepth: 8, PrefillChunk: 4, Workers: 2,
+		MaxBatch: 4, QueueDepth: 8, PrefillChunk: 4,
 		KVBudgetRows: 48, KVPageRows: 8,
 	})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestPrometheusExposition(t *testing.T) {
 	tracer := obs.NewTracer(4096)
 	srv, err := New(Config{
 		Model: m, Engines: map[string]model.Engine{"fp32": model.Exact{}},
-		MaxBatch: 4, QueueDepth: 8, PrefillChunk: 4, Workers: 2,
+		MaxBatch: 4, QueueDepth: 8, PrefillChunk: 4,
 		KVBudgetRows: 48, KVPageRows: 8,
 		Tracer: tracer,
 	})
@@ -296,7 +296,7 @@ func TestObsConcurrentHammer(t *testing.T) {
 	tracer := obs.NewTracer(2048)
 	srv, err := New(Config{
 		Model: m, Engines: map[string]model.Engine{"fp32": model.Exact{}},
-		MaxBatch: 4, QueueDepth: 32, PrefillChunk: 4, Workers: 2,
+		MaxBatch: 4, QueueDepth: 32, PrefillChunk: 4,
 		KVBudgetRows: 64, KVPageRows: 8,
 		Tracer: tracer,
 	})

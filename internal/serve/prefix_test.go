@@ -78,7 +78,7 @@ func TestPrefixServeBitIdenticalEveryScheme(t *testing.T) {
 			ref := DecodeUnbatched(m, engines[name], trace, 0, 11)
 			srv := startServer(t, Config{
 				Model: m, Engines: engines, DefaultScheme: name,
-				MaxBatch: 4, Workers: 4, PrefillChunk: 5,
+				MaxBatch: 4, PrefillChunk: 5,
 				KVPageRows: 8, PrefixCache: true,
 			})
 			runTwice(t, srv, trace, ref, name, 0, 11)
@@ -97,9 +97,9 @@ func TestPrefixServeBitIdenticalEveryScheme(t *testing.T) {
 	}
 }
 
-// TestPrefixSampledAndPerRequestPaths repeats the invariant for sampled
-// decoding and for the per-request (fusion-disabled) scheduler: the four
-// combinations must all match the cold reference bit for bit.
+// TestPrefixSampledAndPerRequestPaths repeats the invariant for greedy
+// and sampled decoding: both must match the cold per-request reference
+// bit for bit while actually hitting the cache.
 func TestPrefixSampledAndPerRequestPaths(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	engines, err := buildEngines(m, []string{"fp32", "tender"}, engine.BuildOptions{Bits: 8, Streams: 2, StreamLen: 32})
@@ -109,18 +109,15 @@ func TestPrefixSampledAndPerRequestPaths(t *testing.T) {
 	trace := sharedPrefixTrace(m, 17, 6, 83)
 	for _, name := range []string{"fp32", "tender"} {
 		for _, temp := range []float64{0, 0.8} {
-			for _, disableFused := range []bool{false, true} {
-				ref := DecodeUnbatched(m, engines[name], trace, temp, 29)
-				srv := startServer(t, Config{
-					Model: m, Engines: engines, DefaultScheme: name,
-					MaxBatch: 4, Workers: 2, PrefillChunk: 6,
-					KVPageRows: 8, PrefixCache: true,
-					DisableFusedDecode: disableFused,
-				})
-				runTwice(t, srv, trace, ref, name, temp, 29)
-				if snap := srv.Metrics().Snapshot(); snap.PrefixHits == 0 {
-					t.Fatalf("%s temp=%v fusedOff=%v: no prefix hits", name, temp, disableFused)
-				}
+			ref := DecodeUnbatched(m, engines[name], trace, temp, 29)
+			srv := startServer(t, Config{
+				Model: m, Engines: engines, DefaultScheme: name,
+				MaxBatch: 4, PrefillChunk: 6,
+				KVPageRows: 8, PrefixCache: true,
+			})
+			runTwice(t, srv, trace, ref, name, temp, 29)
+			if snap := srv.Metrics().Snapshot(); snap.PrefixHits == 0 {
+				t.Fatalf("%s temp=%v: no prefix hits", name, temp)
 			}
 		}
 	}
@@ -212,7 +209,7 @@ func TestPrefixPreemptionRefcountStress(t *testing.T) {
 			ref := DecodeUnbatched(m, model.Exact{}, trace, temp, 17)
 			srv, err := New(Config{
 				Model: m, Engines: engines, MaxBatch: 4, QueueDepth: 8,
-				PrefillChunk: 4, Workers: 2,
+				PrefillChunk: 4,
 				KVBudgetRows: 64, KVPageRows: 8, PrefixCache: true,
 			})
 			if err != nil {

@@ -10,6 +10,7 @@ import (
 	"tender/internal/chaos"
 	"tender/internal/engine"
 	"tender/internal/model"
+	"tender/internal/model/identtest"
 	"tender/internal/workload"
 )
 
@@ -153,10 +154,11 @@ func TestBrownoutShedsAtAdmission(t *testing.T) {
 }
 
 // TestPanicIsolationReleasesKV: with the injector panicking the first
-// two scheduler steps, exactly those requests fail with ErrInternal,
-// every survivor's tokens stay bit-identical to the unbatched
-// reference, and the failed requests' KV pages and prefix pins are
-// provably back in the pool (in-use 0, allocs == frees).
+// two scheduler steps — necessarily single-request prefill chunks, since
+// no request can reach decode without a step — exactly those requests
+// fail with ErrInternal, every survivor's tokens stay bit-identical to
+// the unbatched reference, and the failed requests' KV pages and prefix
+// pins are provably back in the pool (in-use 0, allocs == frees).
 func TestPanicIsolationReleasesKV(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	engines, err := buildEngines(m, []string{"fp32"}, engineOpts())
@@ -173,10 +175,9 @@ func TestPanicIsolationReleasesKV(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 3, PanicRate: 1, MaxPanics: wantPanics})
 	srv := startServer(t, Config{
 		Model: m, Engines: engines,
-		MaxBatch: 4, Workers: 4, PrefillChunk: 4,
+		MaxBatch: 4, PrefillChunk: 4,
 		KVPageRows: 8, PrefixCache: true,
-		DisableFusedDecode: true, // route every step through the per-request hook
-		Chaos:              inj,
+		Chaos: inj,
 	})
 
 	errs := make([]error, len(trace))
@@ -230,6 +231,112 @@ func TestPanicIsolationReleasesKV(t *testing.T) {
 	}
 }
 
+// TestPanicInFusedGroupFailsEveryMember: a panic inside a fused decode
+// step fails every member of the group with ErrInternal — their sessions'
+// KV writes interleave, so none can be trusted — and releases all their
+// KV pages and prefix pins; the server keeps serving, and later requests
+// match the unbatched reference bit for bit.
+func TestPanicInFusedGroupFailsEveryMember(t *testing.T) {
+	m := model.New(model.TinyConfig())
+	engines, err := buildEngines(m, []string{"fp32"}, engineOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three preloaded requests whose prompts fit one prefill chunk: the
+	// first iteration steps three prefill items, the second one fused
+	// decode item holding all three. Step-panic decisions are a pure
+	// function of (seed, draw number), so pick the seed whose first panic
+	// is draw 4 — the fused step.
+	const group = 3
+	cfg := chaos.Config{PanicRate: 0.3, MaxPanics: 1}
+	for cfg.Seed = 1; ; cfg.Seed++ {
+		if cfg.Seed > 1000 {
+			t.Fatal("no seed puts the first step panic on the fused step")
+		}
+		probe := chaos.New(cfg)
+		first := 0
+		for draw := 1; first == 0 && draw <= group+1; draw++ {
+			if probe.StepPanic() {
+				first = draw
+			}
+		}
+		if first == group+1 {
+			break
+		}
+	}
+	trace := workload.RequestTrace(workload.TraceConfig{
+		Requests: 2 * group, Vocab: m.Cfg.Vocab,
+		MinPrompt: 4, MaxPrompt: 8, MinNew: 3, MaxNew: 6,
+	}, 43)
+	ref := DecodeUnbatched(m, engines["fp32"], trace, 0, 7)
+	inj := chaos.New(cfg)
+	srv, err := New(Config{
+		Model: m, Engines: engines,
+		MaxBatch: group, QueueDepth: group, PrefillChunk: 8,
+		KVPageRows: 8, PrefixCache: true,
+		Chaos: inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+
+	// The group: queued before Start, so all three are admitted together.
+	errs := make([]error, group)
+	var wg sync.WaitGroup
+	for i := 0; i < group; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = srv.Generate(context.Background(), Request{
+				Prompt: trace[i].Prompt, MaxNewTokens: trace[i].NewTokens, Seed: 7 + uint64(i),
+			})
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Metrics().Snapshot().QueueDepth < group {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Start()
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrInternal) {
+			t.Fatalf("group member %d: error %v, want ErrInternal", i, err)
+		}
+	}
+	if got := inj.Stats().Panics; got != 1 {
+		t.Fatalf("injector recorded %d panics, want 1", got)
+	}
+	snap := srv.Metrics().Snapshot()
+	if snap.InternalErrors != group {
+		t.Fatalf("InternalErrors = %d, want %d", snap.InternalErrors, group)
+	}
+	if snap.FusedDecodeTokens != 0 {
+		t.Fatalf("%d fused tokens emitted by a panicked group", snap.FusedDecodeTokens)
+	}
+
+	// The panic budget is spent: the rest of the trace runs clean.
+	for i := group; i < len(trace); i++ {
+		res, err := srv.Generate(context.Background(), Request{
+			Prompt: trace[i].Prompt, MaxNewTokens: trace[i].NewTokens, Seed: 7 + uint64(i),
+		})
+		if err != nil {
+			t.Fatalf("request %d after the panic: %v", i, err)
+		}
+		identtest.Equal(t, "survivor", identtest.Output{Tokens: [][]int{res.Tokens}},
+			identtest.Output{Tokens: [][]int{ref[i]}})
+	}
+	srv.Stop()
+	after := srv.Metrics().Snapshot()
+	if after.KVPagesInUse != 0 || after.KVPageAllocs != after.KVPageFrees {
+		t.Fatalf("panicked group leaked KV: in-use %d, allocs %d, frees %d",
+			after.KVPagesInUse, after.KVPageAllocs, after.KVPageFrees)
+	}
+}
+
 // TestChaosKVExhaustionIsTransient: vetoed KV admission checks hold
 // requests, they do not fail them — with the veto budget capped, every
 // request completes bit-identically and no pages leak.
@@ -245,7 +352,7 @@ func TestChaosKVExhaustionIsTransient(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 5, KVExhaustRate: 0.8, MaxKVExhaust: 24})
 	srv := startServer(t, Config{
 		Model: m, Engines: engines,
-		MaxBatch: 4, Workers: 2, PrefillChunk: 4,
+		MaxBatch: 4, PrefillChunk: 4,
 		KVBudgetRows: 2 * m.Cfg.MaxSeq, KVPageRows: 8, PrefixCache: true,
 		Chaos: inj,
 	})
@@ -282,7 +389,7 @@ func TestConcurrentSubmitVsDrain(t *testing.T) {
 	}
 	srv := startServer(t, Config{
 		Model: m, Engines: engines,
-		MaxBatch: 4, Workers: 4, PrefillChunk: 4,
+		MaxBatch: 4, PrefillChunk: 4,
 		KVPageRows: 8, PrefixCache: true,
 	})
 

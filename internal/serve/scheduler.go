@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"tender/internal/model"
@@ -43,23 +44,10 @@ func (s *Server) pageFloor(rows int) int {
 	return rows / s.cfg.KVPageRows * s.cfg.KVPageRows
 }
 
-// heldCap is the KV row capacity a session holding pos positions is
-// charged for: its page-rounded length, or the worst-case MaxSeq under
-// the contiguous preallocating baseline.
-func (s *Server) heldCap(pos int) int {
-	if s.cfg.ContiguousKV {
-		return s.cfg.Model.Cfg.MaxSeq
-	}
-	return s.pageRound(pos)
-}
-
 // admissionNeed is the KV reservation a request entering the batch with a
 // seqLen-token prefill must secure: enough to prefill fully and emit its
 // first decode row. Growth beyond it is reserved iteration by iteration.
 func (s *Server) admissionNeed(seqLen int) int {
-	if s.cfg.ContiguousKV {
-		return s.cfg.Model.Cfg.MaxSeq
-	}
 	return s.pageRound(seqLen + 1)
 }
 
@@ -147,18 +135,9 @@ func (s *Server) releaseKV(a *activeReq) {
 	a.draftHeld = 0
 }
 
-// newSession mounts a session on the server's KV layout: paged stores
-// drawing from the shared pool — seeded with a pinned prefix entry's
-// shared pages when one matched — or the contiguous reference buffers,
-// preallocated to worst-case MaxSeq when a budget makes that the
-// (deliberately wasteful) baseline being measured.
+// newSession mounts a session on paged stores drawing from the shared
+// pool, seeded with a pinned prefix entry's shared pages when one matched.
 func (s *Server) newSession(eng model.Engine, capRows int, e *model.PrefixEntry) *model.Session {
-	if s.cfg.ContiguousKV {
-		if s.cfg.KVBudgetRows > 0 {
-			return s.cfg.Model.NewSession(eng, s.cfg.Model.Cfg.MaxSeq)
-		}
-		return s.cfg.Model.NewSession(eng, capRows)
-	}
 	pool := s.kvPool
 	return s.cfg.Model.NewSessionWithPrefix(eng, func() model.KVStore {
 		return tensor.NewPagedRows(pool, capRows)
@@ -434,14 +413,7 @@ func (s *Server) ensureKV(batch []*activeReq) []*activeReq {
 	i := 0
 	for i < len(batch) {
 		a := batch[i]
-		c := 1
-		if a.consumed < len(a.seq) {
-			c = len(a.seq) - a.consumed
-			if c > s.cfg.PrefillChunk {
-				c = s.cfg.PrefillChunk
-			}
-		}
-		need := s.heldCap(a.sess.Len()+c) - a.kvBase - a.kvHeld
+		need := s.pageRound(a.sess.Len()+s.chunkLen(a)) - a.kvBase - a.kvHeld
 		if need < 0 {
 			need = 0
 		}
@@ -508,15 +480,12 @@ func (s *Server) reapOne(a *activeReq, now time.Time) bool {
 	return true
 }
 
-// runIteration executes one step for every active request. Decode-ready
-// requests are partitioned into per-engine fused groups — requests on the
-// same scheme spec share one forward pass through model.BatchStepper, with
-// parallelism coming from within the fused matmuls (which tensor.MatMul
-// shards) rather than across requests. Prefill chunks, and decodes on
-// engines that cannot guarantee bit-identical fusion, keep the per-request
-// path sharded across the worker pool. Fused or not, each request's step
-// computes exactly the sequential Session.Append result, so the partition
-// cannot change any request's tokens — only wall-clock.
+// runIteration executes one step for every active request: plan turns
+// the batch into work items, the worker pool steps them, and the
+// scheduler goroutine settles donations, metrics and trace events once
+// the pool joins. Every item computes exactly its requests' sequential
+// model.Session results, so the grouping cannot change any request's
+// tokens — only wall-clock.
 func (s *Server) runIteration(batch []*activeReq) {
 	s.iter++
 	traced := s.tracer.Enabled()
@@ -524,79 +493,9 @@ func (s *Server) runIteration(batch []*activeReq) {
 	if traced {
 		iterStart = time.Now()
 	}
-	// Speculative routing happens first, on the scheduler goroutine: at low
-	// occupancy every decode-ready request that fits a drafter reservation
-	// takes a draft-k-verify pass instead of a one-token step; the rest of
-	// the batch (and every request when the batch is deep) keeps the fused
-	// or per-request path. Reservation must precede the steps because it
-	// moves kvFree, which only this goroutine touches.
-	specs := s.specReqs[:0]
-	for _, a := range batch {
-		a.specK = 0
-	}
-	if s.cfg.SpecDraftSpec != "" && len(batch) <= s.specOccupancyLimit() {
-		for _, a := range batch {
-			if !s.specEligible(a) {
-				continue
-			}
-			k := min(s.cfg.SpecDraftK, a.maxNew-len(a.out)-1)
-			if !s.specReserve(a, k) {
-				continue // budget too tight for a drafter: decode plain
-			}
-			a.specK = k
-			specs = append(specs, a)
-		}
-	}
-	s.specReqs = specs
-	for _, a := range specs {
-		s.stepSpec(a, a.specK)
-	}
-	solo := batch
-	if !s.cfg.DisableFusedDecode {
-		var groups []*decodeGroup
-		groups, solo = s.partition(batch)
-		for _, g := range groups {
-			s.stepFused(g)
-		}
-	} else if len(specs) > 0 {
-		rest := s.solo[:0]
-		for _, a := range batch {
-			if a.specK == 0 {
-				rest = append(rest, a)
-			}
-		}
-		s.solo = rest
-		solo = rest
-	}
-	workers := s.cfg.Workers
-	if workers > len(solo) {
-		workers = len(solo)
-	}
-	if workers <= 1 {
-		for _, a := range solo {
-			s.stepOne(a)
-		}
-	} else {
-		idx := make(chan int)
-		done := make(chan struct{})
-		for w := 0; w < workers; w++ {
-			go func() {
-				for i := range idx {
-					s.stepOne(solo[i])
-				}
-				done <- struct{}{}
-			}()
-		}
-		for i := range solo {
-			idx <- i
-		}
-		close(idx)
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-	}
+	s.stepAll(s.plan(batch))
 	// Donate completed prefills to the prefix index (scheduler goroutine,
-	// after the workers join): the next prompt sharing the prefix mounts
+	// after the pool joins): the next prompt sharing the prefix mounts
 	// these pages instead of recomputing them.
 	if s.prefixCaches != nil {
 		for _, a := range batch {
@@ -625,8 +524,8 @@ func (s *Server) runIteration(batch []*activeReq) {
 			continue
 		}
 		// Trace events are recorded here — on the scheduler goroutine,
-		// after the worker pool joins — so the tracer never contends with
-		// (or races) the step workers.
+		// after the pool joins — so the tracer never contends with (or
+		// races) the step workers.
 		if a.lastStepPrefill > 0 {
 			if !a.prefillStartTraced {
 				a.prefillStartTraced = true
@@ -657,16 +556,9 @@ func (s *Server) runIteration(batch []*activeReq) {
 		liveRows += int64(a.kvHeld + a.draftHeld)
 	}
 	s.liveKVRows.Store(liveRows)
-	var kvOcc int64
-	if s.kvPool != nil {
-		// Pages are per-layer per-K/V; convert to positions so occupancy
-		// reads in the same unit as the budget.
-		kvOcc = int64(s.kvPool.InUse()) * int64(s.cfg.KVPageRows) / int64(2*s.cfg.Model.Cfg.Layers)
-	} else {
-		for _, a := range batch {
-			kvOcc += int64(a.kvHeld + a.draftHeld)
-		}
-	}
+	// Pages are per-layer per-K/V; convert to positions so occupancy reads
+	// in the same unit as the budget.
+	kvOcc := int64(s.kvPool.InUse()) * int64(s.cfg.KVPageRows) / int64(2*s.cfg.Model.Cfg.Layers)
 	s.metrics.iteration(len(batch), prefill, decode, fused, perScheme, kvOcc)
 }
 
@@ -690,34 +582,45 @@ func (s *Server) insertPrefix(a *activeReq) {
 	}
 }
 
-// decodeGroup is the decode-ready slice of one iteration that shares an
-// engine and therefore one fused forward pass.
-type decodeGroup struct {
-	bs   *model.BatchStepper
-	reqs []*activeReq
+// workItem is one unit of an iteration's model work: a fused decode of
+// every decode-ready request on one row-independent engine (bs set), a
+// speculative draft-k-verify pass (specK > 0), or one request's prefill
+// chunk or row-coupled decode step. Each request's rows for the step are
+// its stepRows.
+type workItem struct {
+	reqs  []*activeReq
+	bs    *model.BatchStepper
+	specK int
 }
 
-// partition splits the active batch into per-engine fused decode groups
-// and the per-request remainder (prefill chunks, engines without a
-// stepper). Group order follows first appearance in the batch, so the
-// partition is deterministic in the batch order.
-func (s *Server) partition(batch []*activeReq) ([]*decodeGroup, []*activeReq) {
-	var groups []*decodeGroup
-	solo := s.solo[:0]
+// plan assigns every request of the batch to this iteration's work items,
+// on the scheduler goroutine. Speculative routing comes first: at low
+// occupancy every decode-ready request that fits a drafter reservation
+// takes a draft-k-verify pass instead of a one-token step (reservation
+// moves kvFree, which only this goroutine touches). Decode-ready requests
+// on an engine with a fused stepper share one item per engine, listed
+// first in order of first appearance; prefill chunks and decodes on
+// row-coupled engines get an item each, in batch order.
+func (s *Server) plan(batch []*activeReq) []*workItem {
+	speculate := s.cfg.SpecDraftSpec != "" && len(batch) <= s.specOccupancyLimit()
+	var groups, rest []*workItem
 	for _, a := range batch {
-		if a.specK > 0 {
-			continue // this iteration's step already ran as a spec pass
-		}
-		if a.consumed < len(a.seq) {
-			solo = append(solo, a)
-			continue
+		a.specK = 0
+		a.stepRows = s.chunkLen(a)
+		if speculate && s.specEligible(a) {
+			k := min(s.cfg.SpecDraftK, a.maxNew-len(a.out)-1)
+			if s.specReserve(a, k) { // else the budget is too tight: decode plain
+				a.specK = k
+				rest = append(rest, &workItem{reqs: []*activeReq{a}, specK: k})
+				continue
+			}
 		}
 		bs := s.stepper(a.scheme, a.eng)
-		if bs == nil {
-			solo = append(solo, a)
+		if a.consumed < len(a.seq) || bs == nil {
+			rest = append(rest, &workItem{reqs: []*activeReq{a}})
 			continue
 		}
-		var g *decodeGroup
+		var g *workItem
 		for _, cand := range groups {
 			if cand.bs == bs {
 				g = cand
@@ -725,21 +628,73 @@ func (s *Server) partition(batch []*activeReq) ([]*decodeGroup, []*activeReq) {
 			}
 		}
 		if g == nil {
-			g = &decodeGroup{bs: bs}
+			g = &workItem{bs: bs}
 			groups = append(groups, g)
 		}
 		g.reqs = append(g.reqs, a)
 	}
-	s.solo = solo
-	return groups, solo
+	return append(groups, rest...)
+}
+
+// stepAll steps every item on the worker pool — GOMAXPROCS goroutines,
+// fewer when there are fewer items, none for a single item — and returns
+// once all have finished. Items touch disjoint requests and sessions, and
+// each fused stepper belongs to exactly one item, so they run
+// concurrently; the pool is where the single-threaded integer GEMM gets
+// its prefill parallelism.
+func (s *Server) stepAll(items []*workItem) {
+	workers := min(s.workers, len(items))
+	if workers <= 1 {
+		for _, it := range items {
+			s.stepItem(it)
+		}
+		return
+	}
+	idx := make(chan *workItem)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := range idx {
+				s.stepItem(it)
+			}
+		}()
+	}
+	for _, it := range items {
+		idx <- it
+	}
+	close(idx)
+	wg.Wait()
+}
+
+// chunkLen is the rows a's next step appends: the next chunk of its
+// pending sequence (the prompt, or after a preemption prompt +
+// regenerated tokens), or 1 for a decode step. A row-coupled engine — one
+// without a fused stepper — is exact only for the Append calls
+// DecodeUnbatched makes, so its prefill takes the rest of the prompt in
+// one piece and a resume re-prefills generated tokens one at a time.
+func (s *Server) chunkLen(a *activeReq) int {
+	rest := len(a.seq) - a.consumed
+	switch {
+	case rest == 0:
+		return 1
+	case s.stepper(a.scheme, a.eng) != nil:
+		return min(rest, s.cfg.PrefillChunk)
+	case a.consumed < len(a.p.req.Prompt):
+		return len(a.p.req.Prompt) - a.consumed
+	default:
+		return 1
+	}
 }
 
 // stepper returns the fused stepper for eng, creating it on first use.
-// Engines that cannot fuse bit-identically (model.NewBatchStepper errors,
-// e.g. OliVe's row-coupled encoding) are cached as nil and served per
-// request. Only the scheduler goroutine touches the cache. New steppers
-// get a step hook feeding the per-spec fused-step timing histogram (the
-// spec of the first request that reached the engine names the series).
+// Engines that fail the row-independence audit (model.NewBatchStepper
+// errors, e.g. OliVe's row-coupled encoding) are cached as nil: they step
+// one request at a time, take no speculative passes and no prefix cache.
+// Only the scheduler goroutine touches the cache. New steppers get a step
+// hook feeding the per-spec fused-step timing histogram (the spec of the
+// first request that reached the engine names the series).
 func (s *Server) stepper(scheme string, eng model.Engine) *model.BatchStepper {
 	if bs, seen := s.steppers[eng]; seen {
 		return bs
@@ -757,37 +712,70 @@ func (s *Server) stepper(scheme string, eng model.Engine) *model.BatchStepper {
 	return bs
 }
 
-// stepFused advances every request of a decode group by one token with a
-// single fused forward pass. A panic inside the pass fails the whole
-// group with ErrInternal: the fused step interleaves every member's KV
-// writes, so after a mid-pass panic no member's session state can be
-// trusted — unlike the per-request path, the blast radius is the group,
-// never the server.
-func (s *Server) stepFused(g *decodeGroup) {
-	sessions := s.fusedSessions[:0]
-	tokens := s.fusedTokens[:0]
-	for _, a := range g.reqs {
+// stepItem advances every request of one work item by one iteration, with
+// panic isolation: a panic in the model step (or an injected chaos panic)
+// is recovered into a.failed for every request of the item, which retire
+// then fails with ErrInternal, releasing its KV pages and prefix pin. A
+// fused step interleaves its members' KV writes, so after a mid-pass
+// panic no member's session can be trusted — the blast radius is the
+// item, never the server. Runs on worker goroutines; only the item's
+// requests are written, and the scheduler reads them after the pool
+// joins.
+func (s *Server) stepItem(it *workItem) {
+	for _, a := range it.reqs {
 		a.lastStepPrefill = 0
 		a.lastStepDecoded = false
 		a.lastStepFused = false
 		a.lastStepSpec = false
 		a.lastStepEmitted = 0
-		sessions = append(sessions, a.sess)
-		tokens = append(tokens, a.out[len(a.out)-1])
 	}
-	logits, err := fusedStepChecked(g.bs, sessions, tokens)
-	if err != nil {
-		for _, a := range g.reqs {
-			a.failed = err
+	defer func() {
+		if r := recover(); r != nil {
+			err := fmt.Errorf("%w: step panicked: %v", ErrInternal, r)
+			for _, a := range it.reqs {
+				a.failed = err
+			}
 		}
+	}()
+	if s.cfg.Chaos.StepPanic() {
+		panic("chaos: injected step panic")
+	}
+	if it.specK > 0 {
+		s.stepSpec(it.reqs[0], it.specK)
+		return
+	}
+	var logits *tensor.Matrix
+	if it.bs != nil {
+		sessions := make([]*model.Session, len(it.reqs))
+		tokens := make([]int, len(it.reqs))
+		for i, a := range it.reqs {
+			sessions[i], tokens[i] = a.sess, a.out[len(a.out)-1]
+		}
+		logits = it.bs.Step(sessions, tokens)
+	} else if a := it.reqs[0]; a.consumed < len(a.seq) {
+		logits = a.sess.Append(a.seq[a.consumed : a.consumed+a.stepRows])
 	} else {
-		for i, a := range g.reqs {
-			a.emit(logits.Row(i))
-			a.lastStepFused = true
-		}
+		logits = a.sess.Append(a.out[len(a.out)-1:])
 	}
-	s.fusedSessions = sessions
-	s.fusedTokens = tokens
+	// Each request's rows follow the previous one's; a finished prefill
+	// (unless it re-derives already-emitted tokens after a resume) and
+	// every decode step emit from their last row.
+	row := 0
+	for _, a := range it.reqs {
+		row += a.stepRows
+		if a.consumed < len(a.seq) {
+			a.consumed += a.stepRows
+			a.lastStepPrefill = a.stepRows
+			if p := min(a.consumed, len(a.p.req.Prompt)); p > a.prefilled {
+				a.prefilled = p
+			}
+			if a.consumed < len(a.seq) || !a.emitPrefill {
+				continue
+			}
+		}
+		a.emit(logits.Row(row - 1))
+		a.lastStepFused = it.bs != nil
+	}
 }
 
 // specOccupancyLimit is the batch depth up to which speculation pays:
@@ -812,22 +800,7 @@ func (s *Server) specEligible(a *activeReq) bool {
 		len(a.out) > 0 &&
 		a.maxNew-len(a.out) >= 2 &&
 		a.scheme != s.cfg.SpecDraftSpec &&
-		s.specTargetOK(a.eng)
-}
-
-// specTargetOK reports whether eng may serve as a speculation target.
-// The verify pass scores k+1 stacked rows in one Append, so bit-identity
-// with plain decode needs every weight matmul to treat rows
-// independently — the same audit the prefix cache and fused decode rely
-// on; row-coupled encodings (OliVe's outlier-victim pairing) fail it and
-// decode plain. Cached per engine; scheduler goroutine only.
-func (s *Server) specTargetOK(eng model.Engine) bool {
-	ok, seen := s.specOK[eng]
-	if !seen {
-		ok = s.cfg.Model.PrefixShareable(eng)
-		s.specOK[eng] = ok
-	}
-	return ok
+		s.stepper(a.scheme, a.eng) != nil
 }
 
 // specReserve charges the KV budget for one draft-k-verify pass: the
@@ -841,7 +814,7 @@ func (s *Server) specReserve(a *activeReq, k int) bool {
 	if s.cfg.KVBudgetRows == 0 {
 		return true
 	}
-	tneed := s.heldCap(a.sess.Len()+k+1) - a.kvBase - a.kvHeld
+	tneed := s.pageRound(a.sess.Len()+k+1) - a.kvBase - a.kvHeld
 	if tneed < 0 {
 		tneed = 0
 	}
@@ -849,7 +822,7 @@ func (s *Server) specReserve(a *activeReq, k int) bool {
 	if a.draft != nil {
 		dlen = a.draft.Len()
 	}
-	dneed := s.heldCap(dlen+k+1) - a.draftHeld
+	dneed := s.pageRound(dlen+k+1) - a.draftHeld
 	if dneed < 0 {
 		dneed = 0
 	}
@@ -866,8 +839,8 @@ func (s *Server) specReserve(a *activeReq, k int) bool {
 	return true
 }
 
-// stepSpec advances one request by a draft-k-verify pass on the scheduler
-// goroutine, with the same panic isolation as stepOne: the drafter
+// stepSpec advances one request by a draft-k-verify pass (a work item
+// stepped by stepItem, which isolates its panics): the drafter
 // proposes k candidates from its own KV session (created lazily here,
 // prefilled with exactly the target session's content), one fused target
 // pass verifies them, and every target-confirmed token — 1 to k+1 of
@@ -875,19 +848,6 @@ func (s *Server) specReserve(a *activeReq, k int) bool {
 // to plain decode by the SpecDecoder acceptance rule, which draws from
 // the request's RNG stream exactly as emit would.
 func (s *Server) stepSpec(a *activeReq, k int) {
-	defer func() {
-		if r := recover(); r != nil {
-			a.failed = fmt.Errorf("%w: speculative step panicked: %v", ErrInternal, r)
-		}
-	}()
-	a.lastStepPrefill = 0
-	a.lastStepDecoded = false
-	a.lastStepFused = false
-	a.lastStepSpec = false
-	a.lastStepEmitted = 0
-	if s.cfg.Chaos.StepPanic() {
-		panic("chaos: injected step panic")
-	}
 	if a.draft == nil {
 		// Lazy drafter: the prompt plus every emitted token but the newest,
 		// matching the target session's content position for position.
@@ -916,63 +876,6 @@ func (s *Server) stepSpec(a *activeReq, k int) {
 	a.lastSpecDraftNS = int64(draftD)
 	a.lastSpecVerifyNS = int64(verifyD)
 	s.metrics.specPass(r.Proposed, r.Accepted)
-}
-
-// fusedStepChecked runs one fused forward pass with panic isolation.
-func fusedStepChecked(bs *model.BatchStepper, sessions []*model.Session, tokens []int) (logits *tensor.Matrix, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: fused step panicked: %v", ErrInternal, r)
-		}
-	}()
-	return bs.Step(sessions, tokens), nil
-}
-
-// stepOne advances one request by one iteration with panic isolation: a
-// panic in the model step (or an injected chaos panic) is recovered into
-// a.failed and retires only this request with ErrInternal — its KV pages
-// and prefix pin are released in retire, and the rest of the batch is
-// untouched. Runs on worker goroutines; only this request's state is
-// written, and the scheduler reads a.failed after the pool joins.
-func (s *Server) stepOne(a *activeReq) {
-	defer func() {
-		if r := recover(); r != nil {
-			a.failed = fmt.Errorf("%w: step panicked: %v", ErrInternal, r)
-		}
-	}()
-	if s.cfg.Chaos.StepPanic() {
-		panic("chaos: injected step panic")
-	}
-	s.stepReq(a)
-}
-
-// stepReq advances one request by one iteration: either the next prefill
-// chunk of its pending sequence (the prompt, or — after a preemption —
-// prompt + regenerated tokens, emitting nothing) or one decode token.
-func (s *Server) stepReq(a *activeReq) {
-	a.lastStepPrefill = 0
-	a.lastStepDecoded = false
-	a.lastStepFused = false
-	a.lastStepSpec = false
-	a.lastStepEmitted = 0
-	if a.consumed < len(a.seq) {
-		chunk := len(a.seq) - a.consumed
-		if chunk > s.cfg.PrefillChunk {
-			chunk = s.cfg.PrefillChunk
-		}
-		logits := a.sess.Append(a.seq[a.consumed : a.consumed+chunk])
-		a.consumed += chunk
-		a.lastStepPrefill = chunk
-		if p := min(a.consumed, len(a.p.req.Prompt)); p > a.prefilled {
-			a.prefilled = p
-		}
-		if a.consumed == len(a.seq) && a.emitPrefill {
-			a.emit(logits.Row(logits.Rows - 1))
-		}
-		return
-	}
-	logits := a.sess.Append([]int{a.out[len(a.out)-1]})
-	a.emit(logits.Row(0))
 }
 
 // emit appends the next token chosen from a logits row.

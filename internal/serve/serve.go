@@ -8,20 +8,22 @@
 // scheduler assembles batches that mix prefill chunks and single-token
 // decode steps.
 //
-// Decode steps are fused: each iteration partitions the decode-ready
-// requests into per-engine groups, and every group runs one forward pass
-// through model.BatchStepper — the sessions' current rows stacked into a
-// single [B × d_model] matrix, one Engine.MatMul per weight site over the
-// whole group, attention still per session against its own KV cache and
-// position offset. Parallelism comes from within the fused matmuls (which
-// tensor.MatMul shards across GOMAXPROCS); prefill chunks and engines
-// whose quantization is not row-independent (see schemes.RowIndependent;
-// OliVe is the one registry case) keep the per-request path on the
-// worker pool. Fused or not, each request computes exactly its sequential
-// model.Session result, so per-request outputs stay bit-identical to the
-// unbatched single-threaded decode path for every scheme — batching and
-// fusion change wall-clock, never tokens. Config.DisableFusedDecode (the
-// tenderserve -batch-fused=false flag) restores per-request stepping.
+// Each iteration is a list of work items stepped on a GOMAXPROCS worker
+// pool by one function with one panic-isolation boundary: one item per
+// row-independent engine holding all its decode-ready requests — one
+// forward pass through model.BatchStepper, the sessions' current rows
+// stacked into a single [B × d_model] matrix, one Engine.MatMul per
+// weight site over the whole group, attention still per session against
+// its own KV cache and position offset — one item per prefill chunk, and
+// one per decode step on an engine whose quantization is not
+// row-independent (see schemes.RowIndependent; OliVe is the one registry
+// case). Such a row-coupled engine is exact only for the Append calls the
+// unbatched reference makes, so its prefill is the whole prompt and a
+// resume after preemption re-prefills generated tokens one at a time.
+// Every item computes exactly its requests' sequential model.Session
+// results, so per-request outputs stay bit-identical to the unbatched
+// single-threaded decode path for every scheme — batching and fusion
+// change wall-clock, never tokens.
 //
 // KV memory is paged and budgeted: sessions draw fixed-size pages from
 // one shared tensor.BlockPool, Config.KVBudgetRows bounds total positions,
@@ -86,9 +88,10 @@ var (
 	// Retry-After.
 	ErrOverloaded = errors.New("serve: overloaded")
 	// ErrInternal means a scheduler step panicked while running this
-	// request. The panic is isolated: only the offending request fails,
-	// its KV pages and prefix pins are released, and the rest of the
-	// batch keeps running.
+	// request. The panic is isolated to its work item: only that item's
+	// requests fail (one request, or every member of a fused decode
+	// group), their KV pages and prefix pins are released, and the rest
+	// of the batch keeps running.
 	ErrInternal = errors.New("serve: internal error")
 )
 
@@ -138,14 +141,8 @@ type Config struct {
 	QueueDepth int
 	// PrefillChunk bounds prompt tokens consumed per iteration per
 	// request, so long prompts cannot starve decode steps (default 32).
+	// Row-coupled engines (OliVe) ignore it: they prefill whole prompts.
 	PrefillChunk int
-	// Workers is the iteration worker-pool size (default GOMAXPROCS).
-	Workers int
-	// DisableFusedDecode turns off the fused batched decode pass and steps
-	// every request through its own session (the pre-fusion behaviour).
-	// Fused decode is bit-identical to the per-request path, so this is a
-	// performance toggle, not a correctness one.
-	DisableFusedDecode bool
 	// SpecDraftSpec, when non-empty, enables speculative draft-k-verify
 	// decoding: it names the hosted engine (a key of Engines) that drafts
 	// candidate tokens for decode steps. At low batch occupancy (at most
@@ -190,19 +187,11 @@ type Config struct {
 	// operator provisions — so a compressed dtype multiplies the effective
 	// position capacity by the per-row byte ratio instead of shrinking the
 	// server's memory. Compressed stores decode through a per-store page
-	// cache; fused and per-request decode stay bit-identical to each other
-	// under every dtype (decode is a pure function of the stored codes).
-	// Requires the paged layout (ContiguousKV must be off).
+	// cache; serving stays bit-identical to sequential decode over stores
+	// of the same dtype (decode is a pure function of the stored codes).
 	KVDtype string
 	// kvDtype is the parsed KVDtype, set by fill.
 	kvDtype tensor.KVDtype
-	// ContiguousKV restores the reference KV layout: each session owns
-	// contiguous per-layer RowBuffers and, when KVBudgetRows is set,
-	// reserves the worst-case MaxSeq rows up front — so the budget
-	// admits only KVBudgetRows/MaxSeq concurrent sessions and
-	// preemption never triggers. The baseline the paged scheduler is
-	// benchmarked against; outputs are bit-identical either way.
-	ContiguousKV bool
 	// PrefixCache enables shared-prefix KV reuse over the paged pool: each
 	// completed prefill donates its prompt's KV pages to a per-engine
 	// prefix index (model.PrefixCache), and later prompts sharing the
@@ -212,7 +201,7 @@ type Config struct {
 	// pressure before the scheduler holds or preempts anything. Hits are
 	// bit-identical to cold prefill for every engine whose quantization
 	// treats activation rows independently; row-coupled engines (OliVe)
-	// keep the cold path automatically. Incompatible with ContiguousKV.
+	// keep the cold path automatically.
 	PrefixCache bool
 	// PrefixCacheRows caps the KV positions retained by cached prefixes
 	// (rounded up to KVPageRows). 0 defaults to KVBudgetRows when a budget
@@ -270,9 +259,6 @@ func (c *Config) fill() error {
 	if c.PrefillChunk <= 0 {
 		c.PrefillChunk = 32
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.KVPageRows <= 0 {
 		c.KVPageRows = tensor.DefaultPageRows
 	}
@@ -281,9 +267,6 @@ func (c *Config) fill() error {
 		return fmt.Errorf("serve: %v", err)
 	}
 	c.kvDtype = dtype
-	if c.ContiguousKV && dtype != tensor.KVF64 {
-		return fmt.Errorf("serve: KVDtype %q requires the paged KV layout (ContiguousKV must be off)", dtype)
-	}
 	if c.KVBudgetRows > 0 && dtype != tensor.KVF64 {
 		// Same bytes, more positions: the budget is provisioned memory, so
 		// a compressed dtype stretches it by the per-row byte ratio.
@@ -297,10 +280,6 @@ func (c *Config) fill() error {
 		// Page-align the budget so position accounting and the page pool
 		// agree exactly.
 		c.KVBudgetRows = pageRoundUp(c.KVBudgetRows, c.KVPageRows)
-		if c.ContiguousKV && c.KVBudgetRows < c.Model.Cfg.MaxSeq {
-			return fmt.Errorf("serve: KV budget %d below MaxSeq %d with contiguous KV — no request could ever run",
-				c.KVBudgetRows, c.Model.Cfg.MaxSeq)
-		}
 	}
 	if c.SpecDraftK < 0 {
 		return fmt.Errorf("serve: negative SpecDraftK %d", c.SpecDraftK)
@@ -323,9 +302,6 @@ func (c *Config) fill() error {
 		return errors.New("serve: BrownoutKVFrac requires KVBudgetRows")
 	}
 	if c.PrefixCache {
-		if c.ContiguousKV {
-			return errors.New("serve: PrefixCache requires the paged KV layout (ContiguousKV must be off)")
-		}
 		if c.PrefixCacheRows < 0 {
 			c.PrefixCacheRows = 0
 		}
@@ -350,9 +326,10 @@ type Server struct {
 	tracer   *obs.Tracer
 	nextID   uint64
 	idMu     sync.Mutex
-	// kvPool is the shared page pool every paged session draws from
-	// (nil with ContiguousKV).
+	// kvPool is the shared page pool every session draws from.
 	kvPool *tensor.BlockPool
+	// workers bounds the goroutines stepping an iteration's work items.
+	workers int
 	// waitCount mirrors len(held)+len(preempted) for the queue-depth
 	// gauge, which is read outside the scheduler goroutine.
 	waitCount atomic.Int64
@@ -369,19 +346,13 @@ type Server struct {
 	// to their callers — what a bounded drain waits on.
 	inflight atomic.Int64
 	// Scheduler-goroutine state: fused steppers per engine (nil = engine
-	// cannot fuse), scratch slices reused every iteration, and the
-	// memory-aware admission state — remaining KV budget rows, the
-	// popped-but-not-yet-admitted request, and preempted requests
-	// waiting to resume.
-	steppers      map[model.Engine]*model.BatchStepper
-	specOK        map[model.Engine]bool
-	solo          []*activeReq
-	specReqs      []*activeReq
-	fusedSessions []*model.Session
-	fusedTokens   []int
-	kvFree        int
-	held          *pending
-	preempted     []*activeReq
+	// is row-coupled and steps one request at a time) and the memory-aware
+	// admission state — remaining KV budget rows, the popped-but-not-yet-
+	// admitted request, and preempted requests waiting to resume.
+	steppers  map[model.Engine]*model.BatchStepper
+	kvFree    int
+	held      *pending
+	preempted []*activeReq
 	// iter numbers scheduler iterations for trace events; only the
 	// scheduler goroutine touches it (client-side events carry iter 0).
 	iter int64
@@ -423,6 +394,9 @@ type activeReq struct {
 	// prefilled.
 	seq      []int
 	consumed int
+	// stepRows is the rows the current iteration's step appends: a
+	// prefill chunk, or 1 for a decode step.
+	stepRows int
 	// prefilled counts the prompt tokens prefilled, capped at the prompt
 	// length so resume re-prefills do not inflate it — this is what
 	// Result.PrefillTokens reports.
@@ -487,20 +461,18 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		stop:     make(chan struct{}),
 		tracer:   cfg.Tracer,
+		workers:  runtime.GOMAXPROCS(0),
 		steppers: make(map[model.Engine]*model.BatchStepper),
-		specOK:   make(map[model.Engine]bool),
 		kvFree:   cfg.KVBudgetRows,
 	}
-	if !cfg.ContiguousKV {
-		maxPages := 0
-		if cfg.KVBudgetRows > 0 {
-			// The budget is page-aligned, so this bound is exactly what
-			// position accounting can hand out: one K and one V page per
-			// layer per budgeted page of positions.
-			maxPages = cfg.KVBudgetRows / cfg.KVPageRows * 2 * cfg.Model.Cfg.Layers
-		}
-		s.kvPool = tensor.NewBlockPoolDtype(cfg.Model.Cfg.DModel, cfg.KVPageRows, maxPages, cfg.kvDtype)
+	maxPages := 0
+	if cfg.KVBudgetRows > 0 {
+		// The budget is page-aligned, so this bound is exactly what
+		// position accounting can hand out: one K and one V page per layer
+		// per budgeted page of positions.
+		maxPages = cfg.KVBudgetRows / cfg.KVPageRows * 2 * cfg.Model.Cfg.Layers
 	}
+	s.kvPool = tensor.NewBlockPoolDtype(cfg.Model.Cfg.DModel, cfg.KVPageRows, maxPages, cfg.kvDtype)
 	if cfg.PrefixCache {
 		s.prefixCaches = make(map[string]*model.PrefixCache, len(cfg.Engines))
 		for spec, eng := range cfg.Engines {
@@ -512,12 +484,9 @@ func New(cfg Config) (*Server, error) {
 		sort.Strings(s.prefixOrder)
 	}
 	s.queue = make(chan *pending, cfg.QueueDepth)
-	var pages func() (int64, int64, int64)
-	if s.kvPool != nil {
-		pages = func() (int64, int64, int64) {
-			allocs, frees := s.kvPool.Counters()
-			return int64(s.kvPool.InUse()), allocs, frees
-		}
+	pages := func() (int64, int64, int64) {
+		allocs, frees := s.kvPool.Counters()
+		return int64(s.kvPool.InUse()), allocs, frees
 	}
 	var prefixStats func() (rows, pages, entries, evictions int64)
 	if s.prefixCaches != nil {
@@ -682,7 +651,7 @@ func (s *Server) Generate(ctx context.Context, req Request) (Result, error) {
 		s.metrics.invalidReject()
 		return Result{}, err
 	}
-	if s.cfg.KVBudgetRows > 0 && !s.cfg.ContiguousKV {
+	if s.cfg.KVBudgetRows > 0 {
 		// A request whose worst-case footprint exceeds the whole budget
 		// can never be scheduled; fail fast instead of queueing it. Peak
 		// occupancy is prompt + maxNew−1 positions (the last emitted

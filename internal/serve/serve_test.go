@@ -61,7 +61,7 @@ func servePath(engines map[string]model.Engine, mut func(*Config), check func(*t
 	return func(t *testing.T, c identtest.Case) identtest.Output {
 		cfg := Config{
 			Model: c.Model, Engines: engines, DefaultScheme: c.Scheme,
-			MaxBatch: 4, Workers: 4, PrefillChunk: 3,
+			MaxBatch: 4, PrefillChunk: 3,
 		}
 		if mut != nil {
 			mut(&cfg)
@@ -83,9 +83,11 @@ func servePath(engines map[string]model.Engine, mut func(*Config), check func(*t
 
 // TestBatchedBitIdenticalEveryScheme is the core serving invariant: for
 // every hosted scheme, the continuous-batching scheduler (batch ≥ 4,
-// parallel workers) produces exactly the tokens of the unbatched
-// single-threaded decode path — greedy and sampled (the per-request
-// seeded RNG makes sampled outputs batch-stable).
+// parallel workers, prefill chunks shorter than most prompts) produces
+// exactly the tokens of the unbatched single-threaded decode path —
+// greedy and sampled (the per-request seeded RNG makes sampled outputs
+// batch-stable). Row-coupled OliVe runs in the same matrix: the scheduler
+// prefills it whole instead of in chunks, and it never fuses.
 func TestBatchedBitIdenticalEveryScheme(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	// Every canonical registry scheme plus the spec'd variants the old
@@ -95,76 +97,20 @@ func TestBatchedBitIdenticalEveryScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunkStable := make([]string, 0, len(names))
-	for _, n := range names {
-		if n != "olive" {
-			chunkStable = append(chunkStable, n)
+	mut := func(cfg *Config) { cfg.PrefillChunk = 4 }
+	check := func(t *testing.T, srv *Server) {
+		fused := srv.Metrics().Snapshot().FusedDecodeTokens
+		if m.PrefixShareable(engines[srv.cfg.DefaultScheme]) != (fused > 0) {
+			t.Fatalf("%s: %d fused decode tokens; want > 0 exactly for row-independent engines",
+				srv.cfg.DefaultScheme, fused)
 		}
 	}
 	identtest.Matrix{
-		Model: m, Engines: engines, Schemes: chunkStable,
+		Model: m, Engines: engines, Schemes: names,
 		Temps: []float64{0, 0.8}, SeedBase: 7,
 		Reference: unbatchedRef,
-		Paths:     []identtest.Path{{Label: "batched", D: servePath(engines, nil, nil)}},
+		Paths:     []identtest.Path{{Label: "batched", D: servePath(engines, mut, check)}},
 	}.Run(t)
-	// OliVe's cross-row pair encoding is not chunk-stable: a chunked
-	// prefill quantizes different row groups than the reference's one-shot
-	// prompt Append, so its logits (and sampled tokens) legitimately
-	// diverge under PrefillChunk < prompt length. Serve it with one-shot
-	// prefill to pin down the scheduler-vs-unbatched invariant alone.
-	identtest.Matrix{
-		Model: m, Engines: engines, Schemes: []string{"olive"},
-		Temps: []float64{0, 0.8}, SeedBase: 7,
-		Reference: unbatchedRef,
-		Paths: []identtest.Path{{Label: "batched", D: servePath(engines, func(cfg *Config) {
-			cfg.PrefillChunk = 32 // ≥ every prompt in the trace: one-shot
-		}, nil)}},
-	}.Run(t)
-}
-
-// TestFusedMatchesPerRequestPath: the fused scheduler and the
-// DisableFusedDecode per-request scheduler produce identical tokens, the
-// fused path actually engages for fusable engines, and row-dependent
-// engines (olive) fall back to the per-request path without changing
-// outputs.
-func TestFusedMatchesPerRequestPath(t *testing.T) {
-	m := model.New(model.TinyConfig())
-	engines, err := buildEngines(m, []string{"tender", "olive"}, engine.BuildOptions{Bits: 8, Streams: 2, StreamLen: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := tinyTrace(m, 6, 17)
-	for _, name := range []string{"tender", "olive"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			run := func(disable bool) ([][]int, Snapshot) {
-				srv := startServer(t, Config{
-					Model: m, Engines: engines, DefaultScheme: name,
-					MaxBatch: 4, Workers: 2, PrefillChunk: 4,
-					DisableFusedDecode: disable,
-				})
-				rep := RunLoad(srv, LoadConfig{Trace: trace, Clients: 4, Scheme: name})
-				if rep.Failed != 0 {
-					t.Fatalf("%d requests failed", rep.Failed)
-				}
-				return rep.Outputs, srv.Metrics().Snapshot()
-			}
-			fused, fusedSnap := run(false)
-			plain, plainSnap := run(true)
-			identtest.Equal(t, "fused vs per-request",
-				identtest.Output{Tokens: fused}, identtest.Output{Tokens: plain})
-			if plainSnap.FusedDecodeTokens != 0 {
-				t.Fatalf("per-request run recorded %d fused tokens", plainSnap.FusedDecodeTokens)
-			}
-			if name == "olive" {
-				if fusedSnap.FusedDecodeTokens != 0 {
-					t.Fatalf("olive is row-dependent but %d tokens were fused", fusedSnap.FusedDecodeTokens)
-				}
-			} else if fusedSnap.FusedDecodeTokens == 0 {
-				t.Fatal("fused path never engaged for a fusable engine")
-			}
-		})
-	}
 }
 
 // TestMixedSchemeBatchesFused: one server hosting several engines decodes
@@ -180,7 +126,7 @@ func TestMixedSchemeBatchesFused(t *testing.T) {
 	trace := tinyTrace(m, 8, 55)
 	srv := startServer(t, Config{
 		Model: m, Engines: engines, DefaultScheme: "fp32",
-		MaxBatch: 8, Workers: 2, PrefillChunk: 4,
+		MaxBatch: 8, PrefillChunk: 4,
 	})
 	outputs := make([][][]int, len(names))
 	var wg sync.WaitGroup
@@ -226,7 +172,7 @@ func TestConcurrentServersShareEngines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			srv, err := New(Config{Model: m, Engines: engines, MaxBatch: 3, Workers: 2})
+			srv, err := New(Config{Model: m, Engines: engines, MaxBatch: 3})
 			if err != nil {
 				t.Error(err)
 				return
@@ -256,7 +202,7 @@ func TestDeterministicAcrossCPUs(t *testing.T) {
 	trace := tinyTrace(m, 8, 31)
 
 	run := func() [][]int {
-		srv := startServer(t, Config{Model: m, Engines: engines, MaxBatch: 4, Workers: 4})
+		srv := startServer(t, Config{Model: m, Engines: engines, MaxBatch: 4})
 		rep := RunLoad(srv, LoadConfig{Trace: trace, Clients: 4, SeedBase: 3})
 		if rep.Failed != 0 {
 			t.Fatalf("%d requests failed", rep.Failed)
@@ -282,16 +228,12 @@ func TestDeterministicAcrossCPUs(t *testing.T) {
 	}
 }
 
-// TestContinuousBatchingThroughput: with parallel hardware, batch ≥ 4
-// sustains strictly higher decode tokens/s than the one-request-at-a-time
-// baseline on the same trace and engine.
+// TestContinuousBatchingThroughput: a closed batch of requests queued
+// together is served concurrently — more than one request per iteration,
+// decode through the fused path — with no failures and exactly the tokens
+// of the one-request-at-a-time baseline. Whether batching is faster is a
+// wall-clock question for the benchmark, not for a unit test.
 func TestContinuousBatchingThroughput(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skipf("need ≥2 CPUs for a parallel throughput win, have %d", runtime.NumCPU())
-	}
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	cfg := model.Config{
 		Name: "serve-bench", Arch: model.Decoder, Layers: 4, DModel: 64, Heads: 4,
 		FFN: 256, Vocab: 256, MaxSeq: 128,
@@ -303,29 +245,26 @@ func TestContinuousBatchingThroughput(t *testing.T) {
 		Requests: 12, Vocab: cfg.Vocab,
 		MinPrompt: 24, MaxPrompt: 32, MinNew: 8, MaxNew: 8,
 	}, 5)
-
-	measure := func(batch, workers, clients int) float64 {
-		srv := startServer(t, Config{
-			Model: m, Engines: engines, MaxBatch: batch, Workers: workers, PrefillChunk: 8,
-		})
-		best := 0.0
-		// Two measurement rounds absorb scheduler warm-up noise.
-		for round := 0; round < 2; round++ {
-			rep := RunLoad(srv, LoadConfig{Trace: trace, Clients: clients})
-			if rep.Failed != 0 {
-				t.Fatalf("%d requests failed", rep.Failed)
-			}
-			if rep.TokensPerSec > best {
-				best = rep.TokensPerSec
-			}
-		}
-		return best
+	ref := DecodeUnbatched(m, model.Exact{}, trace, 0, 0)
+	srv, err := New(Config{
+		Model: m, Engines: engines, MaxBatch: 8, QueueDepth: len(trace), PrefillChunk: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	serial := measure(1, 1, 1)
-	batched := measure(8, runtime.GOMAXPROCS(0), 8)
-	if batched <= serial*1.1 {
-		t.Fatalf("continuous batching %0.1f tok/s not faster than serial %0.1f tok/s", batched, serial)
+	// Preloading queues every request before the scheduler starts, so the
+	// first iteration admits a full batch regardless of goroutine timing.
+	outputs, snap := preloadAndRun(t, srv, trace, 0, 0)
+	identtest.Equal(t, "batched vs serial",
+		identtest.Output{Tokens: outputs}, identtest.Output{Tokens: ref})
+	if snap.Completed != int64(len(trace)) {
+		t.Fatalf("completed %d of %d requests", snap.Completed, len(trace))
+	}
+	if snap.MeanBatchSize <= 1 {
+		t.Fatalf("mean batch %.2f; requests were never served together", snap.MeanBatchSize)
+	}
+	if snap.FusedDecodeTokens == 0 {
+		t.Fatal("decode never ran through the fused path")
 	}
 }
 

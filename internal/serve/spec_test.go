@@ -54,7 +54,6 @@ func TestServeSpecGatesRowCoupledTargets(t *testing.T) {
 		cfg.MaxBatch = 1
 		cfg.SpecDraftSpec = "fp32"
 		cfg.SpecDraftK = 4
-		cfg.PrefillChunk = 32 // one-shot prefill: olive is not chunk-stable
 	}
 	check := func(t *testing.T, srv *Server) {
 		if snap := srv.Metrics().Snapshot(); snap.SpecPasses != 0 {
