@@ -180,57 +180,6 @@ func BenchmarkFusedDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSpecDecode compares draft-k-verify speculative decoding
-// (model.SpecDecode) against the plain autoregressive loop on the same
-// target engine, for the pair SpecBench's headline row uses: the
-// blocked-kernel fp32 target drafted by its naive-kernel twin. The
-// blocked GEMM's large fixed per-invocation cost is what the stacked
-// verify pass amortizes, so spec/* should beat plain/* while emitting a
-// bit-identical stream (acceptance pinned at 1.0 by the shared floats).
-// See `tenderbench -exp spec` for the serving-level sweep.
-func BenchmarkSpecDecode(b *testing.B) {
-	m := model.New(model.Registry("opt-6.7b"))
-	target, draft := "fp32:kernel=blocked", "fp32"
-	engines, err := engine.BuildEngines(m, []string{target, draft}, engine.BuildOptions{
-		Bits: 8, Streams: 2, StreamLen: 64, Serving: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	prompt := workload.TokenStream(workload.Wiki, 9, 32, m.Cfg.Vocab)
-	const maxNew, k = 48, 12
-	b.Run("plain", func(b *testing.B) {
-		b.ReportAllocs()
-		for n := 0; n < b.N; n++ {
-			s := m.NewSession(engines[target], 0)
-			logits := s.Append(prompt)
-			last := model.Greedy(logits.Row(len(prompt) - 1))
-			for i := 1; i < maxNew; i++ {
-				last = model.Greedy(s.Append([]int{last}).Row(0))
-			}
-			s.ReleaseKV()
-		}
-		b.ReportMetric(float64(b.N*maxNew)/b.Elapsed().Seconds(), "tokens/s")
-	})
-	b.Run("spec", func(b *testing.B) {
-		b.ReportAllocs()
-		var accepted, proposed int
-		for n := 0; n < b.N; n++ {
-			ts := m.NewSession(engines[target], 0)
-			ds := m.NewSession(engines[draft], 0)
-			_, stats := model.SpecDecode(ts, ds, prompt, maxNew, k, 0, nil)
-			accepted += stats.Accepted
-			proposed += stats.Proposed
-			ts.ReleaseKV()
-			ds.ReleaseKV()
-		}
-		b.ReportMetric(float64(b.N*maxNew)/b.Elapsed().Seconds(), "tokens/s")
-		if proposed > 0 {
-			b.ReportMetric(float64(accepted)/float64(proposed), "accept-rate")
-		}
-	})
-}
-
 // BenchmarkDecodeAllocs gates the fused hot path's allocation diet: with
 // the FP32 engine (EngineInto + arena) steady-state fused decode must do
 // ~zero heap allocations per token. The model is sized below the GEMM

@@ -5,10 +5,9 @@
 //	tenderbench                  # run everything (slow, full fidelity)
 //	tenderbench -quick           # reduced sizes, same shapes
 //	tenderbench -exp table2      # one experiment (table1..7, figure9..13, figure23,
-//	                             # serve, router, chaos, gemm, spec)
+//	                             # serve, router, chaos, gemm)
 //	tenderbench -exp serve       # serving benchmark; emits BENCH_serve.json
 //	tenderbench -exp gemm        # blocked-GEMM kernel + KV dtype rows → BENCH_serve.json
-//	tenderbench -exp spec        # speculative-decoding rows → BENCH_serve.json
 //	tenderbench -headline        # paper-vs-measured headline report
 //	tenderbench -list            # list experiment ids
 package main
@@ -38,7 +37,7 @@ func main() {
 		for _, id := range []string{
 			"table1", "table2", "table3", "table4", "table5", "table6", "table7",
 			"figure9", "figure10", "figure11", "figure12", "figure13", "figure23",
-			"serve", "router", "chaos", "gemm", "spec",
+			"serve", "router", "chaos", "gemm",
 		} {
 			fmt.Println(id)
 		}

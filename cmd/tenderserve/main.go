@@ -29,14 +29,6 @@
 // common prompt prefixes across requests (refcounted, copy-on-write,
 // bit-identical; -prefix-cache-rows caps the retained positions).
 //
-// -spec-draft enables speculative draft-k-verify decoding: the named
-// engine (hosted alongside the others, e.g. "tender:bits=4,int" drafting
-// for fp32) proposes up to -spec-k candidate tokens per decode step at
-// low batch occupancy, one fused target pass verifies them, and every
-// target-confirmed token is emitted in a single iteration. Outputs stay
-// bit-identical to plain decode, greedy and sampled; deep batches fall
-// back to fused batched decode.
-//
 // -router shards serving across N in-process replicas (-replicas, each
 // with its own scheduler, KV pool and prefix cache) behind the
 // prefix-affinity router (internal/router): prompts are routed by a
@@ -104,8 +96,6 @@ func main() {
 		batch         = flag.Int("batch", 8, "max active requests per scheduler iteration")
 		queue         = flag.Int("queue", 0, "admission queue depth (0 = 4×batch)")
 		prefillChunk  = flag.Int("prefill-chunk", 32, "max prompt tokens per iteration per request (row-coupled engines such as olive prefill whole prompts)")
-		specDraft     = flag.String("spec-draft", "", "engine spec that drafts candidate tokens for speculative draft-k-verify decoding at low batch occupancy (bit-identical to plain decode; added to the hosted engines if absent; \"\" = off)")
-		specK         = flag.Int("spec-k", 0, "max candidate tokens drafted per speculative pass (0 = default 4; needs -spec-draft)")
 		kvPages       = flag.Int("kv-pages", 0, "total KV budget in pages across all active sessions (0 = unlimited); admission and preemption keep KV memory under pages×kv-page-rows positions")
 		kvPageRows    = flag.Int("kv-page-rows", 0, "rows per KV page (0 = default 16)")
 		kvDtype       = flag.String("kv-dtype", "", "KV page storage format: f64 (reference), f16 (4x denser) or int8 (~7.5x); the KV budget is denominated in f64-equivalent rows, so compressed dtypes admit proportionally more concurrent sessions")
@@ -185,24 +175,6 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
-	// The draft engine is hosted like any other (requests may even target it
-	// directly), so canonicalize it and fold it into the build list.
-	draftSpec := ""
-	if *specDraft != "" {
-		if draftSpec, err = engine.Canonical(*specDraft); err != nil {
-			fatalf("%v", err)
-		}
-		hosted := false
-		for _, n := range names {
-			if n == draftSpec {
-				hosted = true
-				break
-			}
-		}
-		if !hosted {
-			names = append(names, draftSpec)
-		}
-	}
 	backendURLs := strings.FieldsFunc(*backendsFlag, func(r rune) bool { return r == ';' || r == ' ' })
 	var engines map[string]model.Engine
 	if len(backendURLs) == 0 {
@@ -274,8 +246,6 @@ func main() {
 			Model: m, Engines: engines, DefaultScheme: def,
 			MaxBatch: *batch, QueueDepth: *queue,
 			PrefillChunk:      *prefillChunk,
-			SpecDraftSpec:     draftSpec,
-			SpecDraftK:        *specK,
 			KVBudgetRows:      *kvPages * pageRows,
 			KVPageRows:        pageRows,
 			KVDtype:           *kvDtype,

@@ -138,7 +138,7 @@ func AllFuncs() []func(Options) Table {
 		TableVI, TableVII, Figure13, Figure23Stats,
 		AblationAlpha, AblationRowChunk, AblationBias,
 		AblationClustering, AblationBits, AblationDataflow,
-		ServeBench, RouterBench, ChaosBench, GEMMBench, SpecBench,
+		ServeBench, RouterBench, ChaosBench, GEMMBench,
 	}
 }
 
@@ -152,8 +152,7 @@ func All(o Options) []Table {
 }
 
 // ByID returns the experiment function for an id ("table1".."table7",
-// "figure9".."figure13", "figure23", "serve", "router", "chaos", "gemm",
-// "spec").
+// "figure9".."figure13", "figure23", "serve", "router", "chaos", "gemm").
 func ByID(id string, o Options) (Table, bool) {
 	fns := map[string]func(Options) Table{
 		"table1":   TableI,
@@ -173,7 +172,6 @@ func ByID(id string, o Options) (Table, bool) {
 		"router":   RouterBench,
 		"chaos":    ChaosBench,
 		"gemm":     GEMMBench,
-		"spec":     SpecBench,
 	}
 	if f, ok := fns[id]; ok {
 		return f(o), true

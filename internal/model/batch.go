@@ -23,12 +23,12 @@ type segment struct {
 }
 
 // pass is the incremental transformer: the one block every KV-cached path
-// runs. Session.Append is a pass over one segment (a prefill chunk, a
-// decode token, a speculative verify run) and BatchStepper.Step a pass over
-// one single-token segment per session. Weight sites run one engine call
-// over all stacked rows; attention runs per segment against that session's
-// cache. Model.block, the full-sequence encoder/forward block, is the
-// independent reference the identity tests hold it to.
+// runs. Session.Append is a pass over one segment (a prefill chunk or a
+// decode token) and BatchStepper.Step a pass over one single-token segment
+// per session. Weight sites run one engine call over all stacked rows;
+// attention runs per segment against that session's cache. Model.block,
+// the full-sequence encoder/forward block, is the independent reference
+// the identity tests hold it to.
 type pass struct {
 	m        *Model
 	eng      Engine

@@ -1,7 +1,7 @@
 // Package identtest is the shared bit-identity harness. Every decode
-// path the repo ships — per-request contiguous, paged KV, fused batched
-// (model.BatchStepper), draft-k-verify speculative (model.SpecDecode),
-// and the serving stack's wrappers around them — must emit exactly the
+// path the repo ships — per-request contiguous, paged KV (whole or
+// chunked prefill), fused batched (model.BatchStepper), and the serving
+// stack's wrappers around them — must emit exactly the
 // tokens of the plain sequential reference, for every registry scheme,
 // greedy and sampled. Test packages declare a Matrix of schemes ×
 // temperatures × paths and let Run drive the comparisons instead of
@@ -28,8 +28,8 @@ import (
 // Output is one decode path's result over a Matrix case: per-request
 // token streams and, for paths that expose them, the per-token logit
 // rows (row j = the logits token j was chosen from). Logits may be nil —
-// token-only paths like the serving stack or the speculative decoder —
-// in which case Equal compares tokens alone.
+// token-only paths like the serving stack — in which case Equal compares
+// tokens alone.
 type Output struct {
 	Tokens [][]int
 	Logits []*tensor.Matrix
@@ -121,7 +121,7 @@ func (mx Matrix) Run(t *testing.T) {
 		mx.NewTokens = make([]int, len(mx.Prompts))
 		for i := range mx.NewTokens {
 			// Stagger budgets so batched paths shrink mid-decode; keep at
-			// least 3 tokens so speculative paths get a real pass.
+			// least 3 tokens so every request decodes past its prefill token.
 			mx.NewTokens[i] = mx.MaxNew - i%3
 			if mx.NewTokens[i] < 3 {
 				mx.NewTokens[i] = 3
@@ -206,17 +206,25 @@ func choose(row []float64, temp float64, rng *tensor.RNG) int {
 }
 
 // decodeSessions is the per-request autoregressive loop shared by the
-// contiguous and paged paths: one session per request, one Append per
+// contiguous and paged paths: one session per request, the prompt
+// appended in chunk-row pieces (chunk <= 0: whole), then one Append per
 // token, logits recorded.
-func decodeSessions(c Case, newSession func(i int) *model.Session) Output {
+func decodeSessions(c Case, chunk int, newSession func() *model.Session) Output {
 	out := Output{
 		Tokens: make([][]int, len(c.Prompts)),
 		Logits: make([]*tensor.Matrix, len(c.Prompts)),
 	}
 	for i, prompt := range c.Prompts {
 		rng := tensor.NewRNG(c.SeedBase + uint64(i))
-		s := newSession(i)
-		logits := s.Append(prompt)
+		s := newSession()
+		step := chunk
+		if step <= 0 {
+			step = len(prompt)
+		}
+		var logits *tensor.Matrix
+		for at := 0; at < len(prompt); at += step {
+			logits = s.Append(prompt[at:min(at+step, len(prompt))])
+		}
 		rec := tensor.New(c.NewTokens[i], c.Model.Cfg.Vocab)
 		row := logits.Row(logits.Rows - 1)
 		copy(rec.Row(0), row)
@@ -236,33 +244,52 @@ func decodeSessions(c Case, newSession func(i int) *model.Session) Output {
 // PlainDecode is the reference path: per-request contiguous sessions,
 // one Append per token.
 func PlainDecode(t *testing.T, c Case) Output {
-	return decodeSessions(c, func(int) *model.Session {
+	return decodeSessions(c, 0, func() *model.Session {
 		return c.Model.NewSession(c.Engine, 0)
 	})
 }
 
-// PagedDecode decodes per request on paged KV sessions drawing from a
-// fresh unbounded pool with the given page size, and fails the test if
-// any page outlives ReleaseKV.
+// paged runs decode over paged KV sessions drawing from a fresh unbounded
+// pool with the given page size, and fails the test if any page outlives
+// ReleaseKV.
+func paged(t *testing.T, c Case, pageRows int, decode func(newSession func() *model.Session) Output) Output {
+	t.Helper()
+	pool := tensor.NewBlockPool(c.Model.Cfg.DModel, pageRows, 0)
+	out := decode(func() *model.Session {
+		return c.Model.NewSessionWithKV(c.Engine, func() model.KVStore {
+			return tensor.NewPagedRows(pool, 0)
+		})
+	})
+	if n := pool.InUse(); n != 0 {
+		t.Fatalf("paged decode leaked %d pages after ReleaseKV", n)
+	}
+	return out
+}
+
+// PagedDecode decodes per request on paged KV sessions.
 func PagedDecode(pageRows int) Decoder {
 	return func(t *testing.T, c Case) Output {
-		pool := tensor.NewBlockPool(c.Model.Cfg.DModel, pageRows, 0)
-		out := decodeSessions(c, func(int) *model.Session {
-			return c.Model.NewSessionWithKV(c.Engine, func() model.KVStore {
-				return tensor.NewPagedRows(pool, 0)
-			})
+		return paged(t, c, pageRows, func(newSession func() *model.Session) Output {
+			return decodeSessions(c, 0, newSession)
 		})
-		if n := pool.InUse(); n != 0 {
-			t.Fatalf("paged decode leaked %d pages after ReleaseKV", n)
-		}
-		return out
+	}
+}
+
+// PagedChunkedDecode is PagedDecode with the prompt appended in
+// chunk-row pieces: every piece after the first is a multi-row append to
+// a session that already holds rows, the case chunked prefill hits.
+func PagedChunkedDecode(pageRows, chunk int) Decoder {
+	return func(t *testing.T, c Case) Output {
+		return paged(t, c, pageRows, func(newSession func() *model.Session) Output {
+			return decodeSessions(c, chunk, newSession)
+		})
 	}
 }
 
 // fusedDecode steps all live requests together through one BatchStepper;
 // staggered NewTokens shrink the group mid-decode, covering the member-
 // retires case the scheduler hits constantly.
-func fusedDecode(t *testing.T, c Case, newSession func(i int) *model.Session) Output {
+func fusedDecode(t *testing.T, c Case, newSession func() *model.Session) Output {
 	t.Helper()
 	bs, err := c.Model.NewBatchStepper(c.Engine)
 	if err != nil {
@@ -275,7 +302,7 @@ func fusedDecode(t *testing.T, c Case, newSession func(i int) *model.Session) Ou
 	last := make([]int, n)
 	for i, prompt := range c.Prompts {
 		rngs[i] = tensor.NewRNG(c.SeedBase + uint64(i))
-		sess[i] = newSession(i)
+		sess[i] = newSession()
 		logits := sess[i].Append(prompt)
 		out.Logits[i] = tensor.New(c.NewTokens[i], c.Model.Cfg.Vocab)
 		row := logits.Row(logits.Rows - 1)
@@ -315,7 +342,7 @@ func fusedDecode(t *testing.T, c Case, newSession func(i int) *model.Session) Ou
 
 // FusedDecode is the fused batched path over contiguous sessions.
 func FusedDecode(t *testing.T, c Case) Output {
-	return fusedDecode(t, c, func(int) *model.Session {
+	return fusedDecode(t, c, func() *model.Session {
 		return c.Model.NewSession(c.Engine, 0)
 	})
 }
@@ -325,37 +352,8 @@ func FusedDecode(t *testing.T, c Case) Output {
 // leak check as PagedDecode.
 func PagedFusedDecode(pageRows int) Decoder {
 	return func(t *testing.T, c Case) Output {
-		pool := tensor.NewBlockPool(c.Model.Cfg.DModel, pageRows, 0)
-		out := fusedDecode(t, c, func(int) *model.Session {
-			return c.Model.NewSessionWithKV(c.Engine, func() model.KVStore {
-				return tensor.NewPagedRows(pool, 0)
-			})
+		return paged(t, c, pageRows, func(newSession func() *model.Session) Output {
+			return fusedDecode(t, c, newSession)
 		})
-		if n := pool.InUse(); n != 0 {
-			t.Fatalf("paged fused decode leaked %d pages after ReleaseKV", n)
-		}
-		return out
-	}
-}
-
-// SpecPath is the draft-k-verify speculative path: the case's engine is
-// the target, draft proposes k tokens per pass. Token-only (the verify
-// pass scores stacked rows, so per-token logit rows aren't recorded).
-func SpecPath(draft model.Engine, k int) Decoder {
-	return func(t *testing.T, c Case) Output {
-		out := Output{Tokens: make([][]int, len(c.Prompts))}
-		for i, prompt := range c.Prompts {
-			rng := tensor.NewRNG(c.SeedBase + uint64(i))
-			ts := c.Model.NewSession(c.Engine, 0)
-			ds := c.Model.NewSession(draft, 0)
-			toks, stats := model.SpecDecode(ts, ds, prompt, c.NewTokens[i], k, c.Temp, rng)
-			ts.ReleaseKV()
-			ds.ReleaseKV()
-			if c.NewTokens[i] >= 3 && stats.Passes == 0 {
-				t.Fatalf("spec decode k=%d request %d never ran a verify pass", k, i)
-			}
-			out.Tokens[i] = toks
-		}
-		return out
 	}
 }

@@ -20,10 +20,11 @@ func pagedFactory(m *model.Model, pageRows int) (*tensor.BlockPool, func() model
 
 // TestPagedBitIdentical is the KVStore equivalence invariant: for every
 // registry scheme, paged sessions produce logits bit-identical to
-// contiguous sessions — per request and through the fused batched path —
-// for prompt lengths straddling page boundaries (page−1, page, page+1,
-// multi-page) and decode runs crossing several more pages. The paged
-// decoders also assert the pool drains after ReleaseKV.
+// contiguous sessions — per request, with chunked prefill, and through
+// the fused batched path — for prompt lengths straddling page boundaries
+// (page−1, page, page+1, multi-page) and decode runs crossing several
+// more pages. The paged decoders also assert the pool drains after
+// ReleaseKV.
 func TestPagedBitIdentical(t *testing.T) {
 	const pageRows = 8
 	m := model.New(model.TinyConfig())
@@ -48,6 +49,8 @@ func TestPagedBitIdentical(t *testing.T) {
 		Paths: []identtest.Path{
 			{Label: "paged", D: identtest.PagedDecode(pageRows)},
 			{Label: "paged-fused", D: identtest.PagedFusedDecode(pageRows)},
+			// 3-row chunks straddle the 8-row page boundaries.
+			{Label: "paged-chunked", D: identtest.PagedChunkedDecode(pageRows, 3)},
 		},
 	}.Run(t)
 	// Olive cannot fuse but its paged sessions must still match.

@@ -62,11 +62,6 @@ type KVStore interface {
 	// (aliasing storage) and its length in rows; iterating spans visits
 	// every row in order without copying.
 	Span(r int) ([]float64, int)
-	// TruncateTo discards rows at index rows and beyond, keeping the first
-	// rows rows — the rollback primitive speculative decoding uses to
-	// un-append rejected draft positions. Pages emptied by a paged store's
-	// truncation return to their pool immediately.
-	TruncateTo(rows int)
 	// Release empties the store and returns its memory (pages to their
 	// pool, slabs to the garbage collector).
 	Release()
@@ -169,25 +164,6 @@ func (s *Session) ReleaseKV() {
 		s.kv[l].k.Release()
 		s.kv[l].v.Release()
 	}
-}
-
-// TruncateTo rolls the session back to pos cached positions, discarding
-// every later key/value row in every layer — as if the discarded
-// positions were never appended. Speculative decoding uses this to erase
-// rejected draft tokens: a subsequent Append continues from position pos
-// with logits bit-identical to a session that never saw the draft.
-func (s *Session) TruncateTo(pos int) {
-	if pos < 0 || pos > s.pos {
-		panic(fmt.Sprintf("model: Session.TruncateTo(%d) of a %d-position session", pos, s.pos))
-	}
-	if pos == s.pos {
-		return
-	}
-	for l := range s.kv {
-		s.kv[l].k.TruncateTo(pos)
-		s.kv[l].v.TruncateTo(pos)
-	}
-	s.pos = pos
 }
 
 // Len returns the number of positions already in the cache.

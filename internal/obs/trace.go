@@ -47,14 +47,6 @@ const (
 	// KindIteration: one scheduler iteration ran (Req is 0).
 	// A = batch size, B = iteration wall-clock in nanoseconds.
 	KindIteration
-	// KindDraft: a speculative-decode draft phase proposed candidate
-	// tokens from the drafter's KV. A = tokens proposed, B = draft
-	// wall-clock in nanoseconds.
-	KindDraft
-	// KindVerify: the fused target pass scored a draft and the acceptance
-	// rule resolved it. A = tokens accepted, B = verify wall-clock in
-	// nanoseconds.
-	KindVerify
 )
 
 var kindNames = [...]string{
@@ -70,8 +62,6 @@ var kindNames = [...]string{
 	KindExpire:       "expire",
 	KindCancel:       "cancel",
 	KindIteration:    "iteration",
-	KindDraft:        "draft",
-	KindVerify:       "verify",
 }
 
 // String returns the stable lowercase event name used by both exports.
@@ -97,8 +87,6 @@ var argNames = [...][2]string{
 	KindExpire:       {"reason", "tokens_out"},
 	KindCancel:       {"reason", "tokens_out"},
 	KindIteration:    {"batch", "duration_ns"},
-	KindDraft:        {"proposed", "duration_ns"},
-	KindVerify:       {"accepted", "duration_ns"},
 }
 
 // Reason codes carried in the A slot of reject/preempt/expire/cancel
@@ -381,23 +369,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			closeSpan(e.Req, e.TS)
 			instant(e, "cancel", map[string]any{
 				"reason": ReasonString(e.A), "tokens_out": e.B,
-			})
-		case KindDraft, KindVerify:
-			// Sub-spans inside a request's decode phase: rendered as
-			// complete events on the request's own track.
-			dur := time.Duration(e.B)
-			start := e.TS - dur
-			if start < 0 {
-				start = 0
-			}
-			arg := "proposed"
-			if e.Kind == KindVerify {
-				arg = "accepted"
-			}
-			out = append(out, chromeEvent{
-				Name: e.Kind.String(), Ph: "X", TS: us(start), Dur: us(dur),
-				PID: chromePIDRequests, TID: int64(e.Req),
-				Args: map[string]any{arg: e.A},
 			})
 		case KindIteration:
 			dur := time.Duration(e.B)

@@ -95,9 +95,6 @@ type Metrics struct {
 	prefillTokens   int64
 	decodeTokens    int64
 	fusedTokens     int64
-	specPasses      int64
-	draftProposed   int64
-	draftAccepted   int64
 	perScheme       map[string]int64
 	iterations      int64
 	batchOccupancy  int64
@@ -243,16 +240,6 @@ func (m *Metrics) fusedStep(scheme string, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// specPass records one speculative draft-k-verify pass: proposed
-// candidate tokens drafted, accepted of them confirmed by the target.
-func (m *Metrics) specPass(proposed, accepted int) {
-	m.mu.Lock()
-	m.specPasses++
-	m.draftProposed += int64(proposed)
-	m.draftAccepted += int64(accepted)
-	m.mu.Unlock()
-}
-
 func (m *Metrics) preempt() {
 	m.mu.Lock()
 	m.preemptions++
@@ -379,17 +366,9 @@ type Snapshot struct {
 	PrefillTokens        int64 `json:"prefill_tokens"`
 	DecodeTokens         int64 `json:"decode_tokens"`
 	// FusedDecodeTokens counts the decode tokens produced by fused batched
-	// passes (the rest came from prefill logits, speculative passes, or
-	// row-coupled engines' one-request decode steps).
+	// passes (the rest came from prefill logits or row-coupled engines'
+	// one-request decode steps).
 	FusedDecodeTokens int64 `json:"fused_decode_tokens"`
-	// Speculative decoding accounting (all zero with SpecDraftSpec unset):
-	// SpecPasses counts draft-k-verify passes, DraftProposedTokens the
-	// candidate tokens drafted, DraftAcceptedTokens the candidates the
-	// target's own choices confirmed, and DraftAcceptanceRate their ratio.
-	SpecPasses          int64   `json:"spec_passes"`
-	DraftProposedTokens int64   `json:"draft_proposed_tokens"`
-	DraftAcceptedTokens int64   `json:"draft_accepted_tokens"`
-	DraftAcceptanceRate float64 `json:"draft_acceptance_rate"`
 	// TokensPerSec is the lifetime decode rate (decode tokens / uptime);
 	// TokensPerSec10s averages over the trailing rateWindowSecs seconds,
 	// the number to watch on a long-lived server.
@@ -451,14 +430,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		PrefillTokens:       m.prefillTokens,
 		DecodeTokens:        m.decodeTokens,
 		FusedDecodeTokens:   m.fusedTokens,
-		SpecPasses:          m.specPasses,
-		DraftProposedTokens: m.draftProposed,
-		DraftAcceptedTokens: m.draftAccepted,
 		PerScheme:           make(map[string]int64, len(m.perScheme)),
 		Iterations:          m.iterations,
-	}
-	if m.draftProposed > 0 {
-		s.DraftAcceptanceRate = float64(m.draftAccepted) / float64(m.draftProposed)
 	}
 	if m.queueDepth != nil {
 		s.QueueDepth = m.queueDepth()
@@ -549,10 +522,6 @@ func writeSnapshotProm(p *obs.PromWriter, s Snapshot) {
 	p.Counter("tender_prefill_tokens_total", "Prompt tokens prefilled.", float64(s.PrefillTokens))
 	p.Counter("tender_decode_tokens_total", "Decode tokens emitted.", float64(s.DecodeTokens))
 	p.Counter("tender_fused_decode_tokens_total", "Decode tokens from fused batched passes.", float64(s.FusedDecodeTokens))
-	p.Counter("tender_spec_passes_total", "Speculative draft-k-verify passes run.", float64(s.SpecPasses))
-	p.Counter("tender_spec_draft_proposed_tokens_total", "Candidate tokens proposed by the drafter.", float64(s.DraftProposedTokens))
-	p.Counter("tender_spec_draft_accepted_tokens_total", "Drafted tokens confirmed by the target.", float64(s.DraftAcceptedTokens))
-	p.Gauge("tender_spec_draft_acceptance_rate", "Accepted/proposed drafted tokens.", s.DraftAcceptanceRate)
 	for _, scheme := range sortedKeys(s.PerScheme) {
 		p.Counter("tender_decode_tokens_per_scheme_total", "Decode tokens by engine spec.",
 			float64(s.PerScheme[scheme]), obs.Label{Name: "scheme", Value: scheme})

@@ -114,25 +114,19 @@ func (s *Server) reserveKV(a *activeReq, need int) {
 
 // releaseKV returns a's pages to the pool (the refcounts keep any shared
 // prefix pages alive for their other holders), unpins its prefix entry,
-// drops its drafter session, and returns its reservation to the budget.
+// and returns its reservation to the budget.
 func (s *Server) releaseKV(a *activeReq) {
 	if a.sess != nil {
 		a.sess.ReleaseKV()
 		a.sess = nil
-	}
-	if a.draft != nil {
-		a.draft.ReleaseKV()
-		a.draft = nil
-		a.specDec = nil
 	}
 	if a.entry != nil {
 		s.prefixCaches[a.scheme].Release(a.entry)
 		a.entry = nil
 	}
 	a.kvBase = 0
-	s.kvFree += a.kvHeld + a.draftHeld
+	s.kvFree += a.kvHeld
 	a.kvHeld = 0
-	a.draftHeld = 0
 }
 
 // newSession mounts a session on paged stores drawing from the shared
@@ -514,8 +508,8 @@ func (s *Server) runIteration(batch []*activeReq) {
 			prefill += int64(a.lastStepPrefill)
 		}
 		if a.lastStepDecoded {
-			decode += int64(a.lastStepEmitted)
-			perScheme[a.scheme] += int64(a.lastStepEmitted)
+			decode++
+			perScheme[a.scheme]++
 			if a.lastStepFused {
 				fused++
 			}
@@ -536,10 +530,6 @@ func (s *Server) runIteration(batch []*activeReq) {
 				s.tracer.Record(obs.KindPrefillEnd, a.p.id, s.iter, int64(a.consumed), 0)
 			}
 		}
-		if a.lastStepSpec {
-			s.tracer.Record(obs.KindDraft, a.p.id, s.iter, int64(a.lastSpecProposed), a.lastSpecDraftNS)
-			s.tracer.Record(obs.KindVerify, a.p.id, s.iter, int64(a.lastSpecAccepted), a.lastSpecVerifyNS)
-		}
 		if a.lastStepDecoded {
 			var f int64
 			if a.lastStepFused {
@@ -553,7 +543,7 @@ func (s *Server) runIteration(batch []*activeReq) {
 	}
 	var liveRows int64
 	for _, a := range batch {
-		liveRows += int64(a.kvHeld + a.draftHeld)
+		liveRows += int64(a.kvHeld)
 	}
 	s.liveKVRows.Store(liveRows)
 	// Pages are per-layer per-K/V; convert to positions so occupancy reads
@@ -583,38 +573,23 @@ func (s *Server) insertPrefix(a *activeReq) {
 }
 
 // workItem is one unit of an iteration's model work: a fused decode of
-// every decode-ready request on one row-independent engine (bs set), a
-// speculative draft-k-verify pass (specK > 0), or one request's prefill
-// chunk or row-coupled decode step. Each request's rows for the step are
-// its stepRows.
+// every decode-ready request on one row-independent engine (bs set), or
+// one request's prefill chunk or row-coupled decode step. Each request's
+// rows for the step are its stepRows.
 type workItem struct {
-	reqs  []*activeReq
-	bs    *model.BatchStepper
-	specK int
+	reqs []*activeReq
+	bs   *model.BatchStepper
 }
 
 // plan assigns every request of the batch to this iteration's work items,
-// on the scheduler goroutine. Speculative routing comes first: at low
-// occupancy every decode-ready request that fits a drafter reservation
-// takes a draft-k-verify pass instead of a one-token step (reservation
-// moves kvFree, which only this goroutine touches). Decode-ready requests
-// on an engine with a fused stepper share one item per engine, listed
-// first in order of first appearance; prefill chunks and decodes on
-// row-coupled engines get an item each, in batch order.
+// on the scheduler goroutine. Decode-ready requests on an engine with a
+// fused stepper share one item per engine, listed first in order of first
+// appearance; prefill chunks and decodes on row-coupled engines get an
+// item each, in batch order.
 func (s *Server) plan(batch []*activeReq) []*workItem {
-	speculate := s.cfg.SpecDraftSpec != "" && len(batch) <= s.specOccupancyLimit()
 	var groups, rest []*workItem
 	for _, a := range batch {
-		a.specK = 0
 		a.stepRows = s.chunkLen(a)
-		if speculate && s.specEligible(a) {
-			k := min(s.cfg.SpecDraftK, a.maxNew-len(a.out)-1)
-			if s.specReserve(a, k) { // else the budget is too tight: decode plain
-				a.specK = k
-				rest = append(rest, &workItem{reqs: []*activeReq{a}, specK: k})
-				continue
-			}
-		}
 		bs := s.stepper(a.scheme, a.eng)
 		if a.consumed < len(a.seq) || bs == nil {
 			rest = append(rest, &workItem{reqs: []*activeReq{a}})
@@ -691,7 +666,7 @@ func (s *Server) chunkLen(a *activeReq) int {
 // stepper returns the fused stepper for eng, creating it on first use.
 // Engines that fail the row-independence audit (model.NewBatchStepper
 // errors, e.g. OliVe's row-coupled encoding) are cached as nil: they step
-// one request at a time, take no speculative passes and no prefix cache.
+// one request at a time and take no prefix cache.
 // Only the scheduler goroutine touches the cache. New steppers get a step
 // hook feeding the per-spec fused-step timing histogram (the spec of the
 // first request that reached the engine names the series).
@@ -726,8 +701,6 @@ func (s *Server) stepItem(it *workItem) {
 		a.lastStepPrefill = 0
 		a.lastStepDecoded = false
 		a.lastStepFused = false
-		a.lastStepSpec = false
-		a.lastStepEmitted = 0
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -739,10 +712,6 @@ func (s *Server) stepItem(it *workItem) {
 	}()
 	if s.cfg.Chaos.StepPanic() {
 		panic("chaos: injected step panic")
-	}
-	if it.specK > 0 {
-		s.stepSpec(it.reqs[0], it.specK)
-		return
 	}
 	var logits *tensor.Matrix
 	if it.bs != nil {
@@ -778,125 +747,19 @@ func (s *Server) stepItem(it *workItem) {
 	}
 }
 
-// specOccupancyLimit is the batch depth up to which speculation pays:
-// with few active requests the fused pass has little cross-request work
-// to amortize, so spending the drafter's cheap forward passes to emit
-// several target tokens per iteration wins. Deeper batches already keep
-// the target busy and fall back to plain fused decode.
-func (s *Server) specOccupancyLimit() int {
-	if lim := s.cfg.MaxBatch / 4; lim > 1 {
-		return lim
-	}
-	return 1
-}
-
-// specEligible reports whether a can take a draft-k-verify pass this
-// iteration: decode-ready with at least two tokens still to emit (the
-// last token is always a plain step — a pass needs k >= 1 headroom),
-// not itself running on the draft spec, and on a target engine whose
-// stacked verify pass is bit-identical to sequential decode steps.
-func (s *Server) specEligible(a *activeReq) bool {
-	return a.consumed == len(a.seq) &&
-		len(a.out) > 0 &&
-		a.maxNew-len(a.out) >= 2 &&
-		a.scheme != s.cfg.SpecDraftSpec &&
-		s.stepper(a.scheme, a.eng) != nil
-}
-
-// specReserve charges the KV budget for one draft-k-verify pass: the
-// target's transient growth to Len+k+1 rows (the stacked verify pass,
-// rolled back past the first rejection) and the drafter's matching
-// footprint — its whole session on first use. Speculation is
-// opportunistic: when the budget cannot fund the drafter even after
-// reclaiming cached prefixes, the request silently decodes plain rather
-// than preempting anyone.
-func (s *Server) specReserve(a *activeReq, k int) bool {
-	if s.cfg.KVBudgetRows == 0 {
-		return true
-	}
-	tneed := s.pageRound(a.sess.Len()+k+1) - a.kvBase - a.kvHeld
-	if tneed < 0 {
-		tneed = 0
-	}
-	dlen := a.sess.Len()
-	if a.draft != nil {
-		dlen = a.draft.Len()
-	}
-	dneed := s.pageRound(dlen+k+1) - a.draftHeld
-	if dneed < 0 {
-		dneed = 0
-	}
-	need := tneed + dneed
-	if !s.kvFits(need) {
-		s.reclaimKV(need)
-	}
-	if !s.kvFits(need) {
-		return false
-	}
-	s.kvFree -= need
-	a.kvHeld += tneed
-	a.draftHeld += dneed
-	return true
-}
-
-// stepSpec advances one request by a draft-k-verify pass (a work item
-// stepped by stepItem, which isolates its panics): the drafter
-// proposes k candidates from its own KV session (created lazily here,
-// prefilled with exactly the target session's content), one fused target
-// pass verifies them, and every target-confirmed token — 1 to k+1 of
-// them — is emitted in this single iteration. Tokens are bit-identical
-// to plain decode by the SpecDecoder acceptance rule, which draws from
-// the request's RNG stream exactly as emit would.
-func (s *Server) stepSpec(a *activeReq, k int) {
-	if a.draft == nil {
-		// Lazy drafter: the prompt plus every emitted token but the newest,
-		// matching the target session's content position for position.
-		content := make([]int, 0, len(a.p.req.Prompt)+len(a.out)-1)
-		content = append(content, a.p.req.Prompt...)
-		content = append(content, a.out[:len(a.out)-1]...)
-		draft := s.newSession(s.cfg.Engines[s.cfg.SpecDraftSpec],
-			len(content)+a.maxNew-len(a.out)+1, nil)
-		draft.Append(content)
-		a.draft = draft
-		a.specDec = model.NewSpecDecoder(a.sess, draft)
-	}
-	last := a.out[len(a.out)-1]
-	t0 := time.Now()
-	cands := a.specDec.Draft(last, k)
-	draftD := time.Since(t0)
-	t1 := time.Now()
-	r := a.specDec.Verify(last, cands, a.p.req.Temperature, a.rng)
-	verifyD := time.Since(t1)
-	for _, tok := range r.Tokens {
-		a.push(tok)
-	}
-	a.lastStepSpec = true
-	a.lastSpecProposed = r.Proposed
-	a.lastSpecAccepted = r.Accepted
-	a.lastSpecDraftNS = int64(draftD)
-	a.lastSpecVerifyNS = int64(verifyD)
-	s.metrics.specPass(r.Proposed, r.Accepted)
-}
-
 // emit appends the next token chosen from a logits row.
 func (a *activeReq) emit(row []float64) {
+	var tok int
 	if a.p.req.Temperature > 0 {
-		a.push(model.Sample(row, a.p.req.Temperature, a.rng.Float64()))
+		tok = model.Sample(row, a.p.req.Temperature, a.rng.Float64())
 	} else {
-		a.push(model.Greedy(row))
+		tok = model.Greedy(row)
 	}
-}
-
-// push appends one already-chosen token. Speculative passes push the
-// verify pass's accepted tokens directly — the choice was already made
-// from the target's logits (and RNG stream) inside model.SpecDecoder.
-func (a *activeReq) push(tok int) {
 	if len(a.out) == 0 {
 		a.firstTok = time.Now()
 	}
 	a.out = append(a.out, tok)
 	a.lastStepDecoded = true
-	a.lastStepEmitted++
 }
 
 // retire delivers results for requests that reached their token budget,

@@ -143,29 +143,6 @@ type Config struct {
 	// request, so long prompts cannot starve decode steps (default 32).
 	// Row-coupled engines (OliVe) ignore it: they prefill whole prompts.
 	PrefillChunk int
-	// SpecDraftSpec, when non-empty, enables speculative draft-k-verify
-	// decoding: it names the hosted engine (a key of Engines) that drafts
-	// candidate tokens for decode steps. At low batch occupancy (at most
-	// MaxBatch/4 active requests) a decode-ready request is routed through
-	// model.SpecDecoder — the drafter proposes up to SpecDraftK tokens
-	// autoregressively from its own KV session, one fused target pass
-	// verifies them all, and the longest target-confirmed prefix (plus the
-	// free bonus token) is emitted in a single iteration. Deeper batches
-	// fall back to the fused batched path, where cross-request fusion
-	// already amortizes the per-pass cost speculation exists to beat.
-	// Outputs are bit-identical to non-speculative decoding, greedy and
-	// sampled: every emitted token is the target's own choice, drawn from
-	// the request's RNG stream in emission order — the drafter only decides
-	// how many tokens an iteration emits, never which. Drafter KV sessions
-	// are charged against KVBudgetRows like any other; when the budget is
-	// too tight for the drafter, the request silently decodes plain.
-	// Requests already running on the draft spec are never speculated.
-	SpecDraftSpec string
-	// SpecDraftK bounds the candidate tokens drafted per pass (default 4).
-	// Each pass transiently appends k+1 positions to both sessions before
-	// rolling back past the first rejection, and k is clamped per pass so
-	// the target's KV peak never exceeds plain decode's.
-	SpecDraftK int
 	// KVBudgetRows caps the total KV positions held by all active
 	// sessions (0 = unlimited). One position is one row of keys and one
 	// of values in every layer; the scheduler admits new requests only
@@ -280,17 +257,6 @@ func (c *Config) fill() error {
 		// Page-align the budget so position accounting and the page pool
 		// agree exactly.
 		c.KVBudgetRows = pageRoundUp(c.KVBudgetRows, c.KVPageRows)
-	}
-	if c.SpecDraftK < 0 {
-		return fmt.Errorf("serve: negative SpecDraftK %d", c.SpecDraftK)
-	}
-	if c.SpecDraftSpec != "" {
-		if _, ok := c.Engines[c.SpecDraftSpec]; !ok {
-			return fmt.Errorf("serve: draft scheme %q not hosted", c.SpecDraftSpec)
-		}
-		if c.SpecDraftK == 0 {
-			c.SpecDraftK = 4
-		}
 	}
 	if c.BrownoutQueueWait < 0 {
 		return fmt.Errorf("serve: negative BrownoutQueueWait %v", c.BrownoutQueueWait)
@@ -408,16 +374,6 @@ type activeReq struct {
 	// kvHeld is the page-rounded KV row capacity reserved for this
 	// request out of Config.KVBudgetRows (0 when no budget is set).
 	kvHeld int
-	// Speculative-decode state: the drafter session, created lazily the
-	// first time the scheduler routes this request through the spec path
-	// and dropped with the rest of the KV on preempt/retire; the decoder
-	// pairing it with sess; the budget rows reserved for the drafter
-	// (charged like kvHeld, released together); and the candidate count
-	// the current iteration reserved for (0 = not speculating).
-	draft     *model.Session
-	specDec   *model.SpecDecoder
-	draftHeld int
-	specK     int
 	// entry is the pinned prefix-cache entry the session mounted (nil on a
 	// miss or with the cache off); kvBase is the page-aligned floor of its
 	// covered rows — positions charged to the cache, not to this request.
@@ -436,17 +392,11 @@ type activeReq struct {
 	preemptedFor       time.Duration
 	prefillStartTraced bool
 	// Per-iteration accounting, read by the scheduler after the worker
-	// pool joins. lastStepEmitted counts the tokens the step emitted —
-	// 1 for a plain or fused decode, up to specK+1 for a speculative pass.
-	lastStepPrefill  int
-	lastStepDecoded  bool
-	lastStepFused    bool
-	lastStepEmitted  int
-	lastStepSpec     bool
-	lastSpecProposed int
-	lastSpecAccepted int
-	lastSpecDraftNS  int64
-	lastSpecVerifyNS int64
+	// pool joins: the rows the step prefilled, whether it emitted a token,
+	// and whether that token came from a fused step.
+	lastStepPrefill int
+	lastStepDecoded bool
+	lastStepFused   bool
 	// failed records a recovered step panic (wrapped in ErrInternal); the
 	// scheduler retires the request with it after the worker pool joins.
 	failed error

@@ -75,17 +75,6 @@ func (b *RowBuffer) Span(r int) ([]float64, int) {
 	return b.data[r*b.cols : b.rows*b.cols], b.rows - r
 }
 
-// TruncateTo discards every row at index rows and beyond, keeping the
-// first rows rows. Capacity is retained, so re-appending after a
-// truncation (speculative-decode rollback) performs no allocation.
-func (b *RowBuffer) TruncateTo(rows int) {
-	if rows < 0 || rows > b.rows {
-		panic(fmt.Sprintf("tensor: RowBuffer.TruncateTo(%d) of a %d-row buffer", rows, b.rows))
-	}
-	b.data = b.data[:rows*b.cols]
-	b.rows = rows
-}
-
 // Release empties the buffer and drops its storage for the garbage
 // collector — the contiguous counterpart of PagedRows.Release.
 func (b *RowBuffer) Release() {

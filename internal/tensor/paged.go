@@ -313,9 +313,6 @@ func (p *PagedRows) AppendRow(row []float64) {
 	default:
 		copy(page.data[off:off+cols], row)
 	}
-	if p.scratchPg == pg {
-		p.scratchPg = -1 // the cached decode no longer covers the page
-	}
 	p.rows++
 }
 
@@ -373,6 +370,7 @@ func (p *PagedRows) decodedPage(pg int) []float64 {
 	if avail > pr {
 		avail = pr
 	}
+	// Appended rows never change, so a cache covering avail rows is current.
 	if p.scratchPg == pg && p.scratchRows >= avail {
 		return p.scratch
 	}
@@ -389,38 +387,6 @@ func (p *PagedRows) decodedPage(pg int) []float64 {
 	p.scratchPg = pg
 	p.scratchRows = avail
 	return p.scratch
-}
-
-// TruncateTo discards every row at index rows and beyond, keeping the
-// first rows rows — the rollback primitive for speculative decoding,
-// where rejected draft positions must leave the KV cache as if they were
-// never appended. Pages left with no readable rows drop their reference
-// back to the pool immediately (balanced alloc/free counters, no leak);
-// a page left partially filled is kept and overwritten by later appends.
-// Truncation may not cut into a mounted shared prefix: those rows belong
-// to other holders and a store never un-mounts part of one.
-func (p *PagedRows) TruncateTo(rows int) {
-	if rows < 0 || rows > p.rows {
-		panic(fmt.Sprintf("tensor: PagedRows.TruncateTo(%d) of a %d-row store", rows, p.rows))
-	}
-	r := p.pool.pageRows
-	floor := p.shared * r
-	if floor > p.rows {
-		floor = p.rows // a partial last mounted page: only no-op cuts there
-	}
-	if rows < floor {
-		panic(fmt.Sprintf("tensor: PagedRows.TruncateTo(%d) into a %d-row mounted prefix", rows, floor))
-	}
-	need := (rows + r - 1) / r
-	for i := need; i < len(p.pages); i++ {
-		p.pool.Release(p.pages[i])
-		p.pages[i] = nil
-	}
-	p.pages = p.pages[:need]
-	if p.scratchPg >= need {
-		p.scratchPg = -1 // the cached decode belonged to a released page
-	}
-	p.rows = rows
 }
 
 // Release empties the store, dropping its reference on every page —
