@@ -3,9 +3,7 @@ package tender_test
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -54,7 +52,7 @@ func BenchmarkFigure12(b *testing.B) { benchTable(b, experiments.Figure12) }
 func BenchmarkFigure13(b *testing.B) { benchTable(b, experiments.Figure13) }
 func BenchmarkFigure23(b *testing.B) { benchTable(b, experiments.Figure23Stats) }
 
-// Ablation benchmarks for the design choices DESIGN.md calls out.
+// Ablation benchmarks for the §III design choices the README paper map names.
 
 func BenchmarkAblationAlpha(b *testing.B)      { benchTable(b, experiments.AblationAlpha) }
 func BenchmarkAblationRowChunk(b *testing.B)   { benchTable(b, experiments.AblationRowChunk) }
@@ -65,7 +63,8 @@ func BenchmarkAblationDataflow(b *testing.B)   { benchTable(b, experiments.Ablat
 
 // BenchmarkServeThroughput measures the continuous-batching server's
 // decode throughput on a fixed closed-loop trace (batch 8); b.N scales the
-// number of load rounds. See `tenderbench -exp serve` for the full sweep.
+// number of load rounds. Serving speed end to end, with paired runs, is
+// measured by perfbench (bash perfbench/run.sh).
 func BenchmarkServeThroughput(b *testing.B) {
 	m := model.New(model.Registry("opt-6.7b"))
 	engines, err := engine.BuildEngines(m, []string{"tender"}, engine.BuildOptions{
@@ -229,15 +228,6 @@ func BenchmarkDecodeAllocs(b *testing.B) {
 	if allocsPerToken > 0.5 {
 		b.Fatalf("fused fp32 decode allocates %.2f times per token; want ~0", allocsPerToken)
 	}
-	if err := experiments.RewriteServeBench("BENCH_serve.json", func(scheme string) bool {
-		return scheme == "decode-allocs/fp32"
-	}, []map[string]any{{
-		"scheme":           "decode-allocs/fp32",
-		"batch":            batch,
-		"allocs_per_token": math.Round(allocsPerToken*1000) / 1000,
-	}}); err != nil {
-		b.Logf("recording decode allocs: %v", err)
-	}
 	sessions, last = build()
 	steps := 0
 	b.ReportAllocs()
@@ -322,15 +312,6 @@ func BenchmarkPagedDecode(b *testing.B) {
 	if allocsAfter == allocsBefore {
 		b.Fatal("paged decode never acquired a page; the gate is not measuring paging")
 	}
-	if err := experiments.RewriteServeBench("BENCH_serve.json", func(scheme string) bool {
-		return scheme == "decode-allocs/paged-fp32"
-	}, []map[string]any{{
-		"scheme":           "decode-allocs/paged-fp32",
-		"batch":            batch,
-		"allocs_per_token": math.Round(allocsPerToken*1000) / 1000,
-	}}); err != nil {
-		b.Logf("recording paged decode allocs: %v", err)
-	}
 	sessions, last = build()
 	steps := 0
 	b.ReportAllocs()
@@ -354,8 +335,8 @@ func BenchmarkPagedDecode(b *testing.B) {
 // BenchmarkObsOverhead measures what lifecycle tracing costs on the
 // serving decode path: the same closed-loop load with the tracer off
 // (the default — every Record is one nil check) and on (ring writes per
-// state transition). The measured rates and overhead are merged into
-// BENCH_serve.json as the obs-overhead/fp32 row; the budget is <3%.
+// state transition), reported as off/on tokens/s and overhead-%; the
+// budget is <3%.
 func BenchmarkObsOverhead(b *testing.B) {
 	cfg := model.Config{
 		Name: "alloc-bench", Arch: model.Decoder, Layers: 4, DModel: 64, Heads: 4,
@@ -413,30 +394,13 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.ReportMetric(off, "off-tokens/s")
 		b.ReportMetric(on, "on-tokens/s")
 		b.ReportMetric(pct, "overhead-%")
-		// Don't overwrite the tracked perf artifact with noisy
-		// low-iteration measurements (e.g. the CI -benchtime 1x smoke).
-		if b.N >= 10 {
-			if err := experiments.RewriteServeBench("BENCH_serve.json", func(scheme string) bool {
-				return scheme == "obs-overhead/fp32"
-			}, []map[string]any{{
-				"scheme":             "obs-overhead/fp32",
-				"tokens_per_sec_off": math.Round(off*10) / 10,
-				"tokens_per_sec_on":  math.Round(on*10) / 10,
-				"overhead_pct":       math.Round(pct*100) / 100,
-			}}); err != nil {
-				b.Logf("recording obs overhead: %v", err)
-			}
-		} else {
-			b.Logf("too few iterations (%d) for a stable overhead, not updating BENCH_serve.json", b.N)
-		}
 	}
 }
 
 // BenchmarkPrefixCache measures what a prefix-cache hit saves on the
 // prefill hot path: building a session for a prompt whose long shared
 // prefix is cached (mount + 1-token tail prefill, the serving hit path)
-// against cold-prefilling the whole prompt. The measured speedup is merged
-// into BENCH_serve.json.
+// against cold-prefilling the whole prompt, and logs the speedup.
 func BenchmarkPrefixCache(b *testing.B) {
 	cfg := model.Config{
 		Name: "prefix-bench", Arch: model.Decoder, Layers: 4, DModel: 64, Heads: 4,
@@ -457,7 +421,6 @@ func BenchmarkPrefixCache(b *testing.B) {
 	}
 
 	var cold, hit float64 // ns per first-token prefill
-	var coldN, hitN int
 	b.Run("cold-prefill", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -466,7 +429,6 @@ func BenchmarkPrefixCache(b *testing.B) {
 			s.ReleaseKV()
 		}
 		cold = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		coldN = b.N
 	})
 	b.Run("prefix-hit", func(b *testing.B) {
 		b.ReportAllocs()
@@ -481,27 +443,11 @@ func BenchmarkPrefixCache(b *testing.B) {
 			cache.Release(e)
 		}
 		hit = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		hitN = b.N
 	})
 	if cold > 0 && hit > 0 {
 		ratio := cold / hit
 		b.Logf("prefix hit prefill %.1fx faster than cold (%0.fns vs %0.fns, %d-token prompt, %d cached rows)",
 			ratio, hit, cold, len(prompt), len(prompt)-1)
-		// Don't overwrite the tracked perf artifact with noisy
-		// low-iteration measurements (e.g. the CI -benchtime 1x smoke).
-		if coldN >= 10 && hitN >= 10 {
-			if err := experiments.RewriteServeBench("BENCH_serve.json", func(scheme string) bool {
-				return scheme == "prefix-decode/fp32"
-			}, []map[string]any{{
-				"scheme":            "prefix-decode/fp32",
-				"prompt_tokens":     len(prompt),
-				"prefill_speedup_x": math.Round(ratio*100) / 100,
-			}}); err != nil {
-				b.Logf("recording prefix-decode speedup: %v", err)
-			}
-		} else {
-			b.Logf("too few iterations (%d/%d) for a stable ratio, not updating BENCH_serve.json", coldN, hitN)
-		}
 	}
 	donor.ReleaseKV()
 	cache.Flush()
@@ -514,15 +460,14 @@ func BenchmarkPrefixCache(b *testing.B) {
 // decode hot path: a single-token step (1×d activation) against a d×4d
 // projection, comparing Apply against a prepared weight pack (what the
 // serving engines do) with re-packing the weights every call (the
-// pre-redesign behaviour of the weight-heavy schemes). The measured
-// speedup per scheme is merged into BENCH_serve.json.
+// pre-redesign behaviour of the weight-heavy schemes), and logs the
+// speedup per scheme.
 func BenchmarkPreparedDecode(b *testing.B) {
 	const d = 256
 	x := workload.OPT67BAttentionInput(64, d, 1)
 	rng := tensor.NewRNG(2)
 	w := tensor.RandNormal(rng, d, 4*d, 0.05)
 	xdec := x.RowView(0, 1) // one decode-step row
-	ratios := map[string]float64{}
 	for _, spec := range []string{"smoothquant", "llmint8"} {
 		r, err := engine.Resolve(spec, engine.BuildOptions{Bits: 8})
 		if err != nil {
@@ -531,14 +476,12 @@ func BenchmarkPreparedDecode(b *testing.B) {
 		kernel := r.Scheme.NewSite([]*tensor.Matrix{x}, []*tensor.Matrix{w}, r.Bits)
 		packed := kernel.PrepareWeights(w)
 		var prepared, percall float64 // ns/op of the final (reported) run
-		var preparedN, percallN int
 		b.Run(spec+"/prepared", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				kernel.Apply(xdec, packed)
 			}
 			prepared = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			preparedN = b.N
 		})
 		b.Run(spec+"/requantize-per-call", func(b *testing.B) {
 			b.ReportAllocs()
@@ -546,55 +489,12 @@ func BenchmarkPreparedDecode(b *testing.B) {
 				schemes.MatMul(kernel, xdec, w)
 			}
 			percall = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			percallN = b.N
 		})
 		if prepared > 0 && percall > 0 {
 			ratio := percall / prepared
 			b.Logf("%s: prepare-once decode %.1fx faster (%.0fns vs %.0fns per step)",
 				spec, ratio, prepared, percall)
-			// Don't overwrite the tracked perf artifact with noisy
-			// low-iteration measurements (e.g. the CI -benchtime 1x smoke).
-			if preparedN >= 10 && percallN >= 10 {
-				ratios[spec] = ratio
-			} else {
-				b.Logf("%s: too few iterations (%d/%d) for a stable ratio, not updating BENCH_serve.json",
-					spec, preparedN, percallN)
-			}
 		}
-	}
-	recordPreparedDecode(b, ratios)
-}
-
-// recordPreparedDecode merges the measured speedups into BENCH_serve.json
-// alongside the serving throughput rows.
-func recordPreparedDecode(b *testing.B, ratios map[string]float64) {
-	if len(ratios) == 0 {
-		return
-	}
-	specs := make([]string, 0, len(ratios))
-	for spec := range ratios {
-		specs = append(specs, spec)
-	}
-	sort.Strings(specs)
-	rows := make([]map[string]any, 0, len(specs))
-	for _, spec := range specs {
-		rows = append(rows, map[string]any{
-			"scheme":             "prepared-decode/" + spec,
-			"prepared_speedup_x": math.Round(ratios[spec]*100) / 100,
-		})
-	}
-	// Own only the rows this run measured: a filtered run (-bench
-	// 'PreparedDecode/smoothquant') must not delete the other schemes'
-	// recorded ratios.
-	if err := experiments.RewriteServeBench("BENCH_serve.json", func(scheme string) bool {
-		for _, spec := range specs {
-			if scheme == "prepared-decode/"+spec {
-				return true
-			}
-		}
-		return false
-	}, rows); err != nil {
-		b.Logf("recording prepared-decode ratios: %v", err)
 	}
 }
 
@@ -732,8 +632,9 @@ func BenchmarkAccelModelRun(b *testing.B) {
 
 // BenchmarkRouterThroughput measures aggregate decode throughput of the
 // prefix-affinity router over three sharded replicas on a prefix-grouped
-// multi-tenant trace; b.N scales the number of load rounds. See
-// `tenderbench -exp router` for the full affinity/scatter/failover sweep.
+// multi-tenant trace; b.N scales the number of load rounds. Routing
+// correctness (affinity, failover, the chaos soak) is checked by the
+// router package's tests.
 func BenchmarkRouterThroughput(b *testing.B) {
 	m := model.New(model.Registry("opt-6.7b"))
 	engines, err := engine.BuildEngines(m, []string{"fp32"}, engine.BuildOptions{
@@ -784,14 +685,6 @@ func BenchmarkRouterThroughput(b *testing.B) {
 		b.ReportMetric(rate, "hit-rate")
 	}
 }
-
-// BenchmarkChaosSoak runs the seeded fault-injection soak: Poisson load
-// over three replicas while the injector drops, stalls, and crashes
-// submissions and vetoes KV admission. The experiment panics — failing
-// the benchmark — unless every request completes, every output is
-// bit-identical to the fault-free reference, and no replica leaks a KV
-// page. See `tenderbench -exp chaos` for the full-size soak.
-func BenchmarkChaosSoak(b *testing.B) { benchTable(b, experiments.ChaosBench) }
 
 // Kernel-backend benchmarks: the naive reference GEMM against the
 // register-tiled, cache-blocked backend (AVX2+FMA micro-kernel on amd64,

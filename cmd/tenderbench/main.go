@@ -4,12 +4,11 @@
 //
 //	tenderbench                  # run everything (slow, full fidelity)
 //	tenderbench -quick           # reduced sizes, same shapes
-//	tenderbench -exp table2      # one experiment (table1..7, figure9..13, figure23,
-//	                             # serve, router, chaos, gemm)
-//	tenderbench -exp serve       # serving benchmark; emits BENCH_serve.json
-//	tenderbench -exp gemm        # blocked-GEMM kernel + KV dtype rows → BENCH_serve.json
+//	tenderbench -exp table2      # one experiment (any id from -list)
 //	tenderbench -headline        # paper-vs-measured headline report
 //	tenderbench -list            # list experiment ids
+//
+// Serving speed is measured by perfbench (bash perfbench/run.sh), not here.
 package main
 
 import (
@@ -27,37 +26,32 @@ func main() {
 	headline := flag.Bool("headline", false, "print the paper-vs-measured headline report")
 	list := flag.Bool("list", false, "list experiment ids")
 	seed := flag.Uint64("seed", 0, "seed offset for streams and tasks")
-	artifacts := flag.String("artifacts", "", "directory for serving trace artifacts (Chrome trace + metrics snapshot per serve scenario)")
 	flag.Parse()
 
-	opts := experiments.Options{Quick: *quick, Seed: *seed, ArtifactDir: *artifacts}
+	opts := experiments.Options{Quick: *quick, Seed: *seed}
+	run := func(e experiments.Experiment) {
+		start := time.Now()
+		e.Run(opts).Render(os.Stdout)
+		fmt.Printf("(%s in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
 
 	switch {
 	case *list:
-		for _, id := range []string{
-			"table1", "table2", "table3", "table4", "table5", "table6", "table7",
-			"figure9", "figure10", "figure11", "figure12", "figure13", "figure23",
-			"serve", "router", "chaos", "gemm",
-		} {
-			fmt.Println(id)
+		for _, e := range experiments.Experiments {
+			fmt.Println(e.ID)
 		}
 	case *headline:
 		experiments.RenderClaims(os.Stdout, experiments.HeadlineReport(opts))
 	case *exp != "":
-		start := time.Now()
-		t, ok := experiments.ByID(*exp, opts)
+		e, ok := experiments.ByID(*exp)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *exp)
 			os.Exit(1)
 		}
-		t.Render(os.Stdout)
-		fmt.Printf("(%s in %s)\n", *exp, time.Since(start).Round(time.Millisecond))
+		run(e)
 	default:
-		for _, f := range experiments.AllFuncs() {
-			start := time.Now()
-			t := f(opts)
-			t.Render(os.Stdout)
-			fmt.Printf("(%s in %s)\n\n", t.ID, time.Since(start).Round(time.Millisecond))
+		for _, e := range experiments.Experiments {
+			run(e)
 		}
 	}
 }

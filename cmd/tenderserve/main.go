@@ -56,7 +56,7 @@
 // open-loop Poisson (-poisson-ms):
 //
 //	tenderserve -load -model opt-6.7b -schemes tender -requests 64 \
-//	    -clients 8 -batch 8 -kv-pages 256 -seed 1 -out BENCH_serve.json
+//	    -clients 8 -batch 8 -kv-pages 256 -seed 1 -out report.json
 package main
 
 import (

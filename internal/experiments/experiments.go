@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V and §VI) from the reproduction's own substrates. Each
-// experiment returns a Table; cmd/tenderbench renders them and
-// EXPERIMENTS.md records paper-vs-measured values.
+// experiment returns a Table; cmd/tenderbench renders them, and the
+// README's paper map says which substrate each section of the paper rests on.
 package experiments
 
 import (
@@ -18,10 +18,6 @@ type Options struct {
 	Quick bool
 	// Seed offsets every stream/task seed (0 = canonical results).
 	Seed uint64
-	// ArtifactDir, when set, makes the serving benchmark attach a
-	// lifecycle tracer to each scenario and drop per-scenario trace
-	// artifacts (Chrome trace_event JSON + a metrics snapshot) there.
-	ArtifactDir string
 }
 
 // evalSeq is the evaluation stream length.
@@ -129,52 +125,43 @@ func Geomean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// AllFuncs returns every experiment in paper order, lazily, so callers
-// can render each table as soon as it completes.
-func AllFuncs() []func(Options) Table {
-	return []func(Options) Table{
-		TableI, TableII, TableIII, TableIV, Figure9,
-		TableV, Figure10, Figure11, Figure12,
-		TableVI, TableVII, Figure13, Figure23Stats,
-		AblationAlpha, AblationRowChunk, AblationBias,
-		AblationClustering, AblationBits, AblationDataflow,
-		ServeBench, RouterBench, ChaosBench, GEMMBench,
-	}
+// Experiment is one entry of the evaluation: the id its Table carries and
+// the function that regenerates it.
+type Experiment struct {
+	ID  string
+	Run func(Options) Table
 }
 
-// All runs every experiment in paper order.
-func All(o Options) []Table {
-	var out []Table
-	for _, f := range AllFuncs() {
-		out = append(out, f(o))
-	}
-	return out
+// Experiments lists every experiment in paper order. It is the one list
+// of ids: ByID and cmd/tenderbench (-list, -exp and the full run) read it.
+var Experiments = []Experiment{
+	{"table1", TableI},
+	{"table2", TableII},
+	{"table3", TableIII},
+	{"table4", TableIV},
+	{"figure9", Figure9},
+	{"table5", TableV},
+	{"figure10", Figure10},
+	{"figure11", Figure11},
+	{"figure12", Figure12},
+	{"table6", TableVI},
+	{"table7", TableVII},
+	{"figure13", Figure13},
+	{"figure23", Figure23Stats},
+	{"ablation-alpha", AblationAlpha},
+	{"ablation-rowchunk", AblationRowChunk},
+	{"ablation-bias", AblationBias},
+	{"ablation-clustering", AblationClustering},
+	{"ablation-bits", AblationBits},
+	{"ablation-dataflow", AblationDataflow},
 }
 
-// ByID returns the experiment function for an id ("table1".."table7",
-// "figure9".."figure13", "figure23", "serve", "router", "chaos", "gemm").
-func ByID(id string, o Options) (Table, bool) {
-	fns := map[string]func(Options) Table{
-		"table1":   TableI,
-		"table2":   TableII,
-		"table3":   TableIII,
-		"table4":   TableIV,
-		"table5":   TableV,
-		"table6":   TableVI,
-		"table7":   TableVII,
-		"figure9":  Figure9,
-		"figure10": Figure10,
-		"figure11": Figure11,
-		"figure12": Figure12,
-		"figure13": Figure13,
-		"figure23": Figure23Stats,
-		"serve":    ServeBench,
-		"router":   RouterBench,
-		"chaos":    ChaosBench,
-		"gemm":     GEMMBench,
+// ByID returns the experiment listed under id.
+func ByID(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e, true
+		}
 	}
-	if f, ok := fns[id]; ok {
-		return f(o), true
-	}
-	return Table{}, false
+	return Experiment{}, false
 }

@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
-	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
-
-	"tender/internal/model"
 )
 
 var q = Options{Quick: true}
@@ -199,11 +195,26 @@ func TestFigure9Monotonicity(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	if _, ok := ByID("table5", q); !ok {
-		t.Fatal("table5 must resolve")
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		if seen[e.ID] {
+			t.Fatalf("id %q listed twice", e.ID)
+		}
+		seen[e.ID] = true
+		got, ok := ByID(e.ID)
+		if !ok || reflect.ValueOf(got.Run).Pointer() != reflect.ValueOf(e.Run).Pointer() {
+			t.Fatalf("listed id %q does not resolve to its experiment", e.ID)
+		}
 	}
-	if _, ok := ByID("nope", q); ok {
-		t.Fatal("unknown id must not resolve")
+	// Nothing outside the list resolves, the retired serving drivers
+	// included.
+	for _, id := range []string{"", "nope", "Table5", "headline", "serve", "router", "chaos", "gemm"} {
+		if _, ok := ByID(id); ok {
+			t.Fatalf("unlisted id %q resolves", id)
+		}
+	}
+	if e, _ := ByID("table5"); e.Run(q).ID != "table5" {
+		t.Fatal("table5 must render a table with its own id")
 	}
 }
 
@@ -284,206 +295,5 @@ func TestAblationClusteringTable(t *testing.T) {
 	}
 	if !strings.Contains(tab.Rows[0][3], "yes") || !strings.Contains(tab.Rows[1][3], "no") {
 		t.Fatal("implicit-requant capability column wrong")
-	}
-}
-
-func TestServeBenchQuick(t *testing.T) {
-	t.Chdir(t.TempDir()) // BENCH_serve.json lands here, not in the repo
-	tab := ServeBench(q)
-	if tab.ID != "serve" {
-		t.Fatalf("id %q", tab.ID)
-	}
-	// Three schemes × batch 1, 8, 32 + the memory-pressure row (kv-paged)
-	// + the two shared-prefix rows (prefix-cold, prefix-cache).
-	if len(tab.Rows) != 12 {
-		t.Fatalf("expected 12 rows, got %d", len(tab.Rows))
-	}
-	fusedRows, kvRows, prefixRows := 0, 0, 0
-	for _, row := range tab.Rows {
-		if cellFloat(t, row[2]) <= 0 {
-			t.Fatalf("non-positive throughput in row %v", row)
-		}
-		if strings.HasPrefix(row[0], "fused-decode/") {
-			fusedRows++
-		}
-		if strings.HasPrefix(row[0], "kv-") {
-			kvRows++
-		}
-		if strings.HasPrefix(row[0], "prefix-") {
-			prefixRows++
-		}
-	}
-	if fusedRows != 9 {
-		t.Fatalf("expected 9 fused-decode rows, got %d", fusedRows)
-	}
-	if kvRows != 1 {
-		t.Fatalf("expected 1 kv memory-pressure row, got %d", kvRows)
-	}
-	if prefixRows != 2 {
-		t.Fatalf("expected 2 shared-prefix rows, got %d", prefixRows)
-	}
-	if _, err := os.Stat(ServeBenchFile); err != nil {
-		t.Fatalf("BENCH_serve.json not emitted: %v", err)
-	}
-	blob, err := os.ReadFile(ServeBenchFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []map[string]any
-	if err := json.Unmarshal(blob, &results); err != nil {
-		t.Fatalf("BENCH_serve.json not valid JSON: %v", err)
-	}
-	if len(results) != 12 {
-		t.Fatalf("expected 12 JSON results, got %d", len(results))
-	}
-	var pagedSessions, kvBudget float64
-	var ttftSpeedup, prefillSpeedup, prefixHits float64
-	for _, r := range results {
-		if r["decode_tokens_per_sec"].(float64) <= 0 {
-			t.Fatalf("bad result %v", r)
-		}
-		switch r["scheme"] {
-		case "kv-paged/fp32":
-			pagedSessions = r["peak_active_sessions"].(float64)
-			kvBudget = r["kv_budget_rows"].(float64)
-		case "prefix-cache/fp32":
-			ttftSpeedup = r["ttft_speedup_vs_cold"].(float64)
-			prefillSpeedup = r["prefill_speedup_vs_cold"].(float64)
-			prefixHits = r["prefix_hits"].(float64)
-		}
-	}
-	// A worst-case (MaxSeq-preallocating) layout fits budget/MaxSeq
-	// sessions; paging must at least double that.
-	worstCase := math.Floor(kvBudget / float64(model.Registry("opt-6.7b").MaxSeq))
-	if worstCase < 1 || pagedSessions < 2*worstCase {
-		t.Fatalf("paged scheduler peaked at %v sessions under a %v-row budget; want ≥ 2 × %v",
-			pagedSessions, kvBudget, worstCase)
-	}
-	// The shared-system-prompt acceptance bar: prefix caching must at
-	// least double both TTFT and served prefill throughput over cold
-	// prefill at batch ≥ 8, with every non-warm request hitting.
-	if ttftSpeedup < 2 || prefillSpeedup < 2 {
-		t.Fatalf("shared-prefix speedups below 2x: ttft %.2fx, prefill %.2fx", ttftSpeedup, prefillSpeedup)
-	}
-	if prefixHits <= 0 {
-		t.Fatalf("prefix-cache row recorded no hits")
-	}
-}
-
-func TestServeByID(t *testing.T) {
-	t.Chdir(t.TempDir()) // ByID runs ServeBench; BENCH_serve.json lands here
-	if _, ok := ByID("serve", q); !ok {
-		t.Fatal("serve must resolve")
-	}
-}
-
-func TestRouterBenchQuick(t *testing.T) {
-	t.Chdir(t.TempDir()) // BENCH_serve.json lands here, not in the repo
-	tab := RouterBench(q)
-	if tab.ID != "router" {
-		t.Fatalf("id %q", tab.ID)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("expected 3 rows, got %d", len(tab.Rows))
-	}
-	blob, err := os.ReadFile(ServeBenchFile)
-	if err != nil {
-		t.Fatalf("BENCH_serve.json not emitted: %v", err)
-	}
-	var results []map[string]any
-	if err := json.Unmarshal(blob, &results); err != nil {
-		t.Fatalf("BENCH_serve.json not valid JSON: %v", err)
-	}
-	byScheme := map[string]map[string]any{}
-	for _, r := range results {
-		byScheme[r["scheme"].(string)] = r
-	}
-	aff := byScheme["router-affinity/fp32"]
-	rnd := byScheme["router-random/fp32"]
-	fov := byScheme["router-failover/fp32"]
-	if aff == nil || rnd == nil || fov == nil {
-		t.Fatalf("missing router rows in %v", results)
-	}
-	// Acceptance bars: affinity preserves ≥ 0.9× the single-replica
-	// aggregate hit rate, scatter degrades below affinity, and the
-	// replica-kill run completes everything bit-identically.
-	if aff["hit_rate_vs_single"].(float64) < 0.9 {
-		t.Fatalf("affinity hit-rate ratio %v < 0.9", aff["hit_rate_vs_single"])
-	}
-	if rnd["prefix_hit_rate"].(float64) >= aff["prefix_hit_rate"].(float64) {
-		t.Fatalf("random routing did not degrade hit rate: %v vs %v",
-			rnd["prefix_hit_rate"], aff["prefix_hit_rate"])
-	}
-	if fov["completed_fraction"].(float64) != 1 || fov["bit_identical"].(bool) != true {
-		t.Fatalf("failover row: %v", fov)
-	}
-	if fov["failovers"].(float64) <= 0 {
-		t.Fatalf("failover row recorded no failovers: %v", fov)
-	}
-}
-
-func TestGEMMBenchQuick(t *testing.T) {
-	t.Chdir(t.TempDir()) // BENCH_serve.json lands here, not in the repo
-	tab := GEMMBench(q)
-	if tab.ID != "gemm" {
-		t.Fatalf("id %q", tab.ID)
-	}
-	// Quick mode: two schemes × {naive, blocked} at batch 8, plus the three
-	// KV-dtype memory-pressure rows.
-	if len(tab.Rows) != 7 {
-		t.Fatalf("expected 7 rows, got %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if cellFloat(t, row[2]) <= 0 {
-			t.Fatalf("non-positive throughput in row %v", row)
-		}
-	}
-	blob, err := os.ReadFile(ServeBenchFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []map[string]any
-	if err := json.Unmarshal(blob, &results); err != nil {
-		t.Fatalf("BENCH_serve.json not valid JSON: %v", err)
-	}
-	if len(results) != 7 {
-		t.Fatalf("expected 7 JSON results, got %d", len(results))
-	}
-	var f64Sessions, f16Sessions float64
-	naive := map[string]float64{}
-	blocked := map[string]float64{}
-	for _, r := range results {
-		scheme := r["scheme"].(string)
-		switch {
-		case scheme == "kv-f64/fp32":
-			f64Sessions = r["peak_active_sessions"].(float64)
-		case scheme == "kv-f16/fp32":
-			f16Sessions = r["peak_active_sessions"].(float64)
-		case strings.HasPrefix(scheme, "gemm-naive/"):
-			naive[strings.TrimPrefix(scheme, "gemm-naive/")] = r["decode_tokens_per_sec"].(float64)
-		case strings.HasPrefix(scheme, "gemm-blocked/"):
-			blocked[strings.TrimPrefix(scheme, "gemm-blocked/")] = r["decode_tokens_per_sec"].(float64)
-			if r["speedup_vs_naive"].(float64) <= 0 {
-				t.Fatalf("blocked row without speedup: %v", r)
-			}
-		}
-	}
-	for _, scheme := range []string{"fp16", "tender:int"} {
-		if naive[scheme] <= 0 || blocked[scheme] <= 0 {
-			t.Fatalf("missing gemm rows for %s: naive %v, blocked %v", scheme, naive[scheme], blocked[scheme])
-		}
-	}
-	// The KV-dtype acceptance bar: under the same byte budget, f16 pages
-	// must at least double peak concurrency over f64.
-	if f64Sessions <= 0 || f16Sessions < 2*f64Sessions {
-		t.Fatalf("f16 KV peaked at %v sessions vs f64 %v; want ≥ 2× under the same byte budget",
-			f16Sessions, f64Sessions)
-	}
-}
-
-func TestGEMMByID(t *testing.T) {
-	t.Chdir(t.TempDir()) // ByID runs GEMMBench; BENCH_serve.json lands here
-	if _, ok := ByID("gemm", q); !ok {
-		t.Fatal("gemm must resolve")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // paperFP16 anchors each (model, stream) base perplexity to the paper's
 // published FP16 value (Table II / Table VI); the softmax temperature is
 // calibrated so the reproduction's FP32 reference matches it, making
-// measured quantization deltas directly comparable (DESIGN.md §2).
+// measured quantization deltas directly comparable (README paper map, §V-§VI).
 var paperFP16 = map[string]map[workload.Stream]float64{
 	"opt-6.7b":    {workload.Wiki: 10.86, workload.PTB: 13.09},
 	"opt-13b":     {workload.Wiki: 10.13, workload.PTB: 12.34},

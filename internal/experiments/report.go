@@ -17,8 +17,8 @@ type PaperClaim struct {
 
 // HeadlineReport runs the cheap headline checks (performance model +
 // tensor-level quality) and compares them against the paper's claims.
-// Model-quality perplexity claims are covered by the full table runs and
-// EXPERIMENTS.md.
+// Model-quality perplexity claims are covered by the full table runs
+// (tenderbench -exp table2, table3, table6).
 func HeadlineReport(o Options) []PaperClaim {
 	var out []PaperClaim
 

@@ -64,7 +64,7 @@ type PerplexityResult struct {
 // stream. The metric is the expected perplexity of the quantized model on
 // text distributed according to the reference model — exp(H(p) + KL(p‖q))
 // averaged over positions — which anchors the FP16/FP32 row and degrades
-// monotonically with quantization error (see DESIGN.md substitutions).
+// monotonically with quantization error (see the README paper map).
 func TeacherPerplexity(m *Model, eng Engine, tokens []int, temp float64) PerplexityResult {
 	return TeacherPerplexityAgainst(m.Forward(tokens, Exact{}), m, eng, tokens, temp)
 }
@@ -103,7 +103,7 @@ func TeacherPerplexityAgainst(ref *tensor.Matrix, m *Model, eng Engine, tokens [
 // CalibrateTemperature finds the softmax temperature at which the FP32
 // reference perplexity equals target on the given stream. Anchoring the
 // base row to the paper's published FP16 perplexities makes the measured
-// quantization deltas directly comparable (DESIGN.md §2).
+// quantization deltas directly comparable (README paper map, §V-§VI).
 func CalibrateTemperature(m *Model, tokens []int, target float64) float64 {
 	ref := m.Forward(tokens, Exact{})
 	baseAt := func(temp float64) float64 {

@@ -1,8 +1,8 @@
 //go:build race
 
-package experiments
+package router
 
-// raceScale stretches the chaos soak's attempt timeout under the race
+// raceScale stretches TestChaosSoak's attempt timeout under the race
 // detector, which slows this workload ~20x on one core: the timeout must
 // stay above genuine request latency (queue wait included) or the router
 // cancels healthy in-flight work and the soak becomes a retry storm.

@@ -245,6 +245,9 @@ func TestFailoverBitIdenticalEveryScheme(t *testing.T) {
 			if st := r.States()["r1"]; st != StateDown {
 				t.Fatalf("killed replica state = %v, want down", st)
 			}
+			if n := r.Snapshot().Failovers; n == 0 {
+				t.Fatal("no request failed over; the kill exercised nothing")
+			}
 		})
 	}
 }

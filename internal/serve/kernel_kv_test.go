@@ -7,6 +7,7 @@ import (
 	"tender/internal/model"
 	"tender/internal/model/identtest"
 	"tender/internal/tensor"
+	"tender/internal/workload"
 )
 
 // TestKVDtypeFusedMatchesPerRequest: under a compressed KV dtype the stored
@@ -58,11 +59,13 @@ func TestKVDtypeFusedMatchesPerRequest(t *testing.T) {
 // TestKVDtypeStretchesBudget: KVBudgetRows is denominated in f64-equivalent
 // rows (provisioned bytes), so a compressed dtype must multiply the
 // effective position capacity by the per-row byte ratio — 4× for f16 at any
-// d_model, and the metrics must expose the effective rows and dtype.
+// d_model, and the metrics must expose the effective rows and dtype. Under
+// load the stretched budget must turn into concurrency: one trace served at
+// the same byte budget peaks at ≥ 2× the sessions with f16 pages as with f64.
 func TestKVDtypeStretchesBudget(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	engines := map[string]model.Engine{"fp32": model.Exact{}}
-	base := Config{Model: m, Engines: engines, KVBudgetRows: 64, KVPageRows: 16}
+	base := Config{Model: m, Engines: engines, MaxBatch: 16, QueueDepth: 16, KVBudgetRows: 64, KVPageRows: 16}
 
 	cfg := base
 	srvF64, err := New(cfg)
@@ -83,6 +86,19 @@ func TestKVDtypeStretchesBudget(t *testing.T) {
 	d := m.Cfg.DModel
 	if bpr := srvF16.Metrics().Snapshot().KVBytesPerRow; bpr != tensor.KVF16.BytesPerRow(d) {
 		t.Fatalf("f16 bytes per row %d", bpr)
+	}
+	trace := make([]workload.RequestSpec, 12) // one page each; f64 fits 4
+	for i := range trace {
+		trace[i] = workload.RequestSpec{
+			Prompt:    workload.TokenStream(workload.PTB, 40+uint64(i), 8, m.Cfg.Vocab),
+			NewTokens: 4,
+		}
+	}
+	_, f64Snap := preloadAndRun(t, srvF64, trace, 0, 5)
+	_, f16Snap := preloadAndRun(t, srvF16, trace, 0, 5)
+	if f64Snap.PeakActiveSessions <= 0 || f16Snap.PeakActiveSessions < 2*f64Snap.PeakActiveSessions {
+		t.Fatalf("f16 KV peaked at %d sessions vs f64 %d; want ≥ 2× under the same byte budget",
+			f16Snap.PeakActiveSessions, f64Snap.PeakActiveSessions)
 	}
 
 	cfg = base
