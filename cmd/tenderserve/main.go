@@ -34,8 +34,8 @@
 // prefix-affinity router (internal/router): prompts are routed by a
 // consistent hash of their page-aligned prefix chunks so one tenant's
 // cache hits concentrate on the owning replica, with residual load
-// spilled by queue depth and KV occupancy. -route-policy selects
-// affinity (default), random (scatter) or round-robin.
+// spilled by queue depth and KV occupancy. -backends fronts remote
+// tenderserve processes instead, over the same HTTP API.
 //
 // The router's resilience layer retries failed submissions across
 // replicas with bounded attempts and deterministic-jitter backoff
@@ -45,43 +45,30 @@
 // requests at the boundary (400), sheds load with 503 + Retry-After
 // under queue or KV pressure (-brownout-queue-wait, -brownout-kv-frac),
 // and isolates scheduler-step panics to the offending request (500).
-// -chaos injects seeded deterministic faults (-chaos-*) to exercise all
-// of it against a live server.
+// The API and its status codes live in internal/router (router.Handler).
 //
 // Shutdown is drain-first: SIGINT/SIGTERM flips /readyz to 503, refuses
 // new requests with 503 + Retry-After, lets in-flight requests finish
 // (bounded by -drain-timeout), then exits.
-//
-// Or run a deterministic load test (no client needed), closed-loop or
-// open-loop Poisson (-poisson-ms):
-//
-//	tenderserve -load -model opt-6.7b -schemes tender -requests 64 \
-//	    -clients 8 -batch 8 -kv-pages 256 -seed 1 -out report.json
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"tender/internal/chaos"
 	"tender/internal/engine"
 	"tender/internal/model"
 	"tender/internal/obs"
 	"tender/internal/router"
 	"tender/internal/serve"
 	"tender/internal/tensor"
-	"tender/internal/workload"
 )
 
 func main() {
@@ -105,10 +92,9 @@ func main() {
 		traceEvents   = flag.Int("trace-events", 0, "trace ring capacity in events (0 = default 65536); the oldest events are overwritten when full")
 		pprofOn       = flag.Bool("pprof", false, "expose Go profiling endpoints under /debug/pprof/")
 		listSchemes   = flag.Bool("list-schemes", false, "list engine spec schemes and their options, then exit")
-		routerOn      = flag.Bool("router", false, "shard serving across in-process replicas behind the prefix-affinity router (see -replicas, -route-policy)")
+		routerOn      = flag.Bool("router", false, "shard serving across in-process replicas behind the prefix-affinity router (see -replicas)")
 		replicasFlag  = flag.Int("replicas", 0, "router: in-process replica count, each with its own scheduler, KV pool and prefix cache (0 = 3 when -router is set; >1 implies -router)")
 		backendsFlag  = flag.String("backends", "", "router: ';'/space-separated base URLs of remote tenderserve replicas to front over HTTP instead of in-process replicas (implies -router; health-checked via their /readyz)")
-		routePolicy   = flag.String("route-policy", "affinity", "router: request placement policy — affinity (consistent-hash prefix chunks), random (scatter) or round-robin")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "bound on finishing in-flight requests when SIGINT/SIGTERM starts a drain")
 
 		attemptTimeout   = flag.Duration("attempt-timeout", 0, "router: per-attempt deadline; a replica that does not answer in time is retried elsewhere (0 = no per-attempt bound). Must exceed worst-case request latency, queue wait included")
@@ -120,32 +106,6 @@ func main() {
 
 		brownoutQueueWait = flag.Duration("brownout-queue-wait", 0, "shed new requests with 503 while the scheduler's recent queue wait exceeds this (0 = off)")
 		brownoutKVFrac    = flag.Float64("brownout-kv-frac", 0, "shed new requests with 503 while live KV occupancy exceeds this fraction of the KV budget (0 = off; needs -kv-pages)")
-
-		chaosOn        = flag.Bool("chaos", false, "inject seeded faults into the serving stack (testing only; see -chaos-* for the fault mix)")
-		chaosSeed      = flag.Uint64("chaos-seed", 1, "chaos: decision seed; the same seed faults the same operation sequence")
-		chaosTransport = flag.Float64("chaos-transport-rate", 0, "chaos: probability a submission fails as replica-unreachable")
-		chaosStallRate = flag.Float64("chaos-stall-rate", 0, "chaos: probability a submission stalls for -chaos-stall-for")
-		chaosStallFor  = flag.Duration("chaos-stall-for", 0, "chaos: stall duration (0 = 10ms)")
-		chaosMaxStalls = flag.Int("chaos-max-stalls", 0, "chaos: cap on injected stalls (0 = unlimited)")
-		chaosCrashRate = flag.Float64("chaos-crash-rate", 0, "chaos: probability a submission kills its replica (needs -chaos-max-crashes)")
-		chaosMaxCrash  = flag.Int("chaos-max-crashes", 0, "chaos: cap on replica kills (0 = crashes off)")
-		chaosKVRate    = flag.Float64("chaos-kv-rate", 0, "chaos: probability a KV admission check is vetoed as if the pool were dry")
-		chaosMaxKV     = flag.Int("chaos-max-kv", 0, "chaos: cap on KV vetoes (0 = unlimited)")
-		chaosPanicRate = flag.Float64("chaos-panic-rate", 0, "chaos: probability a scheduler step panics (isolated per request)")
-		chaosMaxPanics = flag.Int("chaos-max-panics", 0, "chaos: cap on injected panics (0 = unlimited)")
-
-		load      = flag.Bool("load", false, "run a deterministic load test instead of serving")
-		requests  = flag.Int("requests", 64, "load: number of requests")
-		clients   = flag.Int("clients", 8, "load: closed-loop client count")
-		seed      = flag.Uint64("seed", 1, "load: trace + sampling seed")
-		minPrompt = flag.Int("min-prompt", 16, "load: min prompt tokens")
-		maxPrompt = flag.Int("max-prompt", 64, "load: max prompt tokens")
-		maxNew    = flag.Int("max-new", 16, "load: decode tokens per request")
-		temp      = flag.Float64("temperature", 0, "load: sampling temperature (0 = greedy)")
-		poissonMs = flag.Float64("poisson-ms", 0, "load: open-loop Poisson arrivals with this mean inter-arrival (ms) instead of the closed loop")
-		groups    = flag.Int("prefix-groups", 0, "load: group requests into this many tenants sharing a page-aligned prompt prefix (0 = independent prompts); the multi-tenant trace the router's affinity policy is built for")
-		out       = flag.String("out", "", "load: also write the JSON report to this file")
-		outDir    = flag.String("out-dir", "", "load: write report.json, metrics.json and (with -trace) trace.json + events.jsonl artifacts to this directory")
 	)
 	flag.Parse()
 
@@ -201,45 +161,16 @@ func main() {
 	if *traceOn {
 		tracer = obs.NewTracer(*traceEvents)
 	}
-	// One injector shared by every hook site (backend submissions, KV
-	// admission, scheduler steps); nil keeps the hooks free.
-	var inj *chaos.Injector
-	if *chaosOn {
-		inj = chaos.New(chaos.Config{
-			Seed:          *chaosSeed,
-			TransportRate: *chaosTransport,
-			StallRate:     *chaosStallRate,
-			StallFor:      *chaosStallFor,
-			MaxStalls:     *chaosMaxStalls,
-			CrashRate:     *chaosCrashRate,
-			MaxCrashes:    *chaosMaxCrash,
-			KVExhaustRate: *chaosKVRate,
-			MaxKVExhaust:  *chaosMaxKV,
-			PanicRate:     *chaosPanicRate,
-			MaxPanics:     *chaosMaxPanics,
-		})
-		fmt.Fprintf(os.Stderr, "chaos: injecting seeded faults (seed=%d)\n", *chaosSeed)
-	}
 	// One replica by default; -router (or an explicit -replicas > 1) shards
 	// the fleet. Replicas share the model and the calibrated engines — both
 	// read-only at inference time — but each owns its scheduler, KV page
 	// pool and prefix cache: the state the router's affinity keeps hot.
-	if len(backendURLs) > 0 {
-		*routerOn = true
-	}
 	nReplicas := *replicasFlag
-	if nReplicas > 1 {
-		*routerOn = true
-	}
-	if *routerOn && nReplicas <= 0 {
-		nReplicas = 3
-	}
-	if !*routerOn {
+	routed := *routerOn || nReplicas > 1 || len(backendURLs) > 0
+	if !routed {
 		nReplicas = 1
-	}
-	policy, err := router.ParsePolicy(*routePolicy)
-	if err != nil {
-		fatalf("%v", err)
+	} else if nReplicas <= 0 {
+		nReplicas = 3
 	}
 	mkServer := func() *serve.Server {
 		srv, err := serve.New(serve.Config{
@@ -254,7 +185,6 @@ func main() {
 			Tracer:            tracer,
 			BrownoutQueueWait: *brownoutQueueWait,
 			BrownoutKVFrac:    *brownoutKVFrac,
-			Chaos:             inj,
 		})
 		if err != nil {
 			fatalf("%v", err)
@@ -263,14 +193,13 @@ func main() {
 		return srv
 	}
 	var (
-		gen   serve.Generator // the submission surface the API serves
-		srv   *serve.Server   // single-replica mode only
-		rt    *router.Router  // router mode only
+		api   router.API
 		fleet []*serve.Server
+		drain func(context.Context) error
 	)
-	if *routerOn {
+	if routed {
 		rcfg := router.Config{
-			Policy: policy, PageRows: pageRows,
+			PageRows:         pageRows,
 			AttemptTimeout:   *attemptTimeout,
 			MaxAttempts:      *maxAttempts,
 			RetryBackoff:     *retryBackoff,
@@ -288,213 +217,44 @@ func main() {
 			nReplicas = len(backendURLs)
 			rcfg.ProbePeriod = time.Second
 			for _, u := range backendURLs {
-				rcfg.Replicas = append(rcfg.Replicas, router.Replica{
-					ID:      u,
-					Backend: &router.HTTPBackend{BaseURL: u, Chaos: inj, ID: u},
-				})
+				rcfg.Replicas = append(rcfg.Replicas, router.Replica{ID: u, Backend: &router.HTTPBackend{BaseURL: u}})
 			}
 		} else {
-			if inj != nil {
-				// Injected transport faults hard-fail in-process replicas
-				// Down; without a prober nothing ever restores them, so
-				// chaos mode probes (InProc.Healthy answers instantly).
-				rcfg.ProbePeriod = 250 * time.Millisecond
-			}
 			for i := 0; i < nReplicas; i++ {
 				s := mkServer()
 				fleet = append(fleet, s)
-				id := fmt.Sprintf("r%d", i)
-				rcfg.Replicas = append(rcfg.Replicas, router.Replica{
-					ID:      id,
-					Backend: router.InProc{Srv: s, Chaos: inj, ID: id},
-				})
+				rcfg.Replicas = append(rcfg.Replicas, router.Replica{ID: fmt.Sprintf("r%d", i), Backend: router.InProc{Srv: s}})
 			}
 		}
-		if rt, err = router.New(rcfg); err != nil {
+		rt, err := router.New(rcfg)
+		if err != nil {
 			fatalf("%v", err)
 		}
 		rt.Start()
 		defer rt.Stop()
-		gen = rt
+		api = router.RouterAPI(rt)
+		drain = rt.DrainAll
+		fmt.Fprintf(os.Stderr, "tenderserve: %s hosting %v on %s, routing %d replicas by prefix affinity\n",
+			*modelName, names, *addr, nReplicas)
 	} else {
-		srv = mkServer()
+		srv := mkServer()
 		fleet = []*serve.Server{srv}
-		gen = srv
+		api = router.ServerAPI(srv)
+		drain = srv.Drain
+		fmt.Fprintf(os.Stderr, "tenderserve: %s hosting %v on %s\n", *modelName, names, *addr)
 	}
+	api.Model, api.Schemes, api.Default, api.Tracer, api.Pprof = m.Cfg, names, def, tracer, *pprofOn
 	defer func() {
 		for _, s := range fleet {
 			s.Stop()
 		}
 	}()
-	metricsSnapshot := func() any {
-		if rt != nil {
-			return rt.Snapshot()
-		}
-		return srv.Metrics().Snapshot()
-	}
-	ready := func() bool {
-		if rt != nil {
-			return rt.Ready()
-		}
-		return !srv.Draining()
-	}
 
-	if *load {
-		var trace []workload.RequestSpec
-		if *groups > 0 {
-			trace = workload.PrefixGroupedTrace(workload.PrefixGroupConfig{
-				Groups:           *groups,
-				RequestsPerGroup: (*requests + *groups - 1) / *groups,
-				PrefixTokens:     *minPrompt,
-				TailTokens:       *maxPrompt - *minPrompt,
-				NewTokens:        *maxNew,
-				Vocab:            m.Cfg.Vocab,
-			}, *seed)
-		} else {
-			trace = workload.RequestTrace(workload.TraceConfig{
-				Requests: *requests, Vocab: m.Cfg.Vocab,
-				MinPrompt: *minPrompt, MaxPrompt: *maxPrompt,
-				MinNew: *maxNew, MaxNew: *maxNew,
-			}, *seed)
-		}
-		rep := serve.RunLoad(gen, serve.LoadConfig{
-			Trace: trace, Clients: *clients,
-			Temperature: *temp, SeedBase: *seed,
-			PoissonMean: time.Duration(*poissonMs * float64(time.Millisecond)),
-			ArrivalSeed: *seed,
-		})
-		blob, _ := json.MarshalIndent(rep, "", "  ")
-		fmt.Println(string(blob))
-		if *out != "" {
-			if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-				fatalf("writing %s: %v", *out, err)
-			}
-		}
-		if *outDir != "" {
-			if err := writeLoadArtifacts(*outDir, blob, metricsSnapshot(), tracer); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		if rep.Failed > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/generate", func(w http.ResponseWriter, r *http.Request) {
-		var in generateRequest
-		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		// Hosted engines are keyed canonically; accept case, alias,
-		// flag-shorthand and option-order variants of a hosted spec
-		// ("FP16", "tender-int") per request. Other spellings — including
-		// ones that elaborate defaulted options, like "tender:bits=8" for
-		// a hosted "tender" — and unparseable names stay verbatim and fail
-		// the hosted-scheme lookup below.
-		if in.Scheme != "" {
-			if c, err := engine.Canonical(in.Scheme); err == nil {
-				in.Scheme = c
-			}
-		}
-		req := serve.Request{
-			Prompt:       in.Prompt,
-			MaxNewTokens: in.MaxNewTokens,
-			Scheme:       in.Scheme,
-			Temperature:  in.Temperature,
-			Seed:         in.Seed,
-		}
-		// Boundary validation: a malformed request is a 400 here even when
-		// the fleet behind the router is unreachable (which would otherwise
-		// answer 503 before validation ran on a replica).
-		if err := serve.ValidateRequest(m.Cfg, req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		ctx := r.Context()
-		if in.TimeoutMs > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(in.TimeoutMs)*time.Millisecond)
-			defer cancel()
-			req.Deadline = time.Now().Add(time.Duration(in.TimeoutMs) * time.Millisecond)
-		}
-		res, err := gen.Generate(ctx, req)
-		if err != nil {
-			code := statusFor(err)
-			if code == http.StatusServiceUnavailable {
-				// Draining or browned out: the request was refused, not lost
-				// — retry against another replica (or once pressure clears)
-				// shortly.
-				w.Header().Set("Retry-After", "1")
-			}
-			httpError(w, code, err)
-			return
-		}
-		writeJSON(w, generateResponse{
-			ID: res.ID, Scheme: res.Scheme, Tokens: res.Tokens,
-			TTFTMs:        float64(res.TTFT) / float64(time.Millisecond),
-			LatencyMs:     float64(res.Latency) / float64(time.Millisecond),
-			PrefillTokens: res.PrefillTokens,
-		})
-	})
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, metricsSnapshot())
-	})
-	mux.HandleFunc("GET /v1/schemes", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, map[string]any{"schemes": names, "default": def, "model": m.Cfg.Name})
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if !ready() {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(map[string]bool{"ready": false})
-			return
-		}
-		writeJSON(w, map[string]bool{"ready": true})
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if rt != nil {
-			rt.WritePrometheus(w)
-			return
-		}
-		srv.WritePrometheus(w)
-	})
-	if tracer != nil {
-		mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Content-Disposition", `attachment; filename="tenderserve-trace.json"`)
-			tracer.WriteChromeTrace(w)
-		})
-		mux.HandleFunc("GET /debug/trace.jsonl", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/jsonl")
-			tracer.WriteJSONL(w)
-		})
-	}
-	if *pprofOn {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-
-	if rt != nil {
-		fmt.Fprintf(os.Stderr, "tenderserve: %s hosting %v on %s, %s-routing %d replicas\n",
-			*modelName, names, *addr, policy, nReplicas)
-	} else {
-		fmt.Fprintf(os.Stderr, "tenderserve: %s hosting %v on %s\n", *modelName, names, *addr)
-	}
 	// Drain-first shutdown: SIGINT/SIGTERM flips /readyz, lets in-flight
 	// requests finish within -drain-timeout, then closes the listener.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := &http.Server{Addr: *addr, Handler: router.Handler(api)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 	select {
@@ -506,111 +266,11 @@ func main() {
 	fmt.Fprintf(os.Stderr, "tenderserve: draining (bound %s)...\n", *drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if rt != nil {
-		err = rt.DrainAll(dctx)
-	} else {
-		err = srv.Drain(dctx)
-	}
-	if err != nil {
+	if err := drain(dctx); err != nil {
 		fmt.Fprintf(os.Stderr, "tenderserve: drain incomplete: %v\n", err)
 	}
 	httpSrv.Shutdown(dctx)
 	fmt.Fprintln(os.Stderr, "tenderserve: drained, exiting")
-}
-
-type generateRequest struct {
-	Prompt       []int   `json:"prompt"`
-	MaxNewTokens int     `json:"max_new_tokens"`
-	Scheme       string  `json:"scheme"`
-	Temperature  float64 `json:"temperature"`
-	Seed         uint64  `json:"seed"`
-	TimeoutMs    int     `json:"timeout_ms"`
-}
-
-type generateResponse struct {
-	ID            uint64  `json:"id"`
-	Scheme        string  `json:"scheme"`
-	Tokens        []int   `json:"tokens"`
-	TTFTMs        float64 `json:"ttft_ms"`
-	LatencyMs     float64 `json:"latency_ms"`
-	PrefillTokens int     `json:"prefill_tokens"`
-}
-
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, serve.ErrInvalidRequest):
-		return http.StatusBadRequest
-	case errors.Is(err, serve.ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrDraining),
-		errors.Is(err, serve.ErrStopped), errors.Is(err, router.ErrNoReplicas):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, serve.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, serve.ErrUnknownScheme):
-		return http.StatusNotFound
-	case errors.Is(err, serve.ErrInternal):
-		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// writeLoadArtifacts persists a load run's observability artifacts:
-// report.json (the LoadReport), metrics.json (the final snapshot — the
-// server's, or the router's with per-replica breakdowns), and — when
-// tracing is on — trace.json (Chrome trace_event, loadable in Perfetto)
-// plus events.jsonl (the raw event log).
-func writeLoadArtifacts(dir string, report []byte, metrics any, tracer *obs.Tracer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "report.json"), append(report, '\n'), 0o644); err != nil {
-		return err
-	}
-	snap, err := json.MarshalIndent(metrics, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "metrics.json"), append(snap, '\n'), 0o644); err != nil {
-		return err
-	}
-	if tracer == nil {
-		return nil
-	}
-	tf, err := os.Create(filepath.Join(dir, "trace.json"))
-	if err != nil {
-		return err
-	}
-	if err := tracer.WriteChromeTrace(tf); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	ef, err := os.Create(filepath.Join(dir, "events.jsonl"))
-	if err != nil {
-		return err
-	}
-	if err := tracer.WriteJSONL(ef); err != nil {
-		ef.Close()
-		return err
-	}
-	return ef.Close()
 }
 
 func fatalf(format string, args ...any) {

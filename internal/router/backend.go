@@ -125,8 +125,8 @@ var (
 	defaultProbeClient  = &http.Client{Transport: defaultTransport, Timeout: 2 * time.Second}
 )
 
-// HTTPBackend speaks the cmd/tenderserve JSON API, making the router a
-// multi-process front end: Generate posts /v1/generate, Snapshot reads
+// HTTPBackend speaks the JSON API that Handler serves, making the router
+// a multi-process front end: Generate posts /v1/generate, Snapshot reads
 // /v1/metrics, Healthy probes /readyz (which tenderserve flips to 503
 // while draining).
 type HTTPBackend struct {
@@ -159,37 +159,16 @@ func (b *HTTPBackend) probeClient() *http.Client {
 	return defaultProbeClient
 }
 
-type httpGenerateRequest struct {
-	Prompt       []int   `json:"prompt"`
-	MaxNewTokens int     `json:"max_new_tokens"`
-	Scheme       string  `json:"scheme"`
-	Temperature  float64 `json:"temperature"`
-	Seed         uint64  `json:"seed"`
-}
-
-type httpGenerateResponse struct {
-	ID            uint64  `json:"id"`
-	Scheme        string  `json:"scheme"`
-	Tokens        []int   `json:"tokens"`
-	TTFTMs        float64 `json:"ttft_ms"`
-	LatencyMs     float64 `json:"latency_ms"`
-	PrefillTokens int     `json:"prefill_tokens"`
-}
-
 // Generate posts the request and maps the replica's HTTP status back to
-// the serve error vocabulary, so the router's retry policy is identical
-// in-process and over the wire.
+// the serve error vocabulary through the status table Handler answers
+// from, so the router's retry policy is identical in-process and over
+// the wire.
 func (b *HTTPBackend) Generate(ctx context.Context, req serve.Request) (serve.Result, error) {
 	if err := chaosSubmit(ctx, b.Chaos, b.ID, nil); err != nil {
 		return serve.Result{}, err
 	}
-	body, err := json.Marshal(httpGenerateRequest{
-		Prompt:       req.Prompt,
-		MaxNewTokens: req.MaxNewTokens,
-		Scheme:       req.Scheme,
-		Temperature:  req.Temperature,
-		Seed:         req.Seed,
-	})
+	body, err := json.Marshal(generateRequest{Prompt: req.Prompt, MaxNewTokens: req.MaxNewTokens,
+		Scheme: req.Scheme, Temperature: req.Temperature, Seed: req.Seed})
 	if err != nil {
 		return serve.Result{}, err
 	}
@@ -209,14 +188,12 @@ func (b *HTTPBackend) Generate(ctx context.Context, req serve.Request) (serve.Re
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return serve.Result{}, errorForStatus(resp.StatusCode)
 	}
-	var out httpGenerateResponse
+	var out generateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return serve.Result{}, fmt.Errorf("%w: decoding response: %v", ErrReplicaUnreachable, err)
 	}
 	return serve.Result{
-		ID:            out.ID,
-		Scheme:        out.Scheme,
-		Tokens:        out.Tokens,
+		ID: out.ID, Scheme: out.Scheme, Tokens: out.Tokens,
 		TTFT:          time.Duration(out.TTFTMs * float64(time.Millisecond)),
 		Latency:       time.Duration(out.LatencyMs * float64(time.Millisecond)),
 		PrefillTokens: out.PrefillTokens,
@@ -264,22 +241,3 @@ func (b *HTTPBackend) Drain(ctx context.Context) error { return nil }
 // never ran to completion on that replica, so the router retries it
 // elsewhere and takes the replica out of rotation.
 var ErrReplicaUnreachable = errors.New("router: replica unreachable")
-
-// errorForStatus maps a replica's HTTP status back into the serve error
-// vocabulary (the inverse of cmd/tenderserve's statusFor).
-func errorForStatus(code int) error {
-	switch code {
-	case http.StatusBadRequest:
-		return serve.ErrInvalidRequest
-	case http.StatusTooManyRequests:
-		return serve.ErrQueueFull
-	case http.StatusServiceUnavailable:
-		return serve.ErrDraining
-	case http.StatusGatewayTimeout:
-		return serve.ErrDeadlineExceeded
-	case http.StatusNotFound:
-		return serve.ErrUnknownScheme
-	default:
-		return fmt.Errorf("router: replica returned HTTP %d", code)
-	}
-}

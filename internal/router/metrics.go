@@ -17,7 +17,7 @@ type ReplicaStatus struct {
 	// requests on this replica.
 	InFlight int64 `json:"inflight"`
 	// Routed* count requests sent here by decision reason: the ring said
-	// so (affinity), residual-load spill, scatter/round-robin, or
+	// so (affinity), residual-load spill, scatter, or
 	// failover after another replica refused.
 	RoutedAffinity int64 `json:"routed_affinity"`
 	RoutedSpill    int64 `json:"routed_spill"`

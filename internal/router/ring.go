@@ -10,8 +10,9 @@
 // deterministic on every replica.
 //
 // Backends are pluggable: InProc wraps a *serve.Server in the same
-// process; HTTPBackend speaks the cmd/tenderserve JSON API, so the same
-// router fronts a multi-process deployment unchanged.
+// process; HTTPBackend speaks the JSON API that Handler serves (the
+// cmd/tenderserve API), so the same router fronts a multi-process
+// deployment unchanged.
 //
 // See docs/ARCHITECTURE.md ("Multi-replica sharded serving") for the
 // ring diagram, the affinity/spill decision flow and the failover

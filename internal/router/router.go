@@ -26,9 +26,6 @@ const (
 	// prefix's cache N ways. The degraded baseline affinity is measured
 	// against ("router-random" in BENCH rows).
 	PolicyScatter
-	// PolicyRoundRobin ignores the prompt and rotates across healthy
-	// replicas — pure load spreading, no cache locality.
-	PolicyRoundRobin
 )
 
 func (p Policy) String() string {
@@ -37,25 +34,9 @@ func (p Policy) String() string {
 		return "affinity"
 	case PolicyScatter:
 		return "scatter"
-	case PolicyRoundRobin:
-		return "round-robin"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
-}
-
-// ParsePolicy maps flag spellings to a Policy ("random" is accepted as
-// an alias for scatter — it is what the BENCH rows call it).
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "affinity":
-		return PolicyAffinity, nil
-	case "scatter", "random":
-		return PolicyScatter, nil
-	case "round-robin", "rr":
-		return PolicyRoundRobin, nil
-	}
-	return 0, fmt.Errorf("router: unknown policy %q (affinity, random, round-robin)", s)
 }
 
 // Errors returned by the router itself (replica errors pass through).
@@ -241,8 +222,6 @@ type Router struct {
 	replicas []*replica
 	byID     map[string]*replica
 
-	rr atomic.Uint64 // round-robin cursor
-
 	requests  atomic.Int64
 	failovers atomic.Int64
 	rejected  atomic.Int64
@@ -394,8 +373,6 @@ func (r *Router) Generate(ctx context.Context, req serve.Request) (serve.Result,
 	switch r.cfg.Policy {
 	case PolicyScatter:
 		key = ScatterKey(req.Prompt)
-	case PolicyRoundRobin:
-		key = 0 // unused
 	default:
 		key = AffinityKey(req.Prompt, r.cfg.PageRows, r.cfg.AffinityChunks)
 	}
@@ -611,10 +588,9 @@ func (rep *replica) countRouted(reason routeReason) {
 	}
 }
 
-// pick selects the replica for one attempt: the ring owner of key under
-// affinity/scatter (skipping tried and unhealthy replicas), the
-// least-loaded candidate on failover or spill, the next cursor under
-// round-robin. Returns nil when no Up, untried replica remains.
+// pick selects the replica for one attempt: the ring owner of key
+// (skipping tried and unhealthy replicas), or the least-loaded candidate
+// on failover or spill. Returns nil when no Up, untried replica remains.
 func (r *Router) pick(key uint64, tried map[string]bool, failover bool) (*replica, routeReason) {
 	now := time.Now()
 	r.mu.Lock()
@@ -637,10 +613,7 @@ func (r *Router) pick(key uint64, tried map[string]bool, failover bool) (*replic
 		// least-loaded surviving replica.
 		return r.leastLoaded(candidates), reasonFailover
 	}
-	switch r.cfg.Policy {
-	case PolicyRoundRobin:
-		return candidates[int(r.rr.Add(1)-1)%len(candidates)], reasonScatter
-	case PolicyScatter:
+	if r.cfg.Policy == PolicyScatter {
 		if rep := r.ownerAmong(ring, key, candidates); rep != nil {
 			return rep, reasonScatter
 		}
