@@ -686,7 +686,7 @@ func BenchmarkRouterThroughput(b *testing.B) {
 	}
 }
 
-// Kernel-backend benchmarks: the naive reference GEMM against the
+// Kernel-backend benchmarks: the naive reference float GEMM against the
 // register-tiled, cache-blocked backend (AVX2+FMA micro-kernel on amd64,
 // pure-Go tiling elsewhere). The naive float path keeps its zero-skip
 // fast-path for sparse operands (see tensor.MatMul); the blocked backend
@@ -709,38 +709,6 @@ func BenchmarkBlockedGEMM(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tensor.GEMMInto(tensor.KernelBlocked, x, w, out)
-		}
-	})
-
-	const m0, k0, n0 = 256, 512, 256
-	rng := tensor.NewRNG(5)
-	a8 := make([]int8, m0*k0)
-	w8 := make([]int8, k0*n0)
-	for i := range a8 {
-		a8[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range w8 {
-		w8[i] = int8(rng.Intn(255) - 127)
-	}
-	acc := make([]int32, m0*n0)
-	ref := make([]int32, m0*n0)
-	tensor.MatMulIntInto(m0, k0, a8, n0, w8, ref)
-	tensor.KernelBlocked.MatMulInt(m0, k0, a8, n0, w8, acc)
-	for i := range ref {
-		if acc[i] != ref[i] {
-			b.Fatalf("blocked int8 GEMM diverges from reference at %d: %d vs %d", i, acc[i], ref[i])
-		}
-	}
-	b.Run("int8/naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulIntInto(m0, k0, a8, n0, w8, acc)
-		}
-	})
-	b.Run("int8/blocked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.KernelBlocked.MatMulInt(m0, k0, a8, n0, w8, acc)
 		}
 	})
 }
@@ -776,76 +744,6 @@ func BenchmarkKVDtype(b *testing.B) {
 				pr.Release()
 			}
 			benchSink = sink
-		})
-	}
-}
-
-// BenchmarkIntDecodeAllocs gates the allocation diet of the integer decode
-// GEMMs. The shared int8 entry point (tensor.MatMulIntInto and the blocked
-// backend) must not allocate at all — tender and llmint8 route their
-// integer matmuls through it with pooled accumulators — and a steady-state
-// tender implicit matmul on either backend may allocate only its output
-// matrix: scratch (quantized activations, gathered slabs, partials,
-// accumulators) has to come from the pool.
-func BenchmarkIntDecodeAllocs(b *testing.B) {
-	const batch = 8
-	x := workload.OPT67BAttentionInput(64, 512, 1)
-	xdec := x.RowView(0, batch) // one fused decode step: batch rows
-	rng := tensor.NewRNG(2)
-	w := tensor.RandNormal(rng, 512, 256, 0.05)
-	cfg := tender.DefaultConfig(8)
-	cfg.RowChunk = 0 // serving build: single metadata chunk, blocked path applies
-	cal := tender.Calibrate([]*tensor.Matrix{x}, cfg)
-	qw := tender.QuantizeWeights(w, cfg.Bits)
-	wf := qw.Dequantize()
-	pack := cal.PrepareImplicit(qw, wf)
-	if pack == nil {
-		b.Fatal("PrepareImplicit refused a serving-shape site")
-	}
-
-	const m0, k0, n0 = batch, 512, 256
-	a8 := make([]int8, m0*k0)
-	w8 := make([]int8, k0*n0)
-	for i := range a8 {
-		a8[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range w8 {
-		w8[i] = int8(rng.Intn(255) - 127)
-	}
-	acc := make([]int32, m0*n0)
-	if n := testing.AllocsPerRun(50, func() {
-		tensor.MatMulIntInto(m0, k0, a8, n0, w8, acc)
-	}); n != 0 {
-		b.Fatalf("MatMulIntInto allocates %.1f times per call; want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		tensor.KernelBlocked.MatMulInt(m0, k0, a8, n0, w8, acc)
-	}); n != 0 {
-		b.Fatalf("blocked MatMulInt allocates %.1f times per call; want 0", n)
-	}
-
-	for _, bk := range []struct {
-		name string
-		kern tensor.Kernel
-	}{{"naive", nil}, {"blocked", tensor.KernelBlocked}} {
-		for i := 0; i < 3; i++ { // warm the scratch pool
-			cal.MatMulImplicitBlocked(xdec, pack, bk.kern)
-		}
-		perCall := testing.AllocsPerRun(50, func() {
-			cal.MatMulImplicitBlocked(xdec, pack, bk.kern)
-		})
-		perToken := perCall / batch
-		b.Logf("implicit %s: %.2f allocs/call = %.3f allocs/token (batch %d)",
-			bk.name, perCall, perToken, batch)
-		if perToken > 0.5 {
-			b.Fatalf("implicit %s decode allocates %.2f times per token; want ~0 (output only)",
-				bk.name, perToken)
-		}
-		b.Run("implicit-"+bk.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cal.MatMulImplicitBlocked(xdec, pack, bk.kern)
-			}
 		})
 	}
 }

@@ -78,7 +78,7 @@ func main() {
 		schemesFlag   = flag.String("schemes", "tender", "engine specs to host, separated by ';' or spaces (e.g. \"tender:bits=4,int;fp16\"; see -list-schemes)")
 		defaultScheme = flag.String("default-scheme", "", "scheme used when a request names none")
 		bits          = flag.Int("bits", 8, "quantization bit width")
-		kernelFlag    = flag.String("kernel", "", "default GEMM backend for hosted engines: naive (bit-exact reference) or blocked (register-tiled, cache-blocked; integer paths stay bit-identical, float paths are tolerance-gated); per-spec kernel= options override it")
+		kernelFlag    = flag.String("kernel", "", "default float GEMM backend for hosted engines: naive (bit-exact reference) or blocked (register-tiled, cache-blocked, tolerance-gated); per-spec kernel= options override it. tender:int has one integer GEMM and rejects blocked")
 		qaa           = flag.Bool("qaa", false, "quantize activation-activation matmuls")
 		batch         = flag.Int("batch", 8, "max active requests per scheduler iteration")
 		queue         = flag.Int("queue", 0, "admission queue depth (0 = 4×batch)")
@@ -110,7 +110,7 @@ func main() {
 	flag.Parse()
 
 	if *listSchemes {
-		fmt.Println("spec grammar: scheme[:key=value,flag,...]   (bits=<2..8> works for every scheme)")
+		fmt.Println("spec grammar: scheme[:key=value,flag,...]   (bits=<2..8> works for every scheme; kernel=naive|blocked picks the float GEMM backend, naive only for tender:int)")
 		for _, e := range engine.Entries() {
 			line := fmt.Sprintf("  %-12s %s", e.Name, e.Summary)
 			if e.Options != "" {

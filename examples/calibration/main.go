@@ -1,7 +1,9 @@
 // Calibration example: run Tender's offline calibration on recorded
 // activations, export the static metadata (channel order, biases, group
 // scales) to JSON — the contents of the hardware Index Buffer and VPU
-// scale registers — and re-import it to quantize a new batch.
+// scale registers — and re-import it to quantize a new batch. Calibration
+// implements json.Marshaler and json.Unmarshaler; loading validates the
+// metadata and rebuilds the channel→group map.
 package main
 
 import (
@@ -14,60 +16,6 @@ import (
 	"tender/internal/workload"
 )
 
-// exportedSite is the serialized calibration for one matmul site.
-type exportedSite struct {
-	Bits     int     `json:"bits"`
-	Groups   int     `json:"groups"`
-	Alpha    int     `json:"alpha"`
-	RowChunk int     `json:"row_chunk"`
-	Cols     int     `json:"cols"`
-	Chunks   []chunk `json:"chunks"`
-}
-
-type chunk struct {
-	Bias        []float64 `json:"bias"`
-	Order       []int     `json:"order"`        // Index Buffer contents
-	GroupCounts []int     `json:"group_counts"` // rescale-signal positions
-	Scales      []float64 `json:"scales"`       // VPU scale registers
-}
-
-func export(cal *tender.Calibration) exportedSite {
-	e := exportedSite{
-		Bits: cal.Cfg.Bits, Groups: cal.Cfg.Groups, Alpha: cal.Cfg.Alpha,
-		RowChunk: cal.Cfg.RowChunk, Cols: cal.Cols,
-	}
-	for _, c := range cal.Chunks {
-		e.Chunks = append(e.Chunks, chunk{
-			Bias: c.Bias, Order: c.Order, GroupCounts: c.GroupCounts, Scales: c.Scales,
-		})
-	}
-	return e
-}
-
-func restore(e exportedSite) *tender.Calibration {
-	cal := &tender.Calibration{
-		Cfg: tender.Config{
-			Bits: e.Bits, Groups: e.Groups, Alpha: e.Alpha, RowChunk: e.RowChunk,
-		},
-		Cols: e.Cols,
-	}
-	for _, c := range e.Chunks {
-		meta := tender.ChunkMeta{
-			Bias: c.Bias, Order: c.Order, GroupCounts: c.GroupCounts, Scales: c.Scales,
-			Group: make([]int, e.Cols),
-		}
-		pos := 0
-		for g, n := range c.GroupCounts {
-			for i := 0; i < n; i++ {
-				meta.Group[c.Order[pos]] = g
-				pos++
-			}
-		}
-		cal.Chunks = append(cal.Chunks, meta)
-	}
-	return cal
-}
-
 func main() {
 	// Calibration set: four activation samples from the same site.
 	var samples []*tensor.Matrix
@@ -78,7 +26,7 @@ func main() {
 	cfg.RowChunk = 64
 	cal := tender.Calibrate(samples, cfg)
 
-	blob, err := json.MarshalIndent(export(cal), "", "  ")
+	blob, err := json.MarshalIndent(cal, "", "  ")
 	if err != nil {
 		panic(err)
 	}
@@ -87,11 +35,10 @@ func main() {
 	fmt.Printf("chunk 0 scales:      %.5v\n", cal.Chunks[0].Scales)
 
 	// Round-trip and quantize an unseen batch with the restored metadata.
-	var back exportedSite
-	if err := json.Unmarshal(blob, &back); err != nil {
+	var cal2 tender.Calibration
+	if err := json.Unmarshal(blob, &cal2); err != nil {
 		panic(err)
 	}
-	cal2 := restore(back)
 
 	fresh := workload.OPT67BAttentionInput(128, 128, 99)
 	a := cal.FakeQuantActivation(fresh)

@@ -40,9 +40,10 @@ type BuildOptions struct {
 	// Streams/StreamLen size BuildEngines' shared calibration pass
 	// (defaults 3×128).
 	Streams, StreamLen int
-	// Kernel is the default GEMM backend when the spec has no kernel=
-	// option ("" or "naive" = the bit-exact reference; "blocked" = the
-	// register-tiled cache-blocked implementation).
+	// Kernel is the default float GEMM backend when the spec has no
+	// kernel= option ("" or "naive" = the bit-exact reference; "blocked" =
+	// the register-tiled cache-blocked implementation). Integer engines
+	// (tender:int) have one GEMM and accept only naive.
 	Kernel string
 }
 
@@ -219,6 +220,9 @@ var registry = []Entry{
 			if t.DisableBias, err = o.flag("nobias"); err != nil {
 				return nil, err
 			}
+			if t.Integer && b.Kernel != "naive" {
+				return nil, fmt.Errorf("engine: tender:int runs one integer GEMM; kernel=%s selects a float GEMM backend", b.Kernel)
+			}
 			// Zero means "unset" in schemes.Tender, so explicit zero or
 			// negative values would be silently remapped to the paper
 			// defaults (and tender.Config.validate panics on alpha < 2
@@ -370,6 +374,7 @@ func Resolve(spec string, opt BuildOptions) (*Resolved, error) {
 	if kernel == "" {
 		kernel = "naive"
 	}
+	opt.Kernel = kernel
 	r := &Resolved{Spec: s, Bits: bits, Exact: e.Exact, QuantActAct: opt.QuantActAct, Kernel: kernel}
 	if e.Exact {
 		r.Name = "FP32"
@@ -397,27 +402,9 @@ func (r *Resolved) Engine(rec *model.Recorder) model.Engine {
 	return e
 }
 
-// KernelAudit reports, for a calibrated engine built from this spec, how
-// many weight-matmul sites accepted the blocked backend versus exist
-// (mirroring the RowIndependent fused-decode audit). For the naive kernel
-// or an exact engine it reports full acceptance of zero routed sites.
-func (r *Resolved) KernelAudit(eng model.Engine) (set, total int) {
-	kern := r.kernel()
-	if kern == nil {
-		return 0, 0
-	}
-	if se, ok := eng.(*model.SchemeEngine); ok {
-		return se.SetGEMMKernel(kern)
-	}
-	return 0, 0
-}
-
 // kernel resolves the validated backend name, nil for the reference (so
 // unroutable paths skip the indirection entirely).
 func (r *Resolved) kernel() tensor.Kernel {
-	if r.Kernel == "" || r.Kernel == "naive" {
-		return nil
-	}
 	kern, err := tensor.KernelByName(r.Kernel)
 	if err != nil {
 		panic("engine: unvalidated kernel name " + r.Kernel)

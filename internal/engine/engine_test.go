@@ -130,13 +130,15 @@ func TestBuildEnginesUnknownScheme(t *testing.T) {
 	}
 }
 
-// TestKernelOption: kernel= is a universal spec option like bits=. It must
-// resolve on every scheme, default from BuildOptions, reject unknown
-// backends, and produce engines whose integer paths stay bit-identical to
-// the naive reference while float paths stay within tolerance.
+// TestKernelOption: kernel= selects the float GEMM backend like bits=
+// selects the width. It must resolve on float schemes, default from
+// BuildOptions, reject unknown backends, and produce engines whose float
+// paths stay within tolerance of the reference. tender:int has one integer
+// GEMM, so any backend other than naive is an error there, whether it
+// comes from the spec or from BuildOptions.
 func TestKernelOption(t *testing.T) {
 	m := model.New(model.TinyConfig())
-	for _, spec := range []string{"fp32:kernel=blocked", "fp16:kernel=blocked", "tender:int,kernel=blocked"} {
+	for _, spec := range []string{"fp32:kernel=blocked", "fp16:kernel=blocked", "tender:kernel=blocked"} {
 		r, err := Resolve(spec, BuildOptions{})
 		if err != nil {
 			t.Fatalf("Resolve(%q): %v", spec, err)
@@ -162,43 +164,48 @@ func TestKernelOption(t *testing.T) {
 		t.Fatal("unknown BuildOptions.Kernel must be rejected")
 	}
 
-	toks := workload.TokenStream(workload.Wiki, 5, 12, m.Cfg.Vocab)
-	// tender:int is integer end to end at weight sites: blocked must be
-	// bit-identical.
-	engines, err := BuildEngines(m, []string{"tender:int", "tender:int,kernel=blocked"}, BuildOptions{Streams: 1, StreamLen: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := m.Forward(toks, engines["tender:int"])
-	b := m.Forward(toks, engines["tender:int,kernel=blocked"])
-	for i := range a.Data {
-		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-			t.Fatalf("tender:int logits diverge under blocked kernel at %d: %v vs %v", i, a.Data[i], b.Data[i])
+	// The integer engine takes no backend: spec, alias and build default
+	// are all rejected, while naive (spelled out or inherited) resolves.
+	for _, c := range []struct {
+		spec, kernel string
+	}{{"tender:int,kernel=blocked", ""}, {"tender:int", "blocked"}, {"tender-int", "blocked"}} {
+		if _, err := Resolve(c.spec, BuildOptions{Kernel: c.kernel}); err == nil {
+			t.Fatalf("Resolve(%q, Kernel %q) must reject a float backend for tender:int", c.spec, c.kernel)
 		}
 	}
+	for _, c := range []struct {
+		spec, kernel string
+	}{{"tender:int,kernel=naive", "blocked"}, {"tender:int", "naive"}, {"tender:int", ""}} {
+		if r, err := Resolve(c.spec, BuildOptions{Kernel: c.kernel}); err != nil || r.Kernel != "naive" {
+			t.Fatalf("Resolve(%q, Kernel %q) = %+v, %v", c.spec, c.kernel, r, err)
+		}
+	}
+
 	// Float schemes: tolerance-gated.
-	engines, err = BuildEngines(m, []string{"fp16", "fp16:kernel=blocked", "fp32", "fp32:kernel=blocked"}, BuildOptions{Streams: 1, StreamLen: 16})
+	toks := workload.TokenStream(workload.Wiki, 5, 12, m.Cfg.Vocab)
+	specs := []string{"fp16", "fp16:kernel=blocked", "fp32", "fp32:kernel=blocked", "tender", "tender:kernel=blocked"}
+	engines, err := BuildEngines(m, specs, BuildOptions{Streams: 1, StreamLen: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pair := range [][2]string{{"fp16", "fp16:kernel=blocked"}, {"fp32", "fp32:kernel=blocked"}} {
-		a := m.Forward(toks, engines[pair[0]])
-		b := m.Forward(toks, engines[pair[1]])
-		for i := range a.Data {
-			tol := 1e-9 * (1 + math.Abs(a.Data[i]))
-			if math.Abs(a.Data[i]-b.Data[i]) > tol {
-				t.Fatalf("%s vs %s diverge beyond tolerance at %d: %v vs %v", pair[0], pair[1], i, a.Data[i], b.Data[i])
+	for i := 0; i < len(specs); i += 2 {
+		ref, blk := specs[i], specs[i+1]
+		a := m.Forward(toks, engines[ref])
+		b := m.Forward(toks, engines[blk])
+		for j := range a.Data {
+			tol := 1e-9 * (1 + math.Abs(a.Data[j]))
+			if math.Abs(a.Data[j]-b.Data[j]) > tol {
+				t.Fatalf("%s vs %s diverge beyond tolerance at %d: %v vs %v", ref, blk, j, a.Data[j], b.Data[j])
 			}
 		}
 	}
 	// The audit mirrors RowIndependent: every weight site of a calibrated
-	// scheme engine should accept the blocked backend for fp16.
-	r, err := Resolve("fp16:kernel=blocked", BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// fp16 engine accepts the blocked backend.
+	se, ok := engines["fp16:kernel=blocked"].(*model.SchemeEngine)
+	if !ok {
+		t.Fatalf("fp16 engine is %T, want *model.SchemeEngine", engines["fp16:kernel=blocked"])
 	}
-	set, total := r.KernelAudit(engines["fp16:kernel=blocked"])
-	if total == 0 || set != total {
+	if set, total := se.SetGEMMKernel(tensor.KernelBlocked); total == 0 || set != total {
 		t.Fatalf("fp16 kernel audit: %d/%d sites accepted", set, total)
 	}
 }

@@ -34,7 +34,8 @@ func prefill(t *testing.T, m *model.Model, eng model.Engine, n int, seed uint64)
 // finish mid-decode (the harness staggers emission budgets).
 func TestFusedStepBitIdentical(t *testing.T) {
 	m := model.New(model.TinyConfig())
-	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor", "uniform:gran=row")
+	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor", "uniform:gran=row",
+		"fp16:kernel=blocked", "fp32:kernel=blocked")
 	fusable := make([]string, 0, len(names))
 	for _, n := range names {
 		if n != "olive" { // row-dependent: covered by TestOliveRejectsFusedDecode

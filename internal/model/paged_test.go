@@ -28,7 +28,8 @@ func pagedFactory(m *model.Model, pageRows int) (*tensor.BlockPool, func() model
 func TestPagedBitIdentical(t *testing.T) {
 	const pageRows = 8
 	m := model.New(model.TinyConfig())
-	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor")
+	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor",
+		"fp16:kernel=blocked", "fp32:kernel=blocked")
 	prompts := make([][]int, 0, 4)
 	for _, plen := range []int{pageRows - 1, pageRows, pageRows + 1, 2*pageRows + 3} {
 		prompts = append(prompts, workload.TokenStream(workload.Wiki, 31+uint64(plen), plen, m.Cfg.Vocab))

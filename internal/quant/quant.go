@@ -193,35 +193,8 @@ func MatMulIntDequant(a, w *Quantized) *tensor.Matrix {
 	if w.Gran == PerRow {
 		panic("quant: per-row weight scales cannot be folded outside the reduction")
 	}
+	acc := tensor.MatMulInt(a.Rows, a.Cols, a.Data, w.Cols, w.Data)
 	out := tensor.New(a.Rows, w.Cols)
-	MatMulIntDequantInto(a, w, nil, make([]int32, a.Rows*w.Cols), out)
-	return out
-}
-
-// MatMulIntDequantInto is MatMulIntDequant into caller-owned storage: acc
-// (a.Rows×w.Cols) receives the integer product and out the dequantized
-// result, so hot paths reuse pooled scratch instead of allocating per
-// call. kern selects the integer GEMM backend; nil means the reference
-// tensor.MatMulIntInto, and any backend is bit-identical (integer
-// accumulation is associative), so the choice never changes the result.
-func MatMulIntDequantInto(a, w *Quantized, kern tensor.Kernel, acc []int32, out *tensor.Matrix) {
-	if a.Cols != w.Rows {
-		panic("quant: MatMulIntDequant inner dimension mismatch")
-	}
-	if a.Gran == PerColumn {
-		panic("quant: per-column activations require scaling inside the reduction; use explicit decomposition")
-	}
-	if w.Gran == PerRow {
-		panic("quant: per-row weight scales cannot be folded outside the reduction")
-	}
-	if out.Rows != a.Rows || out.Cols != w.Cols {
-		panic("quant: MatMulIntDequantInto result shape mismatch")
-	}
-	if kern == nil {
-		tensor.MatMulIntInto(a.Rows, a.Cols, a.Data, w.Cols, w.Data, acc)
-	} else {
-		kern.MatMulInt(a.Rows, a.Cols, a.Data, w.Cols, w.Data, acc)
-	}
 	for r := 0; r < a.Rows; r++ {
 		sa := a.Scales[0]
 		if a.Gran == PerRow {
@@ -235,4 +208,5 @@ func MatMulIntDequantInto(a, w *Quantized, kern tensor.Kernel, acc []int32, out 
 			out.Data[r*w.Cols+c] = float64(acc[r*w.Cols+c]) * sa * sw
 		}
 	}
+	return out
 }

@@ -8,8 +8,6 @@
 package llmint8
 
 import (
-	"sync"
-
 	"tender/internal/quant"
 	"tender/internal/schemes"
 	"tender/internal/tensor"
@@ -22,13 +20,6 @@ const DefaultThreshold = 6.0
 type Scheme struct {
 	// Threshold overrides DefaultThreshold when nonzero.
 	Threshold float64
-	// Integer runs the normal-column half as a true int8×int8→int32 GEMM
-	// (per-row activation codes × per-column weight codes, dequantized
-	// once by sa·sw), instead of the fake-quant float GEMM. The two differ
-	// only in float rounding order — the int path factors the scales out
-	// of the reduction — so the variant is tolerance-gated against the
-	// default. The outlier half always stays on the FP16 float path.
-	Integer bool
 }
 
 // New returns the scheme with the original threshold.
@@ -41,7 +32,6 @@ type site struct {
 	bits        int
 	outlierCols []int
 	normalCols  []int
-	integer     bool
 	gemm        tensor.Kernel
 }
 
@@ -64,7 +54,7 @@ func (s Scheme) NewSite(xs, _ []*tensor.Matrix, bits int) schemes.SiteKernel {
 			}
 		}
 	}
-	st := &site{bits: bits, integer: s.Integer}
+	st := &site{bits: bits}
 	for c, v := range mx {
 		if v > thr {
 			st.outlierCols = append(st.outlierCols, c)
@@ -79,9 +69,8 @@ func (s Scheme) NewSite(xs, _ []*tensor.Matrix, bits int) schemes.SiteKernel {
 // rows and the FP16-rounded outlier rows, split once at prepare time.
 type packed struct {
 	outCols int
-	wq      *tensor.Matrix   // normal rows, per-column quantized (nil if none)
-	wq8     *quant.Quantized // normal-row int8 codes (Integer variant only)
-	wo      *tensor.Matrix   // outlier rows, FP16-rounded (nil if none)
+	wq      *tensor.Matrix // normal rows, per-column quantized (nil if none)
+	wo      *tensor.Matrix // outlier rows, FP16-rounded (nil if none)
 }
 
 // PrepareWeights implements schemes.SiteKernel: the weight matrix is split
@@ -91,9 +80,6 @@ func (st *site) PrepareWeights(w *tensor.Matrix) schemes.PackedWeights {
 	if len(st.normalCols) > 0 {
 		wn := w.Transpose().SubCols(st.normalCols).Transpose()
 		p.wq = quant.FakeQuant(wn, quant.Config{Bits: st.bits, Gran: quant.PerColumn})
-		if st.integer {
-			p.wq8 = quant.Quantize(wn, quant.Config{Bits: st.bits, Gran: quant.PerColumn})
-		}
 	}
 	if len(st.outlierCols) > 0 {
 		wo := w.Transpose().SubCols(st.outlierCols).Transpose()
@@ -109,28 +95,14 @@ func (st *site) PrepareWeights(w *tensor.Matrix) schemes.PackedWeights {
 func (st *site) Apply(x *tensor.Matrix, pw schemes.PackedWeights) *tensor.Matrix {
 	p := pw.(*packed)
 	out := tensor.New(x.Rows, p.outCols)
-	if p.wq8 != nil {
-		// Integer variant: real int8 GEMM on the normal columns through
-		// the pooled accumulator — no fresh []int32 per call.
-		xn := x.SubCols(st.normalCols)
-		aq := quant.Quantize(xn, quant.Config{Bits: st.bits, Gran: quant.PerRow})
-		sc := intScratchPool.Get().(*intScratch)
-		n := x.Rows * p.wq8.Cols
-		if cap(sc.acc) < n {
-			sc.acc = make([]int32, n)
-		}
-		prod := tensor.New(x.Rows, p.wq8.Cols)
-		quant.MatMulIntDequantInto(aq, p.wq8, st.gemm, sc.acc[:n], prod)
-		intScratchPool.Put(sc)
-		tensor.AddInPlace(out, prod)
-	} else if p.wq != nil {
+	if p.wq != nil {
 		xn := x.SubCols(st.normalCols)
 		xq := quant.FakeQuant(xn, quant.Config{Bits: st.bits, Gran: quant.PerRow})
 		tensor.AddInPlace(out, tensor.GEMM(st.gemm, xq, p.wq))
 	}
 	if p.wo != nil {
-		// FP16 path for outlier columns (always float, under any kernel or
-		// variant — outliers are the half the decomposition keeps exact).
+		// FP16 path for outlier columns (outliers are the half the
+		// decomposition keeps exact).
 		xo := x.SubCols(st.outlierCols)
 		tensor.F16RoundInPlace(xo)
 		tensor.AddInPlace(out, tensor.GEMM(st.gemm, xo, p.wo))
@@ -138,13 +110,8 @@ func (st *site) Apply(x *tensor.Matrix, pw schemes.PackedWeights) *tensor.Matrix
 	return out
 }
 
-// intScratch pools the int32 accumulator of the integer variant.
-type intScratch struct{ acc []int32 }
-
-var intScratchPool = sync.Pool{New: func() any { return new(intScratch) }}
-
-// SetGEMMKernel implements schemes.GEMMKernelSetter: the integer half is
-// bit-identical under any backend; the float halves are tolerance-gated.
+// SetGEMMKernel implements schemes.GEMMKernelSetter: both float halves
+// run on the backend (tolerance-gated).
 func (st *site) SetGEMMKernel(k tensor.Kernel) { st.gemm = k }
 
 // ApplyRowIndependent implements schemes.RowIndependent: the outlier-column

@@ -81,18 +81,18 @@ func IsRowIndependent(k SiteKernel) bool {
 }
 
 // GEMMKernelSetter is an optional SiteKernel capability: kernels that can
-// route their dense GEMM through a pluggable tensor.Kernel backend
+// route their dense float GEMM through a pluggable tensor.Kernel backend
 // (tensor.KernelBlocked) implement it. SetGEMMKernel is called once after
 // calibration, before any Apply, with nil meaning the bit-exact reference
 // path; kernels without the interface always run the reference GEMM — that
 // refusal is the audit surface, mirroring how RowIndependent lets a kernel
-// opt out of fused decode.
+// opt out of fused decode. Integer GEMMs (tender:int) have one
+// implementation and never take a backend.
 //
 // Contract for implementers: with a nil kernel Apply must be bit-identical
-// to the pre-kernel behaviour; with tensor.KernelBlocked, integer GEMMs
-// must stay bit-identical (integer accumulation is associative) while
-// float GEMMs may reorder accumulation and are gated by tolerance + the
-// quality harness.
+// to the pre-kernel behaviour; with tensor.KernelBlocked the float GEMMs
+// may reorder accumulation and are gated by tolerance + the quality
+// harness.
 type GEMMKernelSetter interface {
 	SetGEMMKernel(k tensor.Kernel)
 }

@@ -63,9 +63,6 @@ type tenderSite struct {
 type tenderPacked struct {
 	wq *quant.Quantized
 	wf *tensor.Matrix
-	// ip is the blocked-GEMM pack of the implicit path, nil when the
-	// calibration cannot be served blocked (row chunking, clustering).
-	ip *tender.ImplicitPack
 }
 
 // NewSite implements Scheme. Activation metadata is calibrated statically
@@ -83,31 +80,22 @@ func (t Tender) NewSite(xs, _ []*tensor.Matrix, bits int) SiteKernel {
 // runs once per site.
 func (s *tenderSite) PrepareWeights(w *tensor.Matrix) PackedWeights {
 	wq := tender.QuantizeWeights(w, s.bits)
-	p := &tenderPacked{wq: wq, wf: wq.Dequantize()}
-	if s.integer {
-		p.ip = s.cal.PrepareImplicit(wq, p.wf)
-	}
-	return p
+	return &tenderPacked{wq: wq, wf: wq.Dequantize()}
 }
 
 // Apply implements SiteKernel: only the activation is quantized per call.
 func (s *tenderSite) Apply(x *tensor.Matrix, packed PackedWeights) *tensor.Matrix {
 	p := packed.(*tenderPacked)
 	if s.integer {
-		if s.gemm != nil && p.ip != nil {
-			// Blocked integer path: bit-identical to MatMulImplicit
-			// (asserted in internal/tender), pooled scratch, per-group
-			// dense int8 GEMMs on the selected backend.
-			return s.cal.MatMulImplicitBlocked(x, p.ip, s.gemm)
-		}
 		return s.cal.MatMulImplicit(x, p.wq, p.wf)
 	}
 	return tensor.GEMM(s.gemm, s.cal.FakeQuantActivation(x), p.wf)
 }
 
-// SetGEMMKernel implements GEMMKernelSetter: the integer path switches to
-// the blocked implicit execution (bit-identical); the fake-quant float path
-// runs its dense GEMM on the backend (tolerance-gated).
+// SetGEMMKernel implements GEMMKernelSetter: the fake-quant float path runs
+// its dense GEMM on the backend (tolerance-gated). The integer path has one
+// GEMM, MatMulImplicit, and ignores it; engine.Resolve rejects a float
+// backend for tender:int.
 func (s *tenderSite) SetGEMMKernel(k tensor.Kernel) { s.gemm = k }
 
 // ApplyRowIndependent implements RowIndependent: with row chunking disabled

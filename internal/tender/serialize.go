@@ -3,6 +3,7 @@ package tender
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // calibrationJSON is the on-disk form of a Calibration: exactly the
@@ -44,7 +45,10 @@ func (cal *Calibration) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler for Calibration, validating
 // the metadata and rebuilding the channel→group map from the Index Buffer
-// layout.
+// layout. Scales must be finite and positive; without clustering each must
+// be the previous one divided by α — the same float division Calibrate
+// does — because MatMulImplicit dequantizes with the last scale alone and
+// is only equal to MatMulExplicit when the groups are exactly α apart.
 func (cal *Calibration) UnmarshalJSON(data []byte) error {
 	var in calibrationJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -55,7 +59,7 @@ func (cal *Calibration) UnmarshalJSON(data []byte) error {
 		RowChunk: in.RowChunk, DisableBias: in.DisableBias,
 		UseClustering: in.UseClustering,
 	}
-	if cfg.Bits < 2 || cfg.Bits > 8 || cfg.Groups < 1 || cfg.Alpha < 2 || in.Cols < 1 {
+	if cfg.Bits < 2 || cfg.Bits > 8 || cfg.Groups < 1 || cfg.Alpha < 2 || cfg.RowChunk < 0 || in.Cols < 1 {
 		return fmt.Errorf("tender: invalid calibration header %+v", in)
 	}
 	if len(in.Chunks) == 0 {
@@ -97,8 +101,17 @@ func (cal *Calibration) UnmarshalJSON(data []byte) error {
 		if total != in.Cols {
 			return fmt.Errorf("tender: chunk %d group counts sum to %d, want %d", i, total, in.Cols)
 		}
-		for g := 1; g < cfg.Groups; g++ {
-			if c.Scales[g] >= c.Scales[g-1] {
+		for g, sc := range c.Scales {
+			if !(sc > 0) || math.IsInf(sc, 1) {
+				return fmt.Errorf("tender: chunk %d scale %d is %v, want finite and > 0", i, g, sc)
+			}
+			if g == 0 {
+				continue
+			}
+			if want := c.Scales[g-1] / float64(cfg.Alpha); !cfg.UseClustering && sc != want {
+				return fmt.Errorf("tender: chunk %d scale %d is %v, want scale %d / alpha = %v", i, g, sc, g-1, want)
+			}
+			if sc >= c.Scales[g-1] {
 				return fmt.Errorf("tender: chunk %d scales not strictly descending", i)
 			}
 		}

@@ -44,6 +44,21 @@ func TestCalibrationJSONRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// Every calibration Calibrate writes passes the scale validation.
+	for alpha := 2; alpha <= 5; alpha++ {
+		for _, bits := range []int{2, 4, 8} {
+			for _, groups := range []int{1, 3, 8} {
+				cfg := Config{Bits: bits, Groups: groups, Alpha: alpha, RowChunk: 64}
+				blob, err := json.Marshal(Calibrate([]*tensor.Matrix{x}, cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(blob, new(Calibration)); err != nil {
+					t.Fatalf("%+v: Calibrate output does not load: %v", cfg, err)
+				}
+			}
+		}
+	}
 }
 
 func TestCalibrationJSONImplicitGEMMWorks(t *testing.T) {
@@ -77,23 +92,35 @@ func TestCalibrationJSONValidation(t *testing.T) {
 		return string(out)
 	}
 	cases := map[string]string{
-		"bad bits":       corrupt(func(c *calibrationJSON) { c.Bits = 99 }),
-		"no chunks":      corrupt(func(c *calibrationJSON) { c.Chunks = nil }),
-		"short bias":     corrupt(func(c *calibrationJSON) { c.Chunks[0].Bias = c.Chunks[0].Bias[:3] }),
-		"dup channel":    corrupt(func(c *calibrationJSON) { c.Chunks[0].Order[1] = c.Chunks[0].Order[0] }),
-		"bad counts":     corrupt(func(c *calibrationJSON) { c.Chunks[0].GroupCounts[0]++ }),
-		"bad scales":     corrupt(func(c *calibrationJSON) { c.Chunks[0].Scales[1] = c.Chunks[0].Scales[0] * 2 }),
-		"group mismatch": corrupt(func(c *calibrationJSON) { c.Groups = 3 }),
+		"bad bits":           corrupt(func(c *calibrationJSON) { c.Bits = 99 }),
+		"no chunks":          corrupt(func(c *calibrationJSON) { c.Chunks = nil }),
+		"short bias":         corrupt(func(c *calibrationJSON) { c.Chunks[0].Bias = c.Chunks[0].Bias[:3] }),
+		"dup channel":        corrupt(func(c *calibrationJSON) { c.Chunks[0].Order[1] = c.Chunks[0].Order[0] }),
+		"bad counts":         corrupt(func(c *calibrationJSON) { c.Chunks[0].GroupCounts[0]++ }),
+		"bad scales":         corrupt(func(c *calibrationJSON) { c.Chunks[0].Scales[1] = c.Chunks[0].Scales[0] * 2 }),
+		"group mismatch":     corrupt(func(c *calibrationJSON) { c.Groups = 3 }),
+		"negative row chunk": corrupt(func(c *calibrationJSON) { c.RowChunk = -1 }),
+		// A negative last scale is still strictly descending, but the
+		// implicit GEMM dequantizes with it alone.
+		"negative scale": corrupt(func(c *calibrationJSON) { c.Chunks[0].Scales[len(c.Chunks[0].Scales)-1] = -1 }),
+		// Still descending, but a populated group no longer sits α above
+		// the next one, so implicit and explicit requantization disagree.
+		"scales not alpha apart": corrupt(func(c *calibrationJSON) {
+			ch := &c.Chunks[0]
+			g := 0
+			for ch.GroupCounts[g] == 0 {
+				g++
+			}
+			ch.Scales[g] = 1.5 * ch.Scales[g+1]
+		}),
 	}
 	for name, payload := range cases {
 		var back Calibration
 		if err := json.Unmarshal([]byte(payload), &back); err == nil {
 			t.Fatalf("%s: corruption not detected", name)
-		} else if !strings.Contains(err.Error(), "tender:") && name != "bad scales" {
+		} else if !strings.Contains(err.Error(), "tender:") {
 			// All validation errors carry the package prefix.
-			if !strings.Contains(err.Error(), "tender:") {
-				t.Fatalf("%s: unexpected error %v", name, err)
-			}
+			t.Fatalf("%s: unexpected error %v", name, err)
 		}
 	}
 }

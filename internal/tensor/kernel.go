@@ -6,52 +6,38 @@ import (
 	"sync"
 )
 
-// Kernel is a pluggable GEMM backend: one float64 and one int8×int8→int32
-// entry point, both overwriting their destination. The serving layers select
-// a Kernel per engine spec (the `kernel=` option); everything not routed
-// through a Kernel keeps the package-level reference functions.
+// Kernel is a pluggable float64 GEMM backend that overwrites its
+// destination. The serving layers select one per engine spec (the
+// `kernel=` option); a nil Kernel means the package-level reference
+// MatMul/MatMulInto. Integer GEMMs have one implementation,
+// MatMulInt/MatMulIntInto, and no backend choice.
 //
-// Two implementations exist:
-//
-//   - KernelNaive — the bit-exact reference. Its float path is byte-for-byte
-//     MatMulInto (k ascending, zero-skip, j ascending — the accumulation
-//     order the serving bit-identity gates are defined against) and its int
-//     path matches MatMulInt.
-//   - KernelBlocked — a register-tiled, cache-blocked implementation: packed
-//     A/B panels, an MR×NR micro-kernel with unrolled accumulators, and
-//     KC/MC/NC loop blocking sized for L1/L2. Its integer path is exact
-//     (integer addition is associative), so it is bit-identical to
-//     MatMulInt. Its float path accumulates each output element in strictly
-//     k-ascending order — deterministic, row-independent, and independent
-//     of the batch composition — but groups the sum differently from the
-//     naive kernel (no zero-skip, KC-block partials, fused multiply-add on
-//     hardware that has it), so float results are gated by tolerance + the
-//     quality harness rather than bit-identity. Results are reproducible on
-//     one machine but may differ in low bits across ISAs (FMA vs separate
-//     rounding).
+// The one implementation, KernelBlocked, is register-tiled and
+// cache-blocked: packed A/B panels, an MR×NR micro-kernel with unrolled
+// accumulators, and KC/MC/NC loop blocking sized for L1/L2. It accumulates
+// each output element in strictly k-ascending order — deterministic,
+// row-independent, and independent of the batch composition — but groups
+// the sum differently from the reference (no zero-skip, KC-block partials,
+// fused multiply-add on hardware that has it), so its results are gated by
+// tolerance + the quality harness rather than bit-identity. Results are
+// reproducible on one machine but may differ in low bits across ISAs (FMA
+// vs separate rounding).
 type Kernel interface {
-	// Name returns the spec-option spelling ("naive", "blocked").
+	// Name returns the spec-option spelling ("blocked").
 	Name() string
 	// MatMul computes a×b into out (a.Rows × b.Cols), overwriting out.
 	MatMul(a, b, out *Matrix)
-	// MatMulInt computes the int8 GEMM a×b with int32 accumulation into
-	// out (aRows × bCols, row-major), overwriting out. a is aRows×aCols,
-	// b is aCols×bCols.
-	MatMulInt(aRows, aCols int, a []int8, bCols int, b []int8, out []int32)
 }
-
-// KernelNaive is the reference kernel: bit-identical to MatMul / MatMulInt.
-var KernelNaive Kernel = naiveKernel{}
 
 // KernelBlocked is the register-tiled cache-blocked kernel.
 var KernelBlocked Kernel = blockedKernel{}
 
 // KernelByName resolves a `kernel=` spec-option value. The empty string
-// means the default (naive reference) kernel.
+// and "naive" mean the reference GEMM, returned as a nil Kernel.
 func KernelByName(name string) (Kernel, error) {
 	switch name {
 	case "", "naive":
-		return KernelNaive, nil
+		return nil, nil
 	case "blocked":
 		return KernelBlocked, nil
 	default:
@@ -59,11 +45,8 @@ func KernelByName(name string) (Kernel, error) {
 	}
 }
 
-// KernelNames lists the selectable kernel backends.
-func KernelNames() []string { return []string{"naive", "blocked"} }
-
 // GEMM computes a×b with kern, or with the reference MatMul when kern is
-// nil. A nil (or naive) kernel is bit-identical to MatMul.
+// nil.
 func GEMM(kern Kernel, a, b *Matrix) *Matrix {
 	if kern == nil {
 		return MatMul(a, b)
@@ -83,38 +66,24 @@ func GEMMInto(kern Kernel, a, b, out *Matrix) {
 	kern.MatMul(a, b, out)
 }
 
-type naiveKernel struct{}
-
-func (naiveKernel) Name() string { return "naive" }
-
-func (naiveKernel) MatMul(a, b, out *Matrix) { MatMulInto(a, b, out) }
-
-func (naiveKernel) MatMulInt(aRows, aCols int, a []int8, bCols int, b []int8, out []int32) {
-	MatMulIntInto(aRows, aCols, a, bCols, b, out)
-}
-
-// Blocking parameters. The float micro-tile is MR×NR = 4×8: eight YMM
+// Blocking parameters. The micro-tile is MR×NR = 4×8: eight YMM
 // accumulators on AVX2 (two 4-wide FMA lanes per A row), or eight scalar
-// accumulators per row on the generic fallback. The int tile is 2×4 —
-// scalar 32-bit multiplies are port-bound, so wider tiles only spill. KC is
-// the reduction block (one packed B strip of KC×NR float64 is 16 KiB — L1
-// resident); MC×KC bounds the packed A panel (~128 KiB — L2 resident); NC
-// bounds the packed B panel.
+// accumulators per row on the generic fallback. KC is the reduction block
+// (one packed B strip of KC×NR float64 is 16 KiB — L1 resident); MC×KC
+// bounds the packed A panel (~128 KiB — L2 resident); NC bounds the packed
+// B panel.
 const (
-	gemmMR  = 4
-	gemmNR  = 8
-	gemmMRI = 2
-	gemmNRI = 4
-	gemmKC  = 256
-	gemmMC  = 64
-	gemmNC  = 128
+	gemmMR = 4
+	gemmNR = 8
+	gemmKC = 256
+	gemmMC = 64
+	gemmNC = 128
 )
 
 // gemmScratch holds one goroutine's pack buffers, recycled through
 // gemmScratchPool so steady-state blocked GEMM allocates nothing.
 type gemmScratch struct {
-	ap, bp   []float64
-	api, bpi []int8
+	ap, bp []float64
 }
 
 var gemmScratchPool = sync.Pool{New: func() any { return new(gemmScratch) }}
@@ -122,13 +91,6 @@ var gemmScratchPool = sync.Pool{New: func() any { return new(gemmScratch) }}
 func growF64(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growI8(buf []int8, n int) []int8 {
-	if cap(buf) < n {
-		return make([]int8, n)
 	}
 	return buf[:n]
 }
@@ -326,117 +288,5 @@ func microGoF64(kc int, ap, bp []float64, c *[gemmMR * gemmNR]float64) {
 		c[r*gemmNR+5] = c5
 		c[r*gemmNR+6] = c6
 		c[r*gemmNR+7] = c7
-	}
-}
-
-// MatMulInt is the blocked int8 GEMM. Integer accumulation is associative,
-// so the result is bit-identical to MatMulIntInto for any blocking — the
-// integer schemes' bit-identity gates apply to it directly. Overflow
-// behaviour matches the reference: int32 accumulators wrap identically
-// whichever kernel runs (callers guard aCols·127² against int32 like they
-// do for MatMulInt).
-func (blockedKernel) MatMulInt(aRows, aCols int, a []int8, bCols int, b []int8, out []int32) {
-	if len(a) != aRows*aCols {
-		panic("tensor: blocked MatMulInt lhs size mismatch")
-	}
-	if len(b) != aCols*bCols {
-		panic("tensor: blocked MatMulInt rhs size mismatch")
-	}
-	if len(out) != aRows*bCols {
-		panic("tensor: blocked MatMulInt result size mismatch")
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	if aRows == 0 || aCols == 0 || bCols == 0 {
-		return
-	}
-	s := gemmScratchPool.Get().(*gemmScratch)
-	defer gemmScratchPool.Put(s)
-	for jc := 0; jc < bCols; jc += gemmNC {
-		ncEff := min(gemmNC, bCols-jc)
-		for pc := 0; pc < aCols; pc += gemmKC {
-			kcEff := min(gemmKC, aCols-pc)
-			s.bpi = growI8(s.bpi, roundUp(ncEff, gemmNRI)*kcEff)
-			packBInt(b, bCols, pc, kcEff, jc, ncEff, s.bpi)
-			for ic := 0; ic < aRows; ic += gemmMC {
-				mcEff := min(gemmMC, aRows-ic)
-				s.api = growI8(s.api, roundUp(mcEff, gemmMRI)*kcEff)
-				packAInt(a, aCols, ic, mcEff, pc, kcEff, s.api)
-				for jr := 0; jr < ncEff; jr += gemmNRI {
-					bpp := s.bpi[(jr/gemmNRI)*kcEff*gemmNRI:]
-					for ir := 0; ir < mcEff; ir += gemmMRI {
-						app := s.api[(ir/gemmMRI)*kcEff*gemmMRI:]
-						microInt(kcEff, app, bpp, out, bCols, ic+ir, jc+jr,
-							min(gemmMRI, mcEff-ir), min(gemmNRI, ncEff-jr))
-					}
-				}
-			}
-		}
-	}
-}
-
-func packAInt(a []int8, aCols, ic, mcEff, pc, kcEff int, ap []int8) {
-	idx := 0
-	for ir := 0; ir < mcEff; ir += gemmMRI {
-		for p := pc; p < pc+kcEff; p++ {
-			for r := 0; r < gemmMRI; r++ {
-				if ir+r < mcEff {
-					ap[idx] = a[(ic+ir+r)*aCols+p]
-				} else {
-					ap[idx] = 0
-				}
-				idx++
-			}
-		}
-	}
-}
-
-func packBInt(b []int8, bCols, pc, kcEff, jc, ncEff int, bp []int8) {
-	idx := 0
-	for jr := 0; jr < ncEff; jr += gemmNRI {
-		w := min(gemmNRI, ncEff-jr)
-		for p := pc; p < pc+kcEff; p++ {
-			row := b[p*bCols+jc+jr:]
-			for s := 0; s < w; s++ {
-				bp[idx] = row[s]
-				idx++
-			}
-			for s := w; s < gemmNRI; s++ {
-				bp[idx] = 0
-				idx++
-			}
-		}
-	}
-}
-
-func microInt(kc int, ap, bp []int8, out []int32, oCols, i, j, mrEff, nrEff int) {
-	var c00, c01, c02, c03 int32
-	var c10, c11, c12, c13 int32
-	ap = ap[:kc*gemmMRI]
-	bp = bp[:kc*gemmNRI]
-	for p := 0; p < kc; p++ {
-		a0, a1 := int32(ap[0]), int32(ap[1])
-		b0, b1, b2, b3 := int32(bp[0]), int32(bp[1]), int32(bp[2]), int32(bp[3])
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		ap = ap[gemmMRI:]
-		bp = bp[gemmNRI:]
-	}
-	c := [gemmMRI * gemmNRI]int32{
-		c00, c01, c02, c03,
-		c10, c11, c12, c13,
-	}
-	for r := 0; r < mrEff; r++ {
-		orow := out[(i+r)*oCols+j:]
-		for s := 0; s < nrEff; s++ {
-			orow[s] += c[r*gemmNRI+s]
-		}
 	}
 }

@@ -38,31 +38,34 @@ func kernelMatInt(rows, cols int, seed uint64) []int8 {
 }
 
 func TestKernelByName(t *testing.T) {
-	for _, name := range append([]string{""}, KernelNames()...) {
-		k, err := KernelByName(name)
-		if err != nil || k == nil {
-			t.Fatalf("KernelByName(%q): %v", name, err)
+	for _, name := range []string{"", "naive"} {
+		if k, err := KernelByName(name); err != nil || k != nil {
+			t.Fatalf("KernelByName(%q) = %v, %v; want the nil reference kernel", name, k, err)
 		}
-		if name != "" && k.Name() != name {
-			t.Fatalf("KernelByName(%q).Name() = %q", name, k.Name())
-		}
+	}
+	if k, err := KernelByName("blocked"); err != nil || k != KernelBlocked || k.Name() != "blocked" {
+		t.Fatalf("KernelByName(blocked) = %v, %v", k, err)
 	}
 	if _, err := KernelByName("nosuch"); err == nil {
 		t.Fatal("KernelByName must reject unknown kernels")
 	}
 }
 
-// TestNaiveKernelBitIdentical: the naive Kernel is byte-for-byte the
-// reference MatMul — it is the default engines are built with, so the
-// wrapper must not perturb a single bit.
+// TestNaiveKernelBitIdentical: the naive route (a nil Kernel, what
+// kernel=naive resolves to) is byte-for-byte the reference MatMul — it is
+// the default engines are built with, so GEMM and GEMMInto must not
+// perturb a single bit.
 func TestNaiveKernelBitIdentical(t *testing.T) {
 	for _, sh := range [][2]int{{1, 7}, {8, 128}, {33, 65}} {
 		a := kernelMat(sh[0], sh[1], uint64(sh[0]*1000+sh[1]), true)
 		b := kernelMat(sh[1], 97, uint64(sh[1]), false)
 		want := MatMul(a, b)
-		got := GEMM(KernelNaive, a, b)
+		got := GEMM(nil, a, b)
+		into := New(a.Rows, b.Cols)
+		GEMMInto(nil, a, b, into)
 		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) ||
+				math.Float64bits(into.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("%dx%d: naive kernel differs from MatMul at %d", sh[0], sh[1], i)
 			}
 		}
@@ -121,11 +124,11 @@ func TestBlockedKernelFloatDeterministic(t *testing.T) {
 	}
 }
 
-// TestBlockedKernelIntBitIdentical: integer accumulation is associative, so
-// the blocked int8 path must match MatMulInt exactly for every shape —
-// this is the property that lets the integer schemes keep their bit-identity
-// gates under kernel=blocked.
-func TestBlockedKernelIntBitIdentical(t *testing.T) {
+// TestMatMulIntInto: the caller-owned-accumulator spelling of the integer
+// GEMM matches MatMulInt exactly for every shape, overwriting whatever the
+// accumulator held, and allocates nothing at a fused-decode shape
+// (8 rows × 512 × 256).
+func TestMatMulIntInto(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 128, 512}, {2, 3, 5}, {4, 4, 4},
 		{8, 128, 128}, {32, 512, 128}, {65, 129, 131}, {300, 260, 70},
@@ -136,20 +139,23 @@ func TestBlockedKernelIntBitIdentical(t *testing.T) {
 		b := kernelMatInt(k, n, uint64(k*17+n))
 		want := MatMulInt(m, k, a, n, b)
 		got := make([]int32, m*n)
-		KernelBlocked.MatMulInt(m, k, a, n, b, got)
+		for i := range got {
+			got[i] = -1
+		}
+		MatMulIntInto(m, k, a, n, b, got)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%dx%dx%d: blocked int differs at %d: %d vs %d", m, k, n, i, got[i], want[i])
+				t.Fatalf("%dx%dx%d: MatMulIntInto differs from MatMulInt at %d: %d vs %d", m, k, n, i, got[i], want[i])
 			}
 		}
-		// And the Into spelling of the reference agrees with itself.
-		ref := make([]int32, m*n)
-		MatMulIntInto(m, k, a, n, b, ref)
-		for i := range want {
-			if ref[i] != want[i] {
-				t.Fatalf("MatMulIntInto differs from MatMulInt at %d", i)
-			}
-		}
+	}
+	const m, k, n = 8, 512, 256
+	a, b := kernelMatInt(m, k, 3), kernelMatInt(k, n, 4)
+	acc := make([]int32, m*n)
+	if allocs := testing.AllocsPerRun(50, func() {
+		MatMulIntInto(m, k, a, n, b, acc)
+	}); allocs != 0 {
+		t.Fatalf("MatMulIntInto allocates %.1f times per call; want 0", allocs)
 	}
 }
 
@@ -161,7 +167,7 @@ func TestBlockedKernelIntBitIdentical(t *testing.T) {
 func TestBlockedKernelSpecialValues(t *testing.T) {
 	a := FromSlice(1, 2, []float64{0, 1})
 	b := FromSlice(2, 1, []float64{math.Inf(1), 3})
-	naive := GEMM(KernelNaive, a, b)
+	naive := GEMM(nil, a, b)
 	blocked := GEMM(KernelBlocked, a, b)
 	if naive.Data[0] != 3 {
 		t.Fatalf("naive zero-skip must skip 0×Inf, got %g", naive.Data[0])
@@ -181,14 +187,9 @@ func TestBlockedKernelAllocs(t *testing.T) {
 	a := kernelMat(32, 128, 5, false)
 	b := kernelMat(128, 512, 6, false)
 	out := New(32, 512)
-	ai := kernelMatInt(32, 128, 7)
-	bi := kernelMatInt(128, 512, 8)
-	oi := make([]int32, 32*512)
 	KernelBlocked.MatMul(a, b, out) // warm the scratch pool
-	KernelBlocked.MatMulInt(32, 128, ai, 512, bi, oi)
 	if n := testing.AllocsPerRun(50, func() {
 		KernelBlocked.MatMul(a, b, out)
-		KernelBlocked.MatMulInt(32, 128, ai, 512, bi, oi)
 	}); n > 0.5 {
 		t.Fatalf("blocked GEMM allocates %.1f times per call, want 0", n)
 	}

@@ -87,8 +87,8 @@ func matmulRows(a, b, out *Matrix, lo, hi int) {
 			// k is not the same as adding av*bv when bv is Inf/NaN, and
 			// -0+0 differs from never adding), so it stays in this kernel
 			// even though the branch costs ~5-10% on dense activations —
-			// the dense path is KernelBlocked's job (BenchmarkBlockedGEMM
-			// documents the tradeoff).
+			// dense float GEMMs are the kernel=blocked backend's job
+			// (BenchmarkBlockedGEMM documents the tradeoff).
 			if av == 0 {
 				continue
 			}
@@ -133,9 +133,8 @@ func MatMulInt(aRows, aCols int, a []int8, bCols int, b []int8) []int32 {
 }
 
 // MatMulIntInto is MatMulInt into a caller-provided accumulator slice
-// (aRows×bCols, overwritten), bit-identical to MatMulInt — the integer hot
-// paths (tender:int, llmint8:int) reuse pooled scratch through it instead
-// of allocating a fresh []int32 per call.
+// (aRows×bCols, overwritten), bit-identical to MatMulInt, so a caller that
+// reuses its accumulator allocates nothing per call.
 func MatMulIntInto(aRows, aCols int, a []int8, bCols int, b []int8, out []int32) {
 	if len(a) != aRows*aCols {
 		panic("tensor: MatMulIntInto lhs size mismatch")
