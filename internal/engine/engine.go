@@ -220,6 +220,11 @@ var registry = []Entry{
 			if t.DisableBias, err = o.flag("nobias"); err != nil {
 				return nil, err
 			}
+			if t.Integer && t.UseClustering {
+				// Clustered group scales are not powers of alpha apart, so the
+				// integer GEMM cannot requantize between them.
+				return nil, fmt.Errorf("engine: tender:int cannot take cluster: clustered scales are not powers of alpha apart")
+			}
 			if t.Integer && b.Kernel != "naive" {
 				return nil, fmt.Errorf("engine: tender:int runs one integer GEMM; kernel=%s selects a float GEMM backend", b.Kernel)
 			}

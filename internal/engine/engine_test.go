@@ -136,6 +136,23 @@ func TestBuildEnginesUnknownScheme(t *testing.T) {
 // paths stay within tolerance of the reference. tender:int has one integer
 // GEMM, so any backend other than naive is an error there, whether it
 // comes from the spec or from BuildOptions.
+// TestSpecIntRefusesCluster: the integer engine has no clustered variant
+// (clustered group scales are not powers of alpha apart), so int with
+// cluster is refused however it is spelled — before, it resolved and
+// silently served the float path — while each option alone resolves.
+func TestSpecIntRefusesCluster(t *testing.T) {
+	for _, spec := range []string{"tender:int,cluster", "tender:cluster,int", "tender-int:cluster"} {
+		if _, err := Resolve(spec, BuildOptions{}); err == nil {
+			t.Fatalf("Resolve(%q) must reject int with cluster", spec)
+		}
+	}
+	for _, spec := range []string{"tender", "tender:int", "tender:cluster", "tender-int"} {
+		if _, err := Resolve(spec, BuildOptions{}); err != nil {
+			t.Fatalf("Resolve(%q): %v", spec, err)
+		}
+	}
+}
+
 func TestKernelOption(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	for _, spec := range []string{"fp32:kernel=blocked", "fp16:kernel=blocked", "tender:kernel=blocked"} {

@@ -8,7 +8,7 @@ import (
 // histFiniteBuckets is the number of finite log buckets: bucket i covers
 // durations up to 1µs·2^i, so the ladder spans 1µs .. ~71min before the
 // overflow bucket. Fixed buckets make histograms mergeable across
-// processes and scrapes — the property the window-quantile rings lack.
+// processes and scrapes, which a window of raw samples is not.
 const histFiniteBuckets = 32
 
 // Histogram counts durations in fixed power-of-two log buckets. It is
@@ -62,8 +62,7 @@ type HistogramSnapshot struct {
 	SumMs float64 `json:"sum_ms"`
 	// Quantiles are estimated by linear interpolation inside the log
 	// bucket containing the rank — exact to within one bucket's width
-	// (a factor of 2), unlike the exact window quantiles the latency/TTFT
-	// rings keep.
+	// (a factor of 2).
 	P50Ms float64 `json:"p50_ms"`
 	P95Ms float64 `json:"p95_ms"`
 	P99Ms float64 `json:"p99_ms"`

@@ -12,6 +12,24 @@ import (
 	"tender/internal/model"
 )
 
+// waitAccepted returns once srv has accepted a submission — given it an
+// id, which happens only past the draining check, so a drain begun after
+// this must let that request finish — or after 5 s. The submitters run
+// inside the public Generate on other goroutines, so polling is the only
+// way to see it; InFlight is not enough, since it counts a request before
+// its draining check.
+func waitAccepted(srv *Server) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		srv.idMu.Lock()
+		n := srv.nextID
+		srv.idMu.Unlock()
+		if n > 0 {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestDrainBounded: Drain lets every accepted request finish, refuses
 // new submissions with ErrDraining (counted in metrics and exported),
 // and returns once in-flight work is delivered — the surface the router
@@ -37,11 +55,7 @@ func TestDrainBounded(t *testing.T) {
 			})
 		}(i)
 	}
-	// Wait until the server has accepted at least one request, then drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.InFlight() == 0 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitAccepted(srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
@@ -104,10 +118,7 @@ func TestDrainExpires(t *testing.T) {
 		_, err := srv.Generate(context.Background(), Request{Prompt: []int{1, 2, 3}, MaxNewTokens: 32})
 		done <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.InFlight() == 0 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitAccepted(srv)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// nil only if the request outran the drain entirely; otherwise the

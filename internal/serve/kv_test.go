@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,42 +12,34 @@ import (
 	"tender/internal/workload"
 )
 
-// preloadAndRun queues every trace request on a stopped server, starts it
-// once all are waiting, and collects the outputs. Preloading makes the
-// admission order — and therefore the preemption schedule — independent
-// of goroutine timing, so the KV tests exercise deterministic pressure.
+// preloadAndRun queues every trace request, in trace order, on a server
+// that is not yet running, starts it, and collects the outputs before
+// stopping it. Preloading makes the admission order — and therefore the
+// preemption schedule — independent of goroutine timing, so the KV tests
+// exercise deterministic pressure.
 func preloadAndRun(t *testing.T, srv *Server, trace []workload.RequestSpec, temp float64, seedBase uint64) ([][]int, Snapshot) {
 	t.Helper()
-	outputs := make([][]int, len(trace))
-	var wg sync.WaitGroup
+	reqs := make([]Request, len(trace))
 	for i, spec := range trace {
-		wg.Add(1)
-		go func(i int, spec workload.RequestSpec) {
-			defer wg.Done()
-			r, err := srv.Generate(context.Background(), Request{
-				Prompt: spec.Prompt, MaxNewTokens: spec.NewTokens,
-				Temperature: temp, Seed: seedBase + uint64(i),
-			})
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			if r.PrefillTokens != len(spec.Prompt) {
-				t.Errorf("request %d: PrefillTokens %d, want prompt length %d (resume re-prefills must not inflate it)",
-					i, r.PrefillTokens, len(spec.Prompt))
-			}
-			outputs[i] = r.Tokens
-		}(i, spec)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Metrics().Snapshot().QueueDepth < len(trace) {
-		if time.Now().After(deadline) {
-			t.Fatal("requests never queued")
+		reqs[i] = Request{
+			Prompt: spec.Prompt, MaxNewTokens: spec.NewTokens,
+			Temperature: temp, Seed: seedBase + uint64(i),
 		}
-		time.Sleep(time.Millisecond)
 	}
+	queued := submitAll(t, srv, reqs)
 	srv.Start()
-	wg.Wait()
+	outputs := make([][]int, len(trace))
+	for i, p := range queued {
+		r := <-p.done
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+		if r.PrefillTokens != len(trace[i].Prompt) {
+			t.Errorf("request %d: PrefillTokens %d, want prompt length %d (resume re-prefills must not inflate it)",
+				i, r.PrefillTokens, len(trace[i].Prompt))
+		}
+		outputs[i] = r.Tokens
+	}
 	snap := srv.Metrics().Snapshot()
 	srv.Stop()
 	return outputs, snap
@@ -278,16 +269,11 @@ func TestPoissonArrivals(t *testing.T) {
 			}
 		}
 	}
-	// Gauges return to zero once the burst drains.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		snap := srv.Metrics().Snapshot()
-		if snap.ActiveSessions == 0 && snap.KVOccupancyRows == 0 && snap.KVPagesInUse == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("idle server still reports load: %+v", snap)
-		}
-		time.Sleep(time.Millisecond)
+	// Gauges return to zero once the burst drains: the iteration that
+	// retires the last request resets them, and Stop returns only after
+	// the scheduler goroutine has finished that iteration.
+	srv.Stop()
+	if snap := srv.Metrics().Snapshot(); snap.ActiveSessions != 0 || snap.KVOccupancyRows != 0 || snap.KVPagesInUse != 0 {
+		t.Fatalf("idle server still reports load: %+v", snap)
 	}
 }

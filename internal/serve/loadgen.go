@@ -48,11 +48,6 @@ type LoadReport struct {
 	DecodeTokens  int64   `json:"decode_tokens"`
 	WallSeconds   float64 `json:"wall_seconds"`
 	TokensPerSec  float64 `json:"decode_tokens_per_sec"`
-	LatencyP50Ms  float64 `json:"latency_p50_ms"`
-	LatencyP95Ms  float64 `json:"latency_p95_ms"`
-	LatencyP99Ms  float64 `json:"latency_p99_ms"`
-	TTFTP50Ms     float64 `json:"ttft_p50_ms"`
-	TTFTP99Ms     float64 `json:"ttft_p99_ms"`
 	MeanBatchSize float64 `json:"mean_batch_size"`
 	// Outputs holds each request's generated tokens, indexed like the
 	// trace (nil for failed requests). Excluded from JSON reports.
@@ -156,7 +151,6 @@ func RunLoad(srv Generator, cfg LoadConfig) LoadReport {
 	wall := time.Since(start).Seconds()
 
 	rep := LoadReport{Requests: n, WallSeconds: wall, Outputs: outputs}
-	var lats, ttfts []float64
 	for i := range results {
 		if errs[i] != nil {
 			rep.Failed++
@@ -164,19 +158,10 @@ func RunLoad(srv Generator, cfg LoadConfig) LoadReport {
 		}
 		rep.DecodeTokens += int64(len(results[i].Tokens))
 		rep.PrefillTokens += int64(results[i].PrefillTokens)
-		lats = append(lats, float64(results[i].Latency)/float64(time.Millisecond))
-		// Every completed request emitted at least one token, so its TTFT
-		// is always meaningful — including an (instantaneous-clock) zero.
-		ttfts = append(ttfts, float64(results[i].TTFT)/float64(time.Millisecond))
 	}
 	if wall > 0 {
 		rep.TokensPerSec = float64(rep.DecodeTokens) / wall
 	}
-	rep.LatencyP50Ms = quantile(lats, 0.50)
-	rep.LatencyP95Ms = quantile(lats, 0.95)
-	rep.LatencyP99Ms = quantile(lats, 0.99)
-	rep.TTFTP50Ms = quantile(ttfts, 0.50)
-	rep.TTFTP99Ms = quantile(ttfts, 0.99)
 	// Generators without server metrics (multi-replica fronts) report the
 	// per-replica mean batch through their own snapshots instead.
 	if ms, ok := srv.(interface{ Metrics() *Metrics }); ok {

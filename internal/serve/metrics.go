@@ -9,9 +9,6 @@ import (
 	"tender/internal/obs"
 )
 
-// latencyWindow bounds how many recent samples back each quantile.
-const latencyWindow = 8192
-
 // rateWindowSecs is the span of the windowed decode-throughput gauge:
 // Snapshot.TokensPerSec10s averages over the trailing window instead of
 // the whole uptime, so an idle or cooling server converges to zero
@@ -22,45 +19,6 @@ const rateWindowSecs = 10
 type rateBucket struct {
 	sec    int64
 	tokens int64
-}
-
-// ring is a fixed-capacity sample window for latency quantiles.
-type ring struct {
-	buf  []float64
-	next int
-	full bool
-}
-
-func newRing(n int) *ring { return &ring{buf: make([]float64, n)} }
-
-func (r *ring) push(v float64) {
-	r.buf[r.next] = v
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// samples returns a copy of the window's live samples.
-func (r *ring) samples() []float64 {
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]float64, n)
-	copy(out, r.buf[:n])
-	return out
-}
-
-// quantile returns the q-th quantile (0..1) of xs by nearest rank.
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	i := int(q * float64(len(xs)-1))
-	return xs[i]
 }
 
 // Metrics aggregates the server's live counters. All methods are safe for
@@ -105,8 +63,6 @@ type Metrics struct {
 	prefixHits      int64
 	prefixMisses    int64
 	prefixSkipped   int64
-	latencies       *ring
-	ttfts           *ring
 	rate            [rateWindowSecs + 1]rateBucket
 	// Per-stage timing: full-history log-bucket histograms over the
 	// request lifecycle, fed from transition timestamps at completion
@@ -126,7 +82,7 @@ type Metrics struct {
 }
 
 func newMetrics(defaultScheme string, kvBudgetRows, kvPageRows int, kvDtype string, kvBytesPerRow int, queueDepth func() int, kvPages func() (int64, int64, int64), prefixStats func() (int64, int64, int64, int64)) *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		defaultScheme: defaultScheme,
 		kvBudgetRows:  kvBudgetRows,
 		kvPageRows:    kvPageRows,
@@ -135,13 +91,12 @@ func newMetrics(defaultScheme string, kvBudgetRows, kvPageRows int, kvDtype stri
 		queueDepth:    queueDepth,
 		kvPages:       kvPages,
 		prefixStats:   prefixStats,
-		start:         time.Now(),
 		now:           time.Now,
 		perScheme:     make(map[string]int64),
-		latencies:     newRing(latencyWindow),
-		ttfts:         newRing(latencyWindow),
 		fusedStepMs:   make(map[string]*obs.Histogram),
 	}
+	m.start = m.now()
+	return m
 }
 
 // prefixMount records one prefix-cache consultation when a session enters
@@ -199,14 +154,12 @@ func (m *Metrics) expire() {
 
 // complete records one successful request. hasTTFT distinguishes "no
 // first token was ever timed" from a genuinely zero-duration TTFT, so
-// instantaneous first tokens are not silently dropped from the window.
+// instantaneous first tokens are not silently dropped from the histogram.
 func (m *Metrics) complete(latency, ttft time.Duration, hasTTFT bool) {
 	m.mu.Lock()
 	m.completed++
-	m.latencies.push(float64(latency) / float64(time.Millisecond))
 	m.latencyHist.Observe(latency)
 	if hasTTFT && ttft >= 0 {
-		m.ttfts.push(float64(ttft) / float64(time.Millisecond))
 		m.ttftHist.Observe(ttft)
 	}
 	m.mu.Unlock()
@@ -377,18 +330,14 @@ type Snapshot struct {
 	PerScheme       map[string]int64 `json:"decode_tokens_per_scheme"`
 	Iterations      int64            `json:"iterations"`
 	MeanBatchSize   float64          `json:"mean_batch_size"`
-	LatencyP50Ms    float64          `json:"latency_p50_ms"`
-	LatencyP95Ms    float64          `json:"latency_p95_ms"`
-	LatencyP99Ms    float64          `json:"latency_p99_ms"`
-	TTFTP50Ms       float64          `json:"ttft_p50_ms"`
-	TTFTP99Ms       float64          `json:"ttft_p99_ms"`
-	// Per-stage lifecycle timing (full-history log-bucket histograms; the
-	// latency/TTFT quantiles above stay exact over their sample window).
-	// QueueWait spans enqueue → admission (KV-hold time included);
-	// AdmissionHold is the held-at-head-of-line slice of that wait (only
-	// requests that were held are observed); Prefill spans admission →
-	// first token; Decode spans first token → completion; Preempted is the
-	// total time spent evicted (only preempted requests are observed).
+	// Per-stage and end-to-end lifecycle timing, as full-history log-bucket
+	// histograms (each reports p50, p95 and p99). QueueWait spans enqueue →
+	// admission (KV-hold time included); AdmissionHold is the
+	// held-at-head-of-line slice of that wait (only requests that were held
+	// are observed); Prefill spans admission → first token; Decode spans
+	// first token → completion; Preempted is the total time spent evicted
+	// (only preempted requests are observed). LatencyHist spans enqueue →
+	// done, TTFTHist enqueue → first token.
 	StageQueueWait     obs.HistogramSnapshot `json:"stage_queue_wait"`
 	StageAdmissionHold obs.HistogramSnapshot `json:"stage_admission_hold"`
 	StagePrefill       obs.HistogramSnapshot `json:"stage_prefill"`
@@ -401,7 +350,8 @@ type Snapshot struct {
 	FusedStep map[string]obs.HistogramSnapshot `json:"fused_step_per_scheme"`
 }
 
-// Snapshot computes quantiles and rates over the current window.
+// Snapshot computes the histogram quantiles and throughput rates at the
+// current instant.
 func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -455,13 +405,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	if m.iterations > 0 {
 		s.MeanBatchSize = float64(m.batchOccupancy) / float64(m.iterations)
 	}
-	lat := m.latencies.samples()
-	s.LatencyP50Ms = quantile(lat, 0.50)
-	s.LatencyP95Ms = quantile(lat, 0.95)
-	s.LatencyP99Ms = quantile(lat, 0.99)
-	tt := m.ttfts.samples()
-	s.TTFTP50Ms = quantile(tt, 0.50)
-	s.TTFTP99Ms = quantile(tt, 0.99)
 	s.StageQueueWait = m.stageQueueWait.Snapshot()
 	s.StageAdmissionHold = m.stageHold.Snapshot()
 	s.StagePrefill = m.stagePrefill.Snapshot()
@@ -530,11 +473,6 @@ func writeSnapshotProm(p *obs.PromWriter, s Snapshot) {
 	p.Gauge("tender_decode_tokens_per_sec_10s", "Decode throughput over the trailing 10 s.", s.TokensPerSec10s)
 	p.Counter("tender_iterations_total", "Scheduler iterations run.", float64(s.Iterations))
 	p.Gauge("tender_mean_batch_size", "Mean batch size across iterations.", s.MeanBatchSize)
-	p.Gauge("tender_latency_window_p50_ms", "Exact windowed latency p50.", s.LatencyP50Ms)
-	p.Gauge("tender_latency_window_p95_ms", "Exact windowed latency p95.", s.LatencyP95Ms)
-	p.Gauge("tender_latency_window_p99_ms", "Exact windowed latency p99.", s.LatencyP99Ms)
-	p.Gauge("tender_ttft_window_p50_ms", "Exact windowed TTFT p50.", s.TTFTP50Ms)
-	p.Gauge("tender_ttft_window_p99_ms", "Exact windowed TTFT p99.", s.TTFTP99Ms)
 	p.Histogram("tender_latency_seconds", "End-to-end request latency.", s.LatencyHist)
 	p.Histogram("tender_ttft_seconds", "Time to first token.", s.TTFTHist)
 	for _, st := range []struct {

@@ -5,6 +5,7 @@ import (
 
 	"tender/internal/engine"
 	"tender/internal/model"
+	"tender/internal/model/identtest"
 	"tender/internal/workload"
 )
 
@@ -242,5 +243,44 @@ func TestPrefixPreemptionRefcountStress(t *testing.T) {
 				t.Fatal("paged sessions never touched the pool")
 			}
 		})
+	}
+}
+
+// TestPrefixHitThatCannotFitMountsCold: a prompt whose best cached match
+// ends mid-page pins that entry, and the pin keeps the entry's partial
+// last page charged to the cache. When that charge plus the request's own
+// need exceeds the budget on an otherwise idle server, holding would wait
+// forever for memory only its own pin withholds; admission must instead
+// mount cold — same tokens, no hit.
+func TestPrefixHitThatCannotFitMountsCold(t *testing.T) {
+	m := model.New(model.TinyConfig())
+	srv, err := New(Config{
+		Model: m, Engines: map[string]model.Engine{"fp32": model.Exact{}},
+		MaxBatch: 2, PrefillChunk: 8,
+		KVBudgetRows: 48, KVPageRows: 8, PrefixCache: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := workload.TokenStream(workload.Wiki, 1, 17, m.Cfg.Vocab)
+	// The donor caches 17 rows: two full pages plus one row of a third,
+	// 24 rows of charge, of which a hit mounts 16.
+	donor := Request{Prompt: append(append([]int(nil), prefix...), 5), MaxNewTokens: 1}
+	drive(t, srv, submitAll(t, srv, []Request{donor}))
+	if held := srv.prefixCaches["fp32"].Stats().HeldRows; held != 24 {
+		t.Fatalf("donor left %d cached rows, want 24", held)
+	}
+	// 40 prompt rows + 8 more decode rows fill the 48-row budget exactly:
+	// the hit needs 48−16 = 32 rows while the pinned entry holds 24.
+	long := append(append([]int(nil), prefix...), workload.TokenStream(workload.PTB, 2, 23, m.Cfg.Vocab)...)
+	res := drive(t, srv, submitAll(t, srv, []Request{{Prompt: long, MaxNewTokens: 9}}))[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	ref := DecodeUnbatched(m, model.Exact{}, []workload.RequestSpec{{Prompt: long, NewTokens: 9}}, 0, 0)
+	identtest.Equal(t, "cold fallback", identtest.Output{Tokens: [][]int{res.Tokens}}, identtest.Output{Tokens: ref})
+	if snap := srv.Metrics().Snapshot(); snap.PrefixHits != 0 || snap.PrefixEvictions == 0 {
+		t.Fatalf("want a cold mount after evicting the cache, got %d hits, %d evictions",
+			snap.PrefixHits, snap.PrefixEvictions)
 	}
 }

@@ -281,30 +281,15 @@ func TestPanicInFusedGroupFailsEveryMember(t *testing.T) {
 	}
 	defer srv.Stop()
 
-	// The group: queued before Start, so all three are admitted together.
-	errs := make([]error, group)
-	var wg sync.WaitGroup
-	for i := 0; i < group; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = srv.Generate(context.Background(), Request{
-				Prompt: trace[i].Prompt, MaxNewTokens: trace[i].NewTokens, Seed: 7 + uint64(i),
-			})
-		}(i)
+	// The group: queued before any iteration, so all three are admitted
+	// together; driven synchronously until each has its Result.
+	reqs := make([]Request, group)
+	for i := range reqs {
+		reqs[i] = Request{Prompt: trace[i].Prompt, MaxNewTokens: trace[i].NewTokens, Seed: 7 + uint64(i)}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Metrics().Snapshot().QueueDepth < group {
-		if time.Now().After(deadline) {
-			t.Fatal("requests never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	srv.Start()
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, ErrInternal) {
-			t.Fatalf("group member %d: error %v, want ErrInternal", i, err)
+	for i, r := range drive(t, srv, submitAll(t, srv, reqs)) {
+		if !errors.Is(r.Err, ErrInternal) {
+			t.Fatalf("group member %d: error %v, want ErrInternal", i, r.Err)
 		}
 	}
 	if got := inj.Stats().Panics; got != 1 {
@@ -319,6 +304,7 @@ func TestPanicInFusedGroupFailsEveryMember(t *testing.T) {
 	}
 
 	// The panic budget is spent: the rest of the trace runs clean.
+	srv.Start()
 	for i := group; i < len(trace); i++ {
 		res, err := srv.Generate(context.Background(), Request{
 			Prompt: trace[i].Prompt, MaxNewTokens: trace[i].NewTokens, Seed: 7 + uint64(i),
@@ -418,6 +404,8 @@ func TestConcurrentSubmitVsDrain(t *testing.T) {
 			}
 		}(w)
 	}
+	// Lets the submitters' Generate calls get under way, so the drain below
+	// races live traffic on the public API rather than an idle server.
 	time.Sleep(5 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

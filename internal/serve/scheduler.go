@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,12 +52,6 @@ func (s *Server) admissionNeed(seqLen int) int {
 	return s.pageRound(seqLen + 1)
 }
 
-// kvFits reports whether a reservation of need rows fits the remaining
-// budget (always true without a budget).
-func (s *Server) kvFits(need int) bool {
-	return s.cfg.KVBudgetRows == 0 || need <= s.kvFree
-}
-
 // acquirePrefix pins the longest cached prefix of prompt for the scheme's
 // engine (nil on a miss, with the cache off, or for engines without a
 // prefix index).
@@ -92,9 +87,6 @@ func (s *Server) prefixBase(e *model.PrefixEntry) int {
 // cache memory yields to live sessions before the scheduler holds
 // admission or preempts anyone.
 func (s *Server) reclaimKV(need int) {
-	if s.cfg.KVBudgetRows == 0 || s.prefixCaches == nil {
-		return
-	}
 	for _, spec := range s.prefixOrder {
 		if need <= s.kvFree {
 			return
@@ -105,16 +97,14 @@ func (s *Server) reclaimKV(need int) {
 
 // reserveKV charges need rows of the budget to a.
 func (s *Server) reserveKV(a *activeReq, need int) {
-	if s.cfg.KVBudgetRows == 0 {
-		return
-	}
 	s.kvFree -= need
 	a.kvHeld += need
 }
 
 // releaseKV returns a's pages to the pool (the refcounts keep any shared
 // prefix pages alive for their other holders), unpins its prefix entry,
-// and returns its reservation to the budget.
+// and returns its reservation to the budget. A request on the wait list
+// holds none of these, so releasing it is a no-op.
 func (s *Server) releaseKV(a *activeReq) {
 	if a.sess != nil {
 		a.sess.ReleaseKV()
@@ -138,194 +128,182 @@ func (s *Server) newSession(eng model.Engine, capRows int, e *model.PrefixEntry)
 	}, e)
 }
 
-// updateWait mirrors the scheduler-local wait state (held + preempted)
-// into the atomic the queue-depth gauge reads.
-func (s *Server) updateWait() {
-	n := int64(len(s.preempted))
-	if s.held != nil {
-		n++
-	}
-	s.waitCount.Store(n)
-}
-
-// loop is the scheduler: admit → reap expired → reserve KV growth
-// (preempting if the pool is dry) → run one iteration over the active
-// batch → retire finished, forever. Batches are assembled at iteration
-// granularity (continuous batching): a request joins as soon as a slot —
-// and, with a KV budget, enough pool headroom — frees, mid-flight
-// requests are unaffected, and one iteration may mix prefill chunks of
-// new requests with decode steps of old ones.
+// loop is the scheduler goroutine: it blocks until a request is queued,
+// waiting or active (or Stop is called), then runs one iteration.
 func (s *Server) loop() {
 	defer s.wg.Done()
-	var batch []*activeReq
 	for {
-		if len(batch) == 0 {
-			s.metrics.idle()
-			// Nothing active holds KV and the last admission wait is stale:
-			// reset the brownout gauges so shedding never outlives the load
-			// that triggered it.
-			s.recentQueueWait.Store(0)
-			s.liveKVRows.Store(0)
+		if len(s.batch) == 0 && len(s.waiting) == 0 {
+			select {
+			case p := <-s.queue:
+				s.enlist(p)
+			case <-s.stop:
+			}
 		}
-		batch = s.admit(batch)
-		s.updateWait()
 		select {
 		case <-s.stop:
-			s.shutdown(batch)
+			s.shutdown()
 			return
 		default:
 		}
-		if len(batch) == 0 {
-			continue // admit blocked on the queue and was woken by stop
-		}
-		now := time.Now()
-		batch = s.reap(batch, now)
-		if len(batch) == 0 {
-			continue
-		}
-		batch = s.ensureKV(batch)
-		s.updateWait()
-		if len(batch) == 0 {
-			continue
-		}
-		s.runIteration(batch)
-		batch = s.retire(batch)
+		s.iterate(s.now())
 	}
 }
 
-// admit fills free batch slots: preempted requests resume first (oldest
-// preemption first), then the KV-blocked held request, then the queue.
-// With nothing active or waiting it blocks until a request or stop
-// arrives; otherwise it takes whatever is immediately admissible. A
-// request that fits the batch but not the remaining KV budget is held at
-// the head of the line until pages free up — admission control by memory,
-// not just slots.
-func (s *Server) admit(batch []*activeReq) []*activeReq {
-	for len(batch) < s.cfg.MaxBatch {
-		if len(s.preempted) > 0 {
-			a := s.preempted[0]
-			now := time.Now()
-			switch {
-			case a.p.ctx.Err() != nil:
-				s.preempted = s.preempted[1:]
-				s.finish(a.p, a, now, a.p.ctx.Err())
-			case !a.p.req.Deadline.IsZero() && now.After(a.p.req.Deadline):
-				s.preempted = s.preempted[1:]
-				s.metrics.expire()
-				s.finish(a.p, a, now, ErrDeadlineExceeded)
-			default:
-				// The resume prefill may itself hit the prefix cache: the
-				// pin must be taken before the fit check so eviction
-				// cannot invalidate the sizing underneath it.
-				e := s.acquirePrefix(a.scheme, a.p.req.Prompt)
-				need := s.admissionNeed(len(a.seq)) - s.prefixBase(e)
-				denied := s.cfg.Chaos.KVExhausted()
-				if denied || !s.kvFits(need) {
-					s.reclaimKV(need)
-				}
-				if denied || !s.kvFits(need) {
-					s.releasePrefix(a.scheme, e)
-					return batch // wait for pages to free before anything newer
-				}
-				s.preempted = s.preempted[1:]
-				s.resume(a, e)
-				batch = append(batch, a)
-			}
-			continue
-		}
-		p := s.held
-		s.held = nil
-		if p == nil {
-			if len(batch) == 0 {
-				select {
-				case p = <-s.queue:
-				case <-s.stop:
-					return batch
-				}
-			} else {
-				select {
-				case p = <-s.queue:
-				default:
-					return batch
-				}
-			}
-		}
-		// Admission needs no growth headroom beyond the prompt footprint:
-		// if the batch's next growth collides with a fresh admission,
-		// ensureKV preempts the newcomer — the LIFO victim with the least
-		// progress to lose (prefill only starts after ensureKV, so a
-		// same-iteration eviction discards nothing but a session object).
-		// A prefix-cache hit shrinks the footprint to the unshared tail;
-		// before holding, unreferenced cached prefixes are evicted to make
-		// room — live requests outrank cache retention.
-		e := s.acquirePrefix(p.req.Scheme, p.req.Prompt)
-		need := s.admissionNeed(len(p.req.Prompt)) - s.prefixBase(e)
-		// An injected KV-exhaustion fault holds the request exactly as a dry
-		// pool would; the next admission pass redraws, so the hold is
-		// transient by construction.
-		denied := s.cfg.Chaos.KVExhausted()
-		if denied || !s.kvFits(need) {
-			s.reclaimKV(need)
-		}
-		if denied || !s.kvFits(need) {
-			s.releasePrefix(p.req.Scheme, e)
-			if p.ctx.Err() != nil || (!p.req.Deadline.IsZero() && time.Now().After(p.req.Deadline)) {
-				s.activate(p, nil) // finishes the dead request, returns nil
-				continue
-			}
-			if p.heldAt.IsZero() {
-				p.heldAt = time.Now()
-			}
-			s.held = p
-			return batch
-		}
-		if a := s.activate(p, e); a != nil {
-			batch = append(batch, a)
-		}
+// iterate runs one scheduler iteration at now: admit → reap expired →
+// reserve KV growth (preempting if the pool is dry) → step the batch →
+// retire finished. Batches are assembled at iteration granularity
+// (continuous batching): a request joins as soon as a slot — and enough
+// KV budget — frees, mid-flight requests are unaffected, and one
+// iteration may mix prefill chunks of new requests with decode steps of
+// old ones. It never blocks, so tests drive it directly on a fake clock.
+func (s *Server) iterate(now time.Time) {
+	s.admit(now)
+	s.reap(now)
+	s.ensureKV(now)
+	s.waitCount.Store(int64(len(s.waiting)))
+	if len(s.batch) > 0 {
+		s.runIteration()
+		s.retire()
 	}
-	return batch
+	if len(s.batch) == 0 {
+		s.metrics.idle()
+		// Nothing active holds KV and the last admission wait is stale:
+		// reset the brownout gauges so shedding never outlives the load
+		// that triggered it.
+		s.recentQueueWait.Store(0)
+		s.liveKVRows.Store(0)
+	}
 }
 
-// activate turns a queued request into an active one — mounting the
-// pinned prefix entry (if any) and reserving the unshared remainder of
-// its prompt's KV admission need — or finishes it immediately if it is
-// already cancelled or expired.
-func (s *Server) activate(p *pending, e *model.PrefixEntry) *activeReq {
-	now := time.Now()
-	if err := p.ctx.Err(); err != nil {
-		s.releasePrefix(p.req.Scheme, e)
-		s.finish(p, nil, now, err)
-		return nil
-	}
-	if !p.req.Deadline.IsZero() && now.After(p.req.Deadline) {
-		s.releasePrefix(p.req.Scheme, e)
-		s.metrics.expire()
-		s.finish(p, nil, now, ErrDeadlineExceeded)
-		return nil
-	}
-	maxNew := s.cfg.clampMaxNew(len(p.req.Prompt), p.req.MaxNewTokens)
-	eng := s.cfg.Engines[p.req.Scheme]
-	a := &activeReq{
+// enlist moves a request that left the queue onto the end of the wait
+// list, as an activeReq that has not yet been admitted.
+func (s *Server) enlist(p *pending) {
+	s.waiting = append(s.waiting, &activeReq{
 		p:           p,
-		eng:         eng,
+		eng:         s.cfg.Engines[p.req.Scheme],
 		rng:         newRequestRNG(p.req.Seed),
 		scheme:      p.req.Scheme,
 		seq:         p.req.Prompt,
 		emitPrefill: true,
-		maxNew:      maxNew,
-		out:         make([]int, 0, maxNew),
-		started:     now,
+		maxNew:      s.cfg.clampMaxNew(len(p.req.Prompt), p.req.MaxNewTokens),
+	})
+}
+
+// pull enlists one queued request, reporting whether there was one.
+func (s *Server) pull() bool {
+	select {
+	case p := <-s.queue:
+		s.enlist(p)
+		return true
+	default:
+		return false
 	}
-	if !p.heldAt.IsZero() {
-		a.heldFor = now.Sub(p.heldAt)
+}
+
+// admit fills free batch slots from the head of the wait list — preempted
+// requests first, oldest preemption first, then the one request held at
+// the head of the line — and then from the queue. A request that fits the
+// batch but not the remaining KV budget stays at the head of the wait
+// list until pages free up, and nothing behind it is admitted: admission
+// control by memory, not just slots.
+func (s *Server) admit(now time.Time) {
+	for len(s.batch) < s.cfg.MaxBatch {
+		if len(s.waiting) == 0 && !s.pull() {
+			return
+		}
+		a := s.waiting[0]
+		if err := expired(a, now); err != nil {
+			s.waiting = slices.Delete(s.waiting, 0, 1)
+			s.finish(a, now, err)
+			continue
+		}
+		if !s.mount(a, now) {
+			if a.started.IsZero() && a.heldAt.IsZero() {
+				a.heldAt = now
+			}
+			return
+		}
+		s.waiting = slices.Delete(s.waiting, 0, 1)
+		s.batch = append(s.batch, a)
 	}
-	// The brownout gauge tracks the freshest admission wait (hold included):
-	// a cheap, self-correcting overload signal — it rises as admissions slow
-	// and falls with the first quick one once pressure clears.
-	s.recentQueueWait.Store(int64(now.Sub(p.enq)))
-	s.mount(a, e, len(p.req.Prompt)+maxNew)
-	s.tracer.Record(obs.KindAdmit, p.id, s.iter, int64(a.kvHeld), int64(a.kvSkipped()))
-	return a
+}
+
+// expired returns the terminal error of a request whose context was
+// cancelled or whose deadline passed by now, and nil for a live one.
+func expired(a *activeReq, now time.Time) error {
+	if err := a.p.ctx.Err(); err != nil {
+		return err
+	}
+	if d := a.p.req.Deadline; !d.IsZero() && now.After(d) {
+		return ErrDeadlineExceeded
+	}
+	return nil
+}
+
+// mount admits a if its KV admission need fits: it pins the longest cached
+// prefix of the prompt (before the fit check, so eviction cannot
+// invalidate the sizing underneath it), reclaims cached prefixes if the
+// budget is short, and builds a fresh session over the pinned pages whose
+// prefill will (re)build a.seq — minus whatever prefix the cache covers.
+// On a miss it releases the pin and reports false.
+//
+// Admission needs no growth headroom beyond the prompt footprint: if the
+// batch's next growth collides with a fresh admission, ensureKV preempts
+// the newcomer — the LIFO victim with the least progress to lose (prefill
+// only starts after ensureKV, so a same-iteration eviction discards
+// nothing but a session object). A resumed request keeps its RNG stream
+// and output, so the tokens it goes on to emit are exactly those of an
+// unpreempted run.
+func (s *Server) mount(a *activeReq, now time.Time) bool {
+	e := s.acquirePrefix(a.scheme, a.p.req.Prompt)
+	need := s.admissionNeed(len(a.seq)) - s.prefixBase(e)
+	// An injected KV-exhaustion fault holds the request exactly as a dry
+	// pool would; the next admission pass redraws, so the hold is
+	// transient by construction.
+	denied := s.cfg.Chaos.KVExhausted()
+	s.reclaimKV(need)
+	if !denied && need > s.kvFree && e != nil && len(s.batch) == 0 {
+		// Nothing runs, so only a's own pin keeps the cache from yielding
+		// what it needs (the matched entry's partial last page, or pages
+		// it shares with other entries): the hit can never fit, so mount
+		// cold instead of holding forever.
+		s.releasePrefix(a.scheme, e)
+		e = nil
+		need = s.admissionNeed(len(a.seq))
+		s.reclaimKV(need)
+	}
+	if denied || need > s.kvFree {
+		s.releasePrefix(a.scheme, e)
+		return false
+	}
+	kind := obs.KindResume
+	if a.started.IsZero() {
+		kind = obs.KindAdmit
+		a.started = now
+		a.out = make([]int, 0, a.maxNew)
+		if !a.heldAt.IsZero() {
+			a.heldFor = now.Sub(a.heldAt)
+		}
+		// The brownout gauge tracks the freshest admission wait (hold
+		// included): a cheap, self-correcting overload signal — it rises as
+		// admissions slow and falls with the first quick one once pressure
+		// clears.
+		s.recentQueueWait.Store(int64(now.Sub(a.p.enq)))
+	} else {
+		a.preemptedFor += now.Sub(a.preemptedAt)
+	}
+	a.entry = e
+	a.kvBase = s.prefixBase(e)
+	a.consumed = a.kvSkipped()
+	a.prefillStartTraced = false
+	a.sess = s.newSession(a.eng, len(a.p.req.Prompt)+a.maxNew, e)
+	s.reserveKV(a, need)
+	if s.prefixCaches[a.scheme] != nil {
+		s.metrics.prefixMount(a.kvSkipped())
+	}
+	s.tracer.Record(kind, a.p.id, s.iter, int64(a.kvHeld), int64(a.kvSkipped()))
+	return true
 }
 
 // kvSkipped is the prefix positions a's mount served from cache.
@@ -336,47 +314,12 @@ func (a *activeReq) kvSkipped() int {
 	return a.entry.Rows()
 }
 
-// resume re-enters a preempted request: a fresh session whose prefill
-// will rebuild the retained prompt + generated tokens — minus whatever
-// prefix the cache still covers. The request keeps its RNG stream and
-// output, so the tokens it goes on to emit are exactly those of an
-// unpreempted run.
-func (s *Server) resume(a *activeReq, e *model.PrefixEntry) {
-	a.consumed = 0
-	if !a.preemptedAt.IsZero() {
-		a.preemptedFor += time.Since(a.preemptedAt)
-		a.preemptedAt = time.Time{}
-	}
-	s.mount(a, e, len(a.seq)+a.maxNew-len(a.out)+1)
-	s.tracer.Record(obs.KindResume, a.p.id, s.iter, int64(a.kvHeld), int64(a.kvSkipped()))
-}
-
-// mount builds a's session over the server's KV layout, seeds it with the
-// pinned prefix entry (marking its covered tokens consumed), and reserves
-// the admission need net of the cache-charged base.
-func (s *Server) mount(a *activeReq, e *model.PrefixEntry, capRows int) {
-	a.entry = e
-	a.kvBase = s.prefixBase(e)
-	a.prefillStartTraced = false
-	a.sess = s.newSession(a.eng, capRows, e)
-	if e != nil {
-		a.consumed = e.Rows()
-	}
-	s.reserveKV(a, s.admissionNeed(len(a.seq))-a.kvBase)
-	if s.prefixCaches[a.scheme] != nil {
-		skipped := 0
-		if e != nil {
-			skipped = e.Rows()
-		}
-		s.metrics.prefixMount(skipped)
-	}
-}
-
-// preemptReq evicts an active request: its pages are freed and it is
-// queued to resume later by re-prefilling the prompt plus every generated
-// token but the last emitted one (which the next decode step appends, as
-// it would have anyway).
-func (s *Server) preemptReq(a *activeReq) {
+// preemptReq evicts an active request: its pages are freed and it goes
+// back on the wait list, behind earlier preemptions and ahead of every
+// request never admitted, to resume later by re-prefilling the prompt
+// plus every generated token but the last emitted one (which the next
+// decode step appends, as it would have anyway).
+func (s *Server) preemptReq(a *activeReq, now time.Time) {
 	s.releaseKV(a)
 	if len(a.out) > 0 {
 		seq := make([]int, 0, len(a.p.req.Prompt)+len(a.out)-1)
@@ -387,9 +330,12 @@ func (s *Server) preemptReq(a *activeReq) {
 		a.seq = a.p.req.Prompt
 		a.emitPrefill = true
 	}
-	a.consumed = 0
-	a.preemptedAt = time.Now()
-	s.preempted = append(s.preempted, a)
+	a.preemptedAt = now
+	i := 0
+	for i < len(s.waiting) && !s.waiting[i].started.IsZero() {
+		i++
+	}
+	s.waiting = slices.Insert(s.waiting, i, a)
 	s.metrics.preempt()
 	s.tracer.Record(obs.KindPreempt, a.p.id, s.iter, obs.ReasonKVPressure, int64(len(a.out)))
 }
@@ -399,79 +345,45 @@ func (s *Server) preemptReq(a *activeReq) {
 // recently admitted request — whenever the budget runs dry. The oldest
 // request can always proceed: its worst-case footprint was checked
 // against the whole budget at submission, so preemption guarantees
-// progress rather than deadlock. No-op without a budget.
-func (s *Server) ensureKV(batch []*activeReq) []*activeReq {
-	if s.cfg.KVBudgetRows == 0 {
-		return batch
-	}
+// progress rather than deadlock.
+func (s *Server) ensureKV(now time.Time) {
 	i := 0
-	for i < len(batch) {
-		a := batch[i]
-		need := s.pageRound(a.sess.Len()+s.chunkLen(a)) - a.kvBase - a.kvHeld
-		if need < 0 {
-			need = 0
-		}
-		if need > s.kvFree {
-			s.reclaimKV(need) // cached prefixes yield before anyone is preempted
-		}
-		for need > s.kvFree && len(batch) > i+1 {
-			s.preemptReq(batch[len(batch)-1])
-			batch = batch[:len(batch)-1]
+	for i < len(s.batch) {
+		a := s.batch[i]
+		need := max(0, s.pageRound(a.sess.Len()+s.chunkLen(a))-a.kvBase-a.kvHeld)
+		s.reclaimKV(need) // cached prefixes yield before anyone is preempted
+		for need > s.kvFree && len(s.batch) > i+1 {
+			s.preemptReq(s.batch[len(s.batch)-1], now)
+			s.batch = s.batch[:len(s.batch)-1]
 			// The victim's release may have unpinned prefix entries that
 			// were unevictable a moment ago; reclaim again before taking
 			// another victim.
-			if need > s.kvFree {
-				s.reclaimKV(need)
-			}
+			s.reclaimKV(need)
 		}
 		if need > s.kvFree {
 			// a is itself the newest survivor and still cannot grow;
 			// requeue it too and let the older requests run.
-			s.preemptReq(a)
-			batch = append(batch[:i], batch[i+1:]...)
+			s.preemptReq(a, now)
+			s.batch = append(s.batch[:i], s.batch[i+1:]...)
 			continue
 		}
-		s.kvFree -= need
-		a.kvHeld += need
+		s.reserveKV(a, need)
 		i++
 	}
-	return batch
 }
 
-// reap fails active and preempted requests whose deadline or context
-// expired, returning the surviving batch.
-func (s *Server) reap(batch []*activeReq, now time.Time) []*activeReq {
-	kept := batch[:0]
-	for _, a := range batch {
-		if !s.reapOne(a, now) {
-			kept = append(kept, a)
+// reap finishes active and waiting requests whose deadline or context
+// expired.
+func (s *Server) reap(now time.Time) {
+	dead := func(a *activeReq) bool {
+		err := expired(a, now)
+		if err != nil {
+			s.finish(a, now, err)
 		}
+		return err != nil
 	}
-	keptP := s.preempted[:0]
-	for _, a := range s.preempted {
-		if !s.reapOne(a, now) {
-			keptP = append(keptP, a)
-		}
-	}
-	s.preempted = keptP
-	return kept
-}
-
-// reapOne finishes a if its context or deadline expired (releasing any KV
-// it holds) and reports whether it did.
-func (s *Server) reapOne(a *activeReq, now time.Time) bool {
-	switch {
-	case a.p.ctx.Err() != nil:
-		s.releaseKV(a)
-		s.finish(a.p, a, now, a.p.ctx.Err())
-	case !a.p.req.Deadline.IsZero() && now.After(a.p.req.Deadline):
-		s.releaseKV(a)
-		s.metrics.expire()
-		s.finish(a.p, a, now, ErrDeadlineExceeded)
-	default:
-		return false
-	}
-	return true
+	s.batch = slices.DeleteFunc(s.batch, dead)
+	s.waiting = slices.DeleteFunc(s.waiting, dead)
 }
 
 // runIteration executes one step for every active request: plan turns
@@ -480,12 +392,13 @@ func (s *Server) reapOne(a *activeReq, now time.Time) bool {
 // the pool joins. Every item computes exactly its requests' sequential
 // model.Session results, so the grouping cannot change any request's
 // tokens — only wall-clock.
-func (s *Server) runIteration(batch []*activeReq) {
+func (s *Server) runIteration() {
+	batch := s.batch
 	s.iter++
 	traced := s.tracer.Enabled()
 	var iterStart time.Time
 	if traced {
-		iterStart = time.Now()
+		iterStart = s.now()
 	}
 	s.stepAll(s.plan(batch))
 	// Donate completed prefills to the prefix index (scheduler goroutine,
@@ -539,7 +452,7 @@ func (s *Server) runIteration(batch []*activeReq) {
 		}
 	}
 	if traced {
-		s.tracer.Record(obs.KindIteration, 0, s.iter, int64(len(batch)), int64(time.Since(iterStart)))
+		s.tracer.Record(obs.KindIteration, 0, s.iter, int64(len(batch)), int64(s.now().Sub(iterStart)))
 	}
 	var liveRows int64
 	for _, a := range batch {
@@ -562,14 +475,8 @@ func (s *Server) insertPrefix(a *activeReq) {
 	if c == nil {
 		return
 	}
-	maxCharge := int(^uint(0) >> 1)
-	if s.cfg.KVBudgetRows > 0 {
-		maxCharge = s.kvFree
-	}
-	charged, freed, _ := c.Insert(a.p.req.Prompt, a.sess, maxCharge)
-	if s.cfg.KVBudgetRows > 0 {
-		s.kvFree += freed - charged
-	}
+	charged, freed, _ := c.Insert(a.p.req.Prompt, a.sess, s.kvFree)
+	s.kvFree += freed - charged
 }
 
 // workItem is one unit of an iteration's model work: a fused decode of
@@ -742,6 +649,9 @@ func (s *Server) stepItem(it *workItem) {
 				continue
 			}
 		}
+		if len(a.out) == 0 {
+			a.firstTok = s.now()
+		}
 		a.emit(logits.Row(row - 1))
 		a.lastStepFused = it.bs != nil
 	}
@@ -755,120 +665,93 @@ func (a *activeReq) emit(row []float64) {
 	} else {
 		tok = model.Greedy(row)
 	}
-	if len(a.out) == 0 {
-		a.firstTok = time.Now()
-	}
 	a.out = append(a.out, tok)
 	a.lastStepDecoded = true
 }
 
-// retire delivers results for requests that reached their token budget,
-// returning their pages to the pool. A finishing request donates its
-// prompt prefix to the cache one last time, funded by the budget it is
-// about to release — this is the attempt that succeeds when the pool was
-// too tight at prefill-completion time (the whole point of caching under
-// pressure: memory frees exactly when a request ends).
-func (s *Server) retire(batch []*activeReq) []*activeReq {
-	now := time.Now()
-	kept := batch[:0]
-	for _, a := range batch {
-		if a.failed != nil {
+// retire delivers results for requests that reached their token budget
+// or failed their step, returning their pages to the pool. A finishing
+// request donates its prompt prefix to the cache one last time, funded by
+// the budget it is about to release — this is the attempt that succeeds
+// when the pool was too tight at prefill-completion time (the whole point
+// of caching under pressure: memory frees exactly when a request ends).
+func (s *Server) retire() {
+	now := s.now()
+	s.batch = slices.DeleteFunc(s.batch, func(a *activeReq) bool {
+		switch {
+		case a.failed != nil:
 			// Panic isolation lands here: the offending request leaves with
 			// ErrInternal, its pages and prefix pin go back to the pool, and
 			// the rest of the batch never notices.
-			s.metrics.internalError()
-			s.releaseKV(a)
-			s.finish(a.p, a, now, a.failed)
-			continue
-		}
-		if len(a.out) >= a.maxNew {
+			s.finish(a, now, a.failed)
+		case len(a.out) >= a.maxNew:
 			if s.prefixCaches != nil && a.consumed == len(a.seq) {
 				s.kvFree += a.kvHeld
 				a.kvHeld = 0
 				s.insertPrefix(a)
 			}
-			s.releaseKV(a)
-			s.finish(a.p, a, now, nil)
-			continue
+			s.finish(a, now, nil)
+		default:
+			return false
 		}
-		kept = append(kept, a)
-	}
-	return kept
+		return true
+	})
 }
 
-// shutdown fails everything still active, preempted, held or queued, and
-// flushes the prefix caches so a stopped server holds no pool pages.
-func (s *Server) shutdown(batch []*activeReq) {
-	now := time.Now()
-	for _, a := range batch {
-		s.releaseKV(a)
-		s.finish(a.p, a, now, ErrStopped)
+// shutdown fails everything still active, waiting or queued, and flushes
+// the prefix caches so a stopped server holds no pool pages.
+func (s *Server) shutdown() {
+	now := s.now()
+	for s.pull() {
 	}
-	for _, a := range s.preempted {
-		s.finish(a.p, a, now, ErrStopped)
+	for _, a := range append(s.batch, s.waiting...) {
+		s.finish(a, now, ErrStopped)
 	}
-	s.preempted = nil
-	if s.held != nil {
-		s.finish(s.held, nil, now, ErrStopped)
-		s.held = nil
-	}
-	s.updateWait()
+	s.batch, s.waiting = nil, nil
+	s.waitCount.Store(0)
 	for _, c := range s.prefixCaches {
 		s.kvFree += c.Flush()
 	}
-	for {
-		select {
-		case p := <-s.queue:
-			s.finish(p, nil, now, ErrStopped)
-		default:
-			return
-		}
-	}
 }
 
-// finish delivers a Result, records metrics and stage timings, and logs
-// the terminal trace event. a is nil for requests that never activated
-// (dead on arrival, held or queued at shutdown) — always a failure path.
-func (s *Server) finish(p *pending, a *activeReq, now time.Time, err error) {
-	var out []int
-	prefilled := 0
-	var firstTok time.Time
-	if a != nil {
-		out, prefilled, firstTok = a.out, a.prefilled, a.firstTok
-	}
+// finish releases a's KV, delivers its Result, and records its metrics,
+// stage timings and terminal trace event.
+func (s *Server) finish(a *activeReq, now time.Time, err error) {
+	s.releaseKV(a)
+	p := a.p
 	r := Result{
 		ID:            p.id,
 		Scheme:        p.req.Scheme,
-		Tokens:        out,
+		Tokens:        a.out,
 		Err:           err,
 		Latency:       now.Sub(p.enq),
-		PrefillTokens: prefilled,
+		PrefillTokens: a.prefilled,
 	}
-	if !firstTok.IsZero() {
-		r.TTFT = firstTok.Sub(p.enq)
+	if !a.firstTok.IsZero() {
+		r.TTFT = a.firstTok.Sub(p.enq)
 	}
-	if err == nil {
-		s.metrics.complete(r.Latency, r.TTFT, !firstTok.IsZero())
+	switch {
+	case err == nil:
+		s.metrics.complete(r.Latency, r.TTFT, !a.firstTok.IsZero())
 		// Stage durations from the lifecycle transition timestamps:
 		// queue wait spans enqueue → admission (hold included), prefill
 		// spans admission → first token, decode the rest. Preempted time
 		// is tracked separately and overlaps prefill/decode.
 		queueWait := a.started.Sub(p.enq)
-		prefillD := firstTok.Sub(a.started)
-		decodeD := now.Sub(firstTok)
+		prefillD := a.firstTok.Sub(a.started)
+		decodeD := now.Sub(a.firstTok)
 		s.metrics.stages(queueWait, a.heldFor, prefillD, decodeD, a.preemptedFor)
-	}
-	switch {
-	case err == nil:
-		s.tracer.Record(obs.KindComplete, p.id, s.iter, int64(len(out)), 0)
+		s.tracer.Record(obs.KindComplete, p.id, s.iter, int64(len(a.out)), 0)
 	case errors.Is(err, ErrDeadlineExceeded):
-		s.tracer.Record(obs.KindExpire, p.id, s.iter, obs.ReasonDeadline, int64(len(out)))
+		s.metrics.expire()
+		s.tracer.Record(obs.KindExpire, p.id, s.iter, obs.ReasonDeadline, int64(len(a.out)))
 	case errors.Is(err, ErrStopped):
-		s.tracer.Record(obs.KindCancel, p.id, s.iter, obs.ReasonStopped, int64(len(out)))
+		s.tracer.Record(obs.KindCancel, p.id, s.iter, obs.ReasonStopped, int64(len(a.out)))
 	case errors.Is(err, ErrInternal):
-		s.tracer.Record(obs.KindCancel, p.id, s.iter, obs.ReasonInternal, int64(len(out)))
+		s.metrics.internalError()
+		s.tracer.Record(obs.KindCancel, p.id, s.iter, obs.ReasonInternal, int64(len(a.out)))
 	default:
-		s.tracer.Record(obs.KindCancel, p.id, s.iter, obs.ReasonCanceled, int64(len(out)))
+		s.tracer.Record(obs.KindCancel, p.id, s.iter, obs.ReasonCanceled, int64(len(a.out)))
 	}
 	p.done <- r
 }

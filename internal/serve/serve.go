@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -296,8 +297,8 @@ type Server struct {
 	kvPool *tensor.BlockPool
 	// workers bounds the goroutines stepping an iteration's work items.
 	workers int
-	// waitCount mirrors len(held)+len(preempted) for the queue-depth
-	// gauge, which is read outside the scheduler goroutine.
+	// waitCount mirrors len(waiting) for the queue-depth gauge, which is
+	// read outside the scheduler goroutine.
 	waitCount atomic.Int64
 	// draining flips once when drain begins: Generate then fails fast with
 	// ErrDraining while requests already submitted run to completion.
@@ -311,14 +312,19 @@ type Server struct {
 	// inflight counts requests Generate has accepted and not yet returned
 	// to their callers — what a bounded drain waits on.
 	inflight atomic.Int64
+	// now is the clock every scheduler decision, request timestamp and
+	// metrics window reads (time.Now outside tests).
+	now func() time.Time
 	// Scheduler-goroutine state: fused steppers per engine (nil = engine
-	// is row-coupled and steps one request at a time) and the memory-aware
-	// admission state — remaining KV budget rows, the popped-but-not-yet-
-	// admitted request, and preempted requests waiting to resume.
-	steppers  map[model.Engine]*model.BatchStepper
-	kvFree    int
-	held      *pending
-	preempted []*activeReq
+	// is row-coupled and steps one request at a time), the remaining KV
+	// budget rows (effectively unbounded without a budget), the active
+	// batch in admission order, and the wait list — preempted requests in
+	// preemption order, then at most one request that left the queue but
+	// has not been admitted yet (held at the head of the line for KV).
+	steppers map[model.Engine]*model.BatchStepper
+	kvFree   int
+	batch    []*activeReq
+	waiting  []*activeReq
 	// iter numbers scheduler iterations for trace events; only the
 	// scheduler goroutine touches it (client-side events carry iter 0).
 	iter int64
@@ -340,13 +346,10 @@ type pending struct {
 	ctx  context.Context
 	enq  time.Time
 	done chan Result
-	// heldAt marks when admission first held this request for KV pages
-	// (zero if it was never held); the hold ends at activation.
-	heldAt time.Time
 }
 
-// activeReq is a request currently in the iteration batch (or preempted
-// and waiting to re-enter it).
+// activeReq is a request that has left the queue: in the iteration batch,
+// or on the wait list before its first admission or after a preemption.
 type activeReq struct {
 	p      *pending
 	sess   *model.Session
@@ -372,21 +375,25 @@ type activeReq struct {
 	// request already emitted, so it stays silent.
 	emitPrefill bool
 	// kvHeld is the page-rounded KV row capacity reserved for this
-	// request out of Config.KVBudgetRows (0 when no budget is set).
+	// request out of the KV budget.
 	kvHeld int
 	// entry is the pinned prefix-cache entry the session mounted (nil on a
 	// miss or with the cache off); kvBase is the page-aligned floor of its
 	// covered rows — positions charged to the cache, not to this request.
-	entry    *model.PrefixEntry
-	kvBase   int
-	maxNew   int
+	entry  *model.PrefixEntry
+	kvBase int
+	maxNew int
+	// out is allocated at the first admission; started (zero until then)
+	// marks it.
 	out      []int
 	started  time.Time
 	firstTok time.Time
 	// Stage-timing state, all maintained from transition timestamps on the
-	// scheduler goroutine: heldFor is the admission hold that preceded
-	// activation, preemptedAt/preemptedFor track time spent evicted, and
-	// prefillStartTraced gates the one prefill-start trace event per mount.
+	// scheduler goroutine: heldAt/heldFor are the admission hold that
+	// preceded the first admission, preemptedAt/preemptedFor track time
+	// spent evicted, and prefillStartTraced gates the one prefill-start
+	// trace event per mount.
+	heldAt             time.Time
 	heldFor            time.Duration
 	preemptedAt        time.Time
 	preemptedFor       time.Duration
@@ -411,9 +418,13 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		stop:     make(chan struct{}),
 		tracer:   cfg.Tracer,
+		now:      time.Now,
 		workers:  runtime.GOMAXPROCS(0),
 		steppers: make(map[model.Engine]*model.BatchStepper),
 		kvFree:   cfg.KVBudgetRows,
+	}
+	if s.kvFree == 0 {
+		s.kvFree = math.MaxInt // no reservation can exhaust it
 	}
 	maxPages := 0
 	if cfg.KVBudgetRows > 0 {
@@ -454,6 +465,7 @@ func New(cfg Config) (*Server, error) {
 	s.metrics = newMetrics(cfg.DefaultScheme, cfg.KVBudgetRows, cfg.KVPageRows,
 		cfg.kvDtype.String(), cfg.kvDtype.BytesPerRow(cfg.Model.Cfg.DModel),
 		func() int { return len(s.queue) + int(s.waitCount.Load()) }, pages, prefixStats)
+	s.metrics.now = func() time.Time { return s.now() }
 	return s, nil
 }
 
@@ -588,18 +600,53 @@ func (s *Server) Generate(ctx context.Context, req Request) (Result, error) {
 	// two always waits for this request or sees it refused — never loses it.
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
+	p, err := s.submit(ctx, req)
+	switch {
+	case p == nil:
+		return Result{}, err
+	case err != nil:
+		return Result{ID: p.id, Err: err}, err
+	}
+	select {
+	case r := <-p.done:
+		return r, r.Err
+	case <-ctx.Done():
+		// The scheduler notices the cancelled context at its next
+		// iteration and discards the request; the buffered done channel
+		// never blocks it.
+		return Result{ID: p.id, Err: ctx.Err()}, ctx.Err()
+	case <-s.stop:
+		// A request can win the race into the queue after the scheduler's
+		// final drain; without this arm it would wait forever. Let the
+		// loop finish delivering every outcome it did see, then prefer
+		// its verdict over a synthesized one.
+		s.wg.Wait()
+		select {
+		case r := <-p.done:
+			return r, r.Err
+		default:
+			return Result{ID: p.id, Err: ErrStopped}, ErrStopped
+		}
+	}
+}
+
+// submit validates req and enqueues it, returning the queued request whose
+// done channel receives its Result. A request refused before it got an id
+// comes back nil; one refused because the server stopped comes back with
+// its id and ErrStopped.
+func (s *Server) submit(ctx context.Context, req Request) (*pending, error) {
 	if req.Scheme == "" {
 		req.Scheme = s.cfg.DefaultScheme
 	}
 	if _, ok := s.cfg.Engines[req.Scheme]; !ok {
-		return Result{}, fmt.Errorf("%w: %q", ErrUnknownScheme, req.Scheme)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownScheme, req.Scheme)
 	}
 	// Validation precedes admission: a malformed prompt is refused with a
 	// typed client error here instead of panicking model.Session.Append on
 	// a scheduler goroutine later.
 	if err := ValidateRequest(s.cfg.Model.Cfg, req); err != nil {
 		s.metrics.invalidReject()
-		return Result{}, err
+		return nil, err
 	}
 	if s.cfg.KVBudgetRows > 0 {
 		// A request whose worst-case footprint exceeds the whole budget
@@ -614,28 +661,28 @@ func (s *Server) Generate(ctx context.Context, req Request) (Result, error) {
 			peak = minPeak
 		}
 		if s.pageRound(peak) > s.cfg.KVBudgetRows {
-			return Result{}, fmt.Errorf("%w: %d rows needed, budget %d",
+			return nil, fmt.Errorf("%w: %d rows needed, budget %d",
 				ErrKVBudget, s.pageRound(peak), s.cfg.KVBudgetRows)
 		}
 	}
 	if s.draining.Load() {
 		s.metrics.drainReject()
 		s.tracer.Record(obs.KindReject, 0, 0, obs.ReasonDraining, 0)
-		return Result{}, ErrDraining
+		return nil, ErrDraining
 	}
 	if err := s.brownout(); err != nil {
 		s.metrics.brownoutReject()
 		s.tracer.Record(obs.KindReject, 0, 0, obs.ReasonOverload, 0)
-		return Result{}, err
+		return nil, err
 	}
 	s.idMu.Lock()
 	s.nextID++
 	id := s.nextID
 	s.idMu.Unlock()
-	p := &pending{id: id, req: req, ctx: ctx, enq: time.Now(), done: make(chan Result, 1)}
+	p := &pending{id: id, req: req, ctx: ctx, enq: s.now(), done: make(chan Result, 1)}
 	select {
 	case <-s.stop:
-		return Result{ID: id, Err: ErrStopped}, ErrStopped
+		return p, ErrStopped
 	default:
 	}
 	// Recorded before the send so the scheduler can never log this
@@ -643,30 +690,10 @@ func (s *Server) Generate(ctx context.Context, req Request) (Result, error) {
 	s.tracer.Record(obs.KindEnqueue, id, 0, int64(len(req.Prompt)), int64(req.MaxNewTokens))
 	select {
 	case s.queue <- p:
+		return p, nil
 	default:
 		s.metrics.reject()
 		s.tracer.Record(obs.KindReject, id, 0, obs.ReasonQueueFull, 0)
-		return Result{}, ErrQueueFull
-	}
-	select {
-	case r := <-p.done:
-		return r, r.Err
-	case <-ctx.Done():
-		// The scheduler notices the cancelled context at its next
-		// iteration and discards the request; the buffered done channel
-		// never blocks it.
-		return Result{ID: id, Err: ctx.Err()}, ctx.Err()
-	case <-s.stop:
-		// A request can win the race into the queue after the scheduler's
-		// final drain; without this arm it would wait forever. Let the
-		// loop finish delivering every outcome it did see, then prefer
-		// its verdict over a synthesized one.
-		s.wg.Wait()
-		select {
-		case r := <-p.done:
-			return r, r.Err
-		default:
-			return Result{ID: id, Err: ErrStopped}, ErrStopped
-		}
+		return nil, ErrQueueFull
 	}
 }

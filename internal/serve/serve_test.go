@@ -279,14 +279,7 @@ func TestQueueBoundsDeadlinesCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Not started: the queue fills synchronously.
-		go srv.Generate(context.Background(), Request{Prompt: []int{1, 2}, MaxNewTokens: 1})
-		deadline := time.Now().Add(5 * time.Second)
-		for srv.Metrics().Snapshot().QueueDepth == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("first request never queued")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		queued := submitAll(t, srv, []Request{{Prompt: []int{1, 2}, MaxNewTokens: 1}})
 		if _, err := srv.Generate(context.Background(), Request{Prompt: []int{1}, MaxNewTokens: 1}); !errors.Is(err, ErrQueueFull) {
 			t.Fatalf("want ErrQueueFull, got %v", err)
 		}
@@ -294,7 +287,10 @@ func TestQueueBoundsDeadlinesCancellation(t *testing.T) {
 			t.Fatal("rejection not counted")
 		}
 		srv.Start()
-		srv.Stop() // drains the queued request with ErrStopped
+		srv.Stop()
+		if r := <-queued[0].done; !errors.Is(r.Err, ErrStopped) && r.Err != nil {
+			t.Fatalf("queued request across Stop: %v", r.Err)
+		}
 	})
 
 	t.Run("expired-deadline", func(t *testing.T) {
@@ -364,8 +360,8 @@ func TestMetricsAccounting(t *testing.T) {
 	if snap.MeanBatchSize <= 0 || snap.Iterations <= 0 {
 		t.Fatalf("batch occupancy not recorded: %+v", snap)
 	}
-	if snap.LatencyP99Ms < snap.LatencyP50Ms {
-		t.Fatalf("latency quantiles inverted: %+v", snap)
+	if h := snap.LatencyHist; h.Count != snap.Completed || h.P99Ms < h.P95Ms || h.P95Ms < h.P50Ms {
+		t.Fatalf("latency histogram %+v: want one sample per completion and monotone quantiles", h)
 	}
 }
 
