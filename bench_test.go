@@ -181,7 +181,11 @@ func BenchmarkFusedDecode(b *testing.B) {
 
 // BenchmarkDecodeAllocs gates the fused hot path's allocation diet: with
 // the FP32 engine (EngineInto + arena) steady-state fused decode must do
-// ~zero heap allocations per token. The model is sized below the GEMM
+// ~zero heap allocations per token, both on NewSession's private pools
+// (pages reserved up front) and on sessions drawing from a warm shared
+// tensor.BlockPool, the serving configuration, whose page turnover
+// (acquire on growth, release on session end) has to come from the pool's
+// freelist, not the garbage collector. The model is sized below the GEMM
 // parallel threshold so the kernel spawns no goroutines — every remaining
 // allocation would be a real hot-path regression.
 func BenchmarkDecodeAllocs(b *testing.B) {
@@ -198,135 +202,68 @@ func BenchmarkDecodeAllocs(b *testing.B) {
 	}
 	const batch = 4
 	const cycle = 128
-	prompt := workload.TokenStream(workload.Wiki, 9, 16, cfg.Vocab)
-	build := func() ([]*model.Session, []int) {
-		sessions := make([]*model.Session, batch)
-		last := make([]int, batch)
-		for i := range sessions {
-			sessions[i] = m.NewSession(eng, len(prompt)+cycle+1)
-			lg := sessions[i].Append(prompt)
-			last[i] = model.Greedy(lg.Row(lg.Rows - 1))
-		}
-		return sessions, last
-	}
-	// Warm the arena, then measure steady-state allocations per step.
-	sessions, last := build()
-	for i := 0; i < 5; i++ {
-		logits := bs.Step(sessions, last)
-		for j := range sessions {
-			last[j] = model.Greedy(logits.Row(j))
-		}
-	}
-	allocsPerStep := testing.AllocsPerRun(100, func() {
-		logits := bs.Step(sessions, last)
-		for j := range sessions {
-			last[j] = model.Greedy(logits.Row(j))
-		}
-	})
-	allocsPerToken := allocsPerStep / batch
-	b.Logf("fused fp32 decode: %.3f allocs/token (batch %d)", allocsPerToken, batch)
-	if allocsPerToken > 0.5 {
-		b.Fatalf("fused fp32 decode allocates %.2f times per token; want ~0", allocsPerToken)
-	}
-	sessions, last = build()
-	steps := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		if steps == cycle {
-			b.StopTimer()
-			sessions, last = build()
-			steps = 0
-			b.StartTimer()
-		}
-		logits := bs.Step(sessions, last)
-		for j := range sessions {
-			last[j] = model.Greedy(logits.Row(j))
-		}
-		steps++
-	}
-}
-
-// BenchmarkPagedDecode gates the paged KV cache's allocation diet: fused
-// FP32 decode over sessions drawing pages from a warm shared
-// tensor.BlockPool must stay at ~zero heap allocations per token — page
-// turnover (acquire on growth, release on session end) has to come from
-// the pool's freelist, not the garbage collector.
-func BenchmarkPagedDecode(b *testing.B) {
-	cfg := model.Config{
-		Name: "alloc-bench", Arch: model.Decoder, Layers: 4, DModel: 64, Heads: 4,
-		FFN: 256, Vocab: 256, MaxSeq: 256,
-		OutlierChannels: 3, OutlierGain: 20, Seed: 33,
-	}
-	m := model.New(cfg)
-	eng := model.Exact{}
-	bs, err := m.NewBatchStepper(eng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 4
-	const cycle = 128
 	pool := tensor.NewBlockPool(cfg.DModel, tensor.DefaultPageRows, 0)
 	prompt := workload.TokenStream(workload.Wiki, 9, 16, cfg.Vocab)
 	var live []*model.Session
-	build := func() ([]*model.Session, []int) {
+	build := func(newSession func(capHint int) *model.Session) ([]*model.Session, []int) {
 		for _, s := range live {
-			s.ReleaseKV() // pages go back to the pool, as in serving
+			s.ReleaseKV() // pages go back to their pool, as in serving
 		}
 		sessions := make([]*model.Session, batch)
 		last := make([]int, batch)
 		for i := range sessions {
-			sessions[i] = m.NewSessionWithKV(eng, func() model.KVStore {
-				return tensor.NewPagedRows(pool, len(prompt)+cycle+1)
-			})
+			sessions[i] = newSession(len(prompt) + cycle + 1)
 			lg := sessions[i].Append(prompt)
 			last[i] = model.Greedy(lg.Row(lg.Rows - 1))
 		}
 		live = sessions
 		return sessions, last
 	}
-	// Warm the arena and the page pool (one cycle creates every page the
-	// steady state needs), then measure from recycled pages only.
-	sessions, last := build()
-	for i := 0; i < cycle; i++ {
+	step := func(sessions []*model.Session, last []int) {
 		logits := bs.Step(sessions, last)
 		for j := range sessions {
 			last[j] = model.Greedy(logits.Row(j))
 		}
 	}
-	sessions, last = build()
-	allocsBefore, _ := pool.Counters()
-	allocsPerStep := testing.AllocsPerRun(100, func() {
-		logits := bs.Step(sessions, last)
-		for j := range sessions {
-			last[j] = model.Greedy(logits.Row(j))
+	shared := func(capHint int) *model.Session { return m.NewSessionOn(eng, pool, capHint, nil) }
+	for _, c := range []struct {
+		name       string
+		newSession func(int) *model.Session
+	}{
+		{"private pools", func(capHint int) *model.Session { return m.NewSession(eng, capHint) }},
+		{"shared pool", shared},
+	} {
+		// Warm the arena and the shared pool (one cycle creates every page
+		// the steady state needs), then measure from recycled pages only.
+		sessions, last := build(c.newSession)
+		for i := 0; i < cycle; i++ {
+			step(sessions, last)
 		}
-	})
-	allocsAfter, _ := pool.Counters()
-	allocsPerToken := allocsPerStep / batch
-	b.Logf("fused fp32 paged decode: %.3f heap allocs/token, %d pool page acquisitions (batch %d, page %d rows)",
-		allocsPerToken, allocsAfter-allocsBefore, batch, tensor.DefaultPageRows)
-	if allocsPerToken > 0.5 {
-		b.Fatalf("paged fused decode allocates %.2f times per token; pages must come from the pool, not the GC", allocsPerToken)
+		sessions, last = build(c.newSession)
+		pagesBefore, _ := pool.Counters()
+		allocsPerToken := testing.AllocsPerRun(100, func() { step(sessions, last) }) / batch
+		pagesAfter, _ := pool.Counters()
+		b.Logf("fused fp32 decode, %s: %.3f heap allocs/token, %d shared-pool page acquisitions (batch %d, page %d rows)",
+			c.name, allocsPerToken, pagesAfter-pagesBefore, batch, tensor.DefaultPageRows)
+		if allocsPerToken > 0.5 {
+			b.Fatalf("fused fp32 decode on %s allocates %.2f times per token; want ~0", c.name, allocsPerToken)
+		}
+		if c.name == "shared pool" && pagesAfter == pagesBefore {
+			b.Fatal("shared-pool decode never acquired a page; the gate is not measuring page turnover")
+		}
 	}
-	if allocsAfter == allocsBefore {
-		b.Fatal("paged decode never acquired a page; the gate is not measuring paging")
-	}
-	sessions, last = build()
+	sessions, last := build(shared)
 	steps := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if steps == cycle {
 			b.StopTimer()
-			sessions, last = build()
+			sessions, last = build(shared)
 			steps = 0
 			b.StartTimer()
 		}
-		logits := bs.Step(sessions, last)
-		for j := range sessions {
-			last[j] = model.Greedy(logits.Row(j))
-		}
+		step(sessions, last)
 		steps++
 	}
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tokens/s")
@@ -410,10 +347,9 @@ func BenchmarkPrefixCache(b *testing.B) {
 	m := model.New(cfg)
 	eng := model.Exact{}
 	pool := tensor.NewBlockPool(cfg.DModel, tensor.DefaultPageRows, 0)
-	newKV := func() model.KVStore { return tensor.NewPagedRows(pool, 0) }
 	prompt := workload.TokenStream(workload.Wiki, 5, 96+1, cfg.Vocab)
 
-	donor := m.NewSessionWithKV(eng, newKV)
+	donor := m.NewSessionOn(eng, pool, 0, nil)
 	donor.Append(prompt)
 	cache := model.NewPrefixCache(pool, cfg.Layers, 0)
 	if _, _, ok := cache.Insert(prompt, donor, 1<<30); !ok {
@@ -424,7 +360,7 @@ func BenchmarkPrefixCache(b *testing.B) {
 	b.Run("cold-prefill", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := m.NewSessionWithKV(eng, newKV)
+			s := m.NewSessionOn(eng, pool, 0, nil)
 			s.Append(prompt)
 			s.ReleaseKV()
 		}
@@ -437,7 +373,7 @@ func BenchmarkPrefixCache(b *testing.B) {
 			if e == nil {
 				b.Fatal("prefix miss")
 			}
-			s := m.NewSessionWithPrefix(eng, newKV, e)
+			s := m.NewSessionOn(eng, pool, 0, e)
 			s.Append(prompt[e.Rows():])
 			s.ReleaseKV()
 			cache.Release(e)
@@ -711,39 +647,4 @@ func BenchmarkBlockedGEMM(b *testing.B) {
 			tensor.GEMMInto(tensor.KernelBlocked, x, w, out)
 		}
 	})
-}
-
-// BenchmarkKVDtype measures the append+read cost of each KV page dtype:
-// f64 pages alias raw storage, f16/int8 pages pay an encode on append and
-// a per-page decode (amortized by the one-page decode cache) on read.
-// The trade the serving layer makes — 4×/~6.4× more positions per byte for
-// a bounded decode tax — is what the sub-benchmark deltas quantify.
-func BenchmarkKVDtype(b *testing.B) {
-	const cols = 128
-	const rows = 256
-	src := tensor.RandNormal(tensor.NewRNG(7), rows, cols, 0.5)
-	for _, name := range []string{"f64", "f16", "int8"} {
-		dtype, err := tensor.ParseKVDtype(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			pool := tensor.NewBlockPoolDtype(cols, tensor.DefaultPageRows, 0, dtype)
-			b.Logf("%s: %d bytes/row, %d-byte pages", name, dtype.BytesPerRow(cols), pool.PageBytes())
-			b.ReportAllocs()
-			b.ResetTimer()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				pr := tensor.NewPagedRows(pool, rows)
-				for r := 0; r < rows; r++ {
-					pr.AppendRow(src.Row(r))
-				}
-				for r := 0; r < rows; r++ {
-					sink += pr.Row(r)[0]
-				}
-				pr.Release()
-			}
-			benchSink = sink
-		})
-	}
 }

@@ -85,7 +85,6 @@ func main() {
 		prefillChunk  = flag.Int("prefill-chunk", 32, "max prompt tokens per iteration per request (row-coupled engines such as olive prefill whole prompts)")
 		kvPages       = flag.Int("kv-pages", 0, "total KV budget in pages across all active sessions (0 = unlimited); admission and preemption keep KV memory under pages×kv-page-rows positions")
 		kvPageRows    = flag.Int("kv-page-rows", 0, "rows per KV page (0 = default 16)")
-		kvDtype       = flag.String("kv-dtype", "", "KV page storage format: f64 (reference), f16 (4x denser) or int8 (~7.5x); the KV budget is denominated in f64-equivalent rows, so compressed dtypes admit proportionally more concurrent sessions")
 		prefixCache   = flag.Bool("prefix-cache", false, "share KV pages of common prompt prefixes across requests: completed prefills are indexed and later prompts mount the matched prefix instead of recomputing it (bit-identical)")
 		prefixRows    = flag.Int("prefix-cache-rows", 0, "cap on KV positions retained by cached prefixes (0 = the KV budget when set, else unbounded); rounded up to kv-page-rows")
 		traceOn       = flag.Bool("trace", false, "record request-lifecycle events into a bounded ring, exported at GET /debug/trace as Chrome trace_event JSON (open in Perfetto)")
@@ -179,7 +178,6 @@ func main() {
 			PrefillChunk:      *prefillChunk,
 			KVBudgetRows:      *kvPages * pageRows,
 			KVPageRows:        pageRows,
-			KVDtype:           *kvDtype,
 			PrefixCache:       *prefixCache,
 			PrefixCacheRows:   *prefixRows,
 			Tracer:            tracer,

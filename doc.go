@@ -28,17 +28,16 @@
 // session alone for every scheme whose quantization treats activation
 // rows independently (schemes.RowIndependent documents the audit).
 //
-// KV cache memory is paged: session caches live behind model.KVStore,
-// implemented by contiguous tensor.RowBuffer (reference) and
-// tensor.PagedRows — fixed-size pages acquired lazily from a shared,
-// size-bounded tensor.BlockPool. The scheduler admits by KV budget
+// KV cache memory is paged: session caches are tensor.PagedRows stores of
+// fixed-size float64 pages acquired lazily from a shared, size-bounded
+// tensor.BlockPool. The scheduler admits by KV budget
 // (serve.Config.KVBudgetRows), reserves page-granular growth each
 // iteration, and preempts the most recently admitted request when the
 // pool runs dry; preempted requests requeue and resume by re-prefilling
 // their retained prompt + generated tokens with their RNG stream intact,
 // so preemption never changes tokens. Attention walks the cache in
-// gather-free page spans in the contiguous accumulation order, keeping
-// paged decode bit-identical to the RowBuffer reference for every scheme.
+// gather-free page spans in tensor.MatMul's accumulation order, so the
+// page size never changes a bit for any scheme.
 //
 // On top of paging, common prompt prefixes are shared: pages are
 // refcounted, completed prefills donate their prompt's KV pages to a

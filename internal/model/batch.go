@@ -158,10 +158,10 @@ func (p *pass) attend(l int, s *Session, xq, out *tensor.Matrix, r, n int) {
 		// tensor.MatMul's per-element accumulation order (k ascending with
 		// zero-skip for scores, keys ascending with zero-skip for values) —
 		// bit-identical, no per-head copies. Each cache page is read once
-		// per head for all the segment's rows, so a compressed store
-		// decodes it once. Keys past a row's causal horizon are never
-		// scored: in the reference they are masked to -Inf, add an exact 0
-		// to the softmax sum and are zero-skipped by the value product.
+		// per head for all the segment's rows. Keys past a row's causal
+		// horizon are never scored: in the reference they are masked to
+		// -Inf, add an exact 0 to the softmax sum and are zero-skipped by
+		// the value product.
 		sc := scratch.GetUninit(n, seq) // row i uses its first s.pos+i+1 columns
 		for hd := 0; hd < heads; hd++ {
 			lo := hd * dh

@@ -8,6 +8,7 @@ import (
 	"tender/internal/engine"
 	"tender/internal/model"
 	"tender/internal/model/identtest"
+	"tender/internal/tensor"
 	"tender/internal/workload"
 )
 
@@ -47,7 +48,7 @@ func TestFusedStepBitIdentical(t *testing.T) {
 		Engines: identtest.Engines(t, m, names),
 		Schemes: fusable,
 		Temps:   []float64{0, 0.7},
-		Paths:   []identtest.Path{{Label: "fused", D: identtest.FusedDecode}},
+		Paths:   []identtest.Path{{Label: "fused", D: identtest.Fused(tensor.DefaultPageRows)}},
 	}.Run(t)
 }
 

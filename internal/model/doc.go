@@ -18,19 +18,18 @@
 // weight packs are prepared once (the compile-once split internal/engine
 // exposes).
 //
-// KV state lives behind the KVStore interface: contiguous
-// tensor.RowBuffer (the reference) or paged tensor.PagedRows over a
-// shared tensor.BlockPool. SharedKVStore extends it with refcounted page
-// sharing, and PrefixCache builds shared-prompt KV reuse on top — a trie
-// of page-aligned token chunks whose entries hold the K/V pages of cached
-// prompt prefixes, mounted into new sessions by NewSessionWithPrefix so
-// covered tokens skip prefill entirely. PrefixShareable gates the feature
+// KV state is one tensor.PagedRows per layer side, drawing float64 pages
+// from a tensor.BlockPool: a private one for NewSession, the server's
+// shared one for NewSessionOn. PrefixCache builds shared-prompt KV reuse
+// on the pages' reference counts — a trie of page-aligned token chunks
+// whose entries hold the K/V pages of cached prompt prefixes, mounted into
+// new sessions by NewSessionOn so covered tokens skip prefill entirely. PrefixShareable gates the feature
 // per engine: only schemes whose activation quantization treats rows
 // independently may re-chunk prefill bit-identically (the same audit
 // NewBatchStepper applies to fused decode; OliVe fails both).
 //
 // Throughout the package the contract is bit-identity: chunked prefill,
-// batched or fused decode, paged or contiguous KV, and prefix mounts all
+// batched or fused decode, any KV page size, and prefix mounts all
 // produce exactly the logits of a one-shot single-session run, for every
 // engine built with the Serving option whose weight sites treat rows
 // independently — the tests in session_test.go, paged_test.go,

@@ -32,13 +32,12 @@ func ExamplePrefixCache() {
 	m := model.New(model.TinyConfig())
 	eng := model.Exact{}
 	pool := tensor.NewBlockPool(m.Cfg.DModel, tensor.DefaultPageRows, 0)
-	newKV := func() model.KVStore { return tensor.NewPagedRows(pool, 0) }
 	cache := model.NewPrefixCache(pool, m.Cfg.Layers, 0)
 
 	prompt := []int{7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24}
 
 	// Cold request: prefill everything, then donate the prefix.
-	donor := m.NewSessionWithKV(eng, newKV)
+	donor := m.NewSessionOn(eng, pool, 0, nil)
 	donor.Append(prompt)
 	if _, _, ok := cache.Insert(prompt, donor, 1<<30); !ok {
 		fmt.Println("insert failed")
@@ -47,7 +46,7 @@ func ExamplePrefixCache() {
 
 	// Repeat request: mount the cached rows, prefill only the remainder.
 	e := cache.Acquire(prompt)
-	sess := m.NewSessionWithPrefix(eng, newKV, e)
+	sess := m.NewSessionOn(eng, pool, 0, e)
 	fmt.Println("cached rows mounted:", e.Rows(), "of", len(prompt), "prompt tokens")
 	sess.Append(prompt[e.Rows():])
 	fmt.Println("prefilled tail:", len(prompt)-e.Rows(), "token(s)")

@@ -1,9 +1,9 @@
 // Package identtest is the shared bit-identity harness. Every decode
-// path the repo ships — per-request contiguous, paged KV (whole or
-// chunked prefill), fused batched (model.BatchStepper), and the serving
-// stack's wrappers around them — must emit exactly the
-// tokens of the plain sequential reference, for every registry scheme,
-// greedy and sampled. Test packages declare a Matrix of schemes ×
+// path the repo ships — per-request (whole or chunked prefill, any KV
+// page size), fused batched (model.BatchStepper), and the serving stack's
+// wrappers around them — must emit exactly the tokens of the plain
+// sequential reference, for every registry scheme, greedy and sampled.
+// Test packages declare a Matrix of schemes ×
 // temperatures × paths and let Run drive the comparisons instead of
 // hand-rolling the same nested loops; packages with their own decode
 // entry points (internal/serve) plug in custom Decoders and reuse Equal.
@@ -60,8 +60,7 @@ type Path struct {
 // Reference produces the ground truth and every Path must match it.
 // Zero-value fields get defaults: staggered Wiki prompts whose lengths
 // (and emission budgets) differ per request so batch members finish at
-// different steps, greedy-only temps, and the plain per-request
-// contiguous reference.
+// different steps, greedy-only temps, and the PlainDecode reference.
 type Matrix struct {
 	Model     *model.Model
 	Engines   map[string]model.Engine // canonical spec → engine
@@ -205,10 +204,9 @@ func choose(row []float64, temp float64, rng *tensor.RNG) int {
 	return model.Greedy(row)
 }
 
-// decodeSessions is the per-request autoregressive loop shared by the
-// contiguous and paged paths: one session per request, the prompt
-// appended in chunk-row pieces (chunk <= 0: whole), then one Append per
-// token, logits recorded.
+// decodeSessions is the per-request autoregressive loop: one session per
+// request, the prompt appended in chunk-row pieces (chunk <= 0: whole),
+// then one Append per token, logits recorded.
 func decodeSessions(c Case, chunk int, newSession func() *model.Session) Output {
 	out := Output{
 		Tokens: make([][]int, len(c.Prompts)),
@@ -241,49 +239,47 @@ func decodeSessions(c Case, chunk int, newSession func() *model.Session) Output 
 	return out
 }
 
-// PlainDecode is the reference path: per-request contiguous sessions,
-// one Append per token.
+// PlainDecode is the reference path: per-request sessions on
+// default-size pages, the whole prompt in one Append, then one Append per
+// token.
 func PlainDecode(t *testing.T, c Case) Output {
-	return decodeSessions(c, 0, func() *model.Session {
-		return c.Model.NewSession(c.Engine, 0)
-	})
+	return PerRequest(tensor.DefaultPageRows, 0)(t, c)
 }
 
-// paged runs decode over paged KV sessions drawing from a fresh unbounded
-// pool with the given page size, and fails the test if any page outlives
-// ReleaseKV.
-func paged(t *testing.T, c Case, pageRows int, decode func(newSession func() *model.Session) Output) Output {
-	t.Helper()
-	pool := tensor.NewBlockPool(c.Model.Cfg.DModel, pageRows, 0)
-	out := decode(func() *model.Session {
-		return c.Model.NewSessionWithKV(c.Engine, func() model.KVStore {
-			return tensor.NewPagedRows(pool, 0)
-		})
-	})
-	if n := pool.InUse(); n != 0 {
-		t.Fatalf("paged decode leaked %d pages after ReleaseKV", n)
-	}
-	return out
-}
-
-// PagedDecode decodes per request on paged KV sessions.
-func PagedDecode(pageRows int) Decoder {
+// PerRequest decodes one request at a time on sessions over pageRows-row
+// pages, the prompt appended in chunk-row pieces (chunk <= 0: whole) —
+// every piece after the first is a multi-row append to a session that
+// already holds rows, the case chunked prefill hits.
+func PerRequest(pageRows, chunk int) Decoder {
 	return func(t *testing.T, c Case) Output {
-		return paged(t, c, pageRows, func(newSession func() *model.Session) Output {
-			return decodeSessions(c, 0, newSession)
-		})
-	}
-}
-
-// PagedChunkedDecode is PagedDecode with the prompt appended in
-// chunk-row pieces: every piece after the first is a multi-row append to
-// a session that already holds rows, the case chunked prefill hits.
-func PagedChunkedDecode(pageRows, chunk int) Decoder {
-	return func(t *testing.T, c Case) Output {
-		return paged(t, c, pageRows, func(newSession func() *model.Session) Output {
+		return onPool(t, c, pageRows, func(newSession func() *model.Session) Output {
 			return decodeSessions(c, chunk, newSession)
 		})
 	}
+}
+
+// Fused is the fused batched path over sessions on pageRows-row pages.
+func Fused(pageRows int) Decoder {
+	return func(t *testing.T, c Case) Output {
+		return onPool(t, c, pageRows, func(newSession func() *model.Session) Output {
+			return fusedDecode(t, c, newSession)
+		})
+	}
+}
+
+// onPool runs decode over sessions drawing from a fresh unbounded pool
+// with the given page size, and fails the test if any page outlives
+// ReleaseKV.
+func onPool(t *testing.T, c Case, pageRows int, decode func(newSession func() *model.Session) Output) Output {
+	t.Helper()
+	pool := tensor.NewBlockPool(c.Model.Cfg.DModel, pageRows, 0)
+	out := decode(func() *model.Session {
+		return c.Model.NewSessionOn(c.Engine, pool, 0, nil)
+	})
+	if n := pool.InUse(); n != 0 {
+		t.Fatalf("decode leaked %d pages after ReleaseKV", n)
+	}
+	return out
 }
 
 // fusedDecode steps all live requests together through one BatchStepper;
@@ -338,22 +334,4 @@ func fusedDecode(t *testing.T, c Case, newSession func() *model.Session) Output 
 		s.ReleaseKV()
 	}
 	return out
-}
-
-// FusedDecode is the fused batched path over contiguous sessions.
-func FusedDecode(t *testing.T, c Case) Output {
-	return fusedDecode(t, c, func() *model.Session {
-		return c.Model.NewSession(c.Engine, 0)
-	})
-}
-
-// PagedFusedDecode is the fused batched path over paged KV sessions —
-// the serving scheduler's steady-state configuration — with the same
-// leak check as PagedDecode.
-func PagedFusedDecode(pageRows int) Decoder {
-	return func(t *testing.T, c Case) Output {
-		return paged(t, c, pageRows, func(newSession func() *model.Session) Output {
-			return fusedDecode(t, c, newSession)
-		})
-	}
 }

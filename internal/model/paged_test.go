@@ -11,20 +11,13 @@ import (
 	"tender/internal/workload"
 )
 
-// pagedFactory mounts sessions on a fresh unbounded pool with a small page
-// size so short test prompts still cross page boundaries.
-func pagedFactory(m *model.Model, pageRows int) (*tensor.BlockPool, func() model.KVStore) {
-	pool := tensor.NewBlockPool(m.Cfg.DModel, pageRows, 0)
-	return pool, func() model.KVStore { return tensor.NewPagedRows(pool, 0) }
-}
-
-// TestPagedBitIdentical is the KVStore equivalence invariant: for every
-// registry scheme, paged sessions produce logits bit-identical to
-// contiguous sessions — per request, with chunked prefill, and through
-// the fused batched path — for prompt lengths straddling page boundaries
-// (page−1, page, page+1, multi-page) and decode runs crossing several
-// more pages. The paged decoders also assert the pool drains after
-// ReleaseKV.
+// TestPagedBitIdentical is the page-size invariant: for every registry
+// scheme, sessions on 8-row pages produce logits bit-identical to the
+// PlainDecode reference on default 16-row pages — per request, with
+// chunked prefill, and through the fused batched path — for prompt
+// lengths straddling page boundaries (page−1, page, page+1, multi-page)
+// and decode runs crossing several more pages. Every path also asserts
+// its pool drains after ReleaseKV.
 func TestPagedBitIdentical(t *testing.T) {
 	const pageRows = 8
 	m := model.New(model.TinyConfig())
@@ -48,10 +41,10 @@ func TestPagedBitIdentical(t *testing.T) {
 		// Decode past another page boundary on every request.
 		NewTokens: []int{pageRows + 2, pageRows + 2, pageRows + 2, pageRows + 2},
 		Paths: []identtest.Path{
-			{Label: "paged", D: identtest.PagedDecode(pageRows)},
-			{Label: "paged-fused", D: identtest.PagedFusedDecode(pageRows)},
+			{Label: "paged", D: identtest.PerRequest(pageRows, 0)},
+			{Label: "paged-fused", D: identtest.Fused(pageRows)},
 			// 3-row chunks straddle the 8-row page boundaries.
-			{Label: "paged-chunked", D: identtest.PagedChunkedDecode(pageRows, 3)},
+			{Label: "paged-chunked", D: identtest.PerRequest(pageRows, 3)},
 		},
 	}.Run(t)
 	// Olive cannot fuse but its paged sessions must still match.
@@ -61,7 +54,7 @@ func TestPagedBitIdentical(t *testing.T) {
 		Prompts:   prompts,
 		NewTokens: []int{pageRows + 2, pageRows + 2, pageRows + 2, pageRows + 2},
 		Paths: []identtest.Path{
-			{Label: "paged", D: identtest.PagedDecode(pageRows)},
+			{Label: "paged", D: identtest.PerRequest(pageRows, 0)},
 		},
 	}.Run(t)
 }
@@ -69,8 +62,7 @@ func TestPagedBitIdentical(t *testing.T) {
 // TestPagedResumeBitIdentical validates the preemption recipe at the model
 // level: decode partway, release the paged session's KV entirely, rebuild
 // a fresh paged session by re-prefilling prompt + generated tokens, and
-// continue — the remaining tokens must match an uninterrupted contiguous
-// run exactly.
+// continue — the remaining tokens must match an uninterrupted run exactly.
 func TestPagedResumeBitIdentical(t *testing.T) {
 	const pageRows = 8
 	m := model.New(model.TinyConfig())
@@ -94,8 +86,8 @@ func TestPagedResumeBitIdentical(t *testing.T) {
 	}
 	want := decode(m.NewSession(eng, 0))
 
-	pool, newKV := pagedFactory(m, pageRows)
-	sess := m.NewSessionWithKV(eng, newKV)
+	pool := tensor.NewBlockPool(m.Cfg.DModel, pageRows, 0)
+	sess := m.NewSessionOn(eng, pool, 0, nil)
 	logits := sess.Append(prompt)
 	out := make([]int, 0, total)
 	out = append(out, model.Greedy(logits.Row(logits.Rows-1)))
@@ -109,7 +101,7 @@ func TestPagedResumeBitIdentical(t *testing.T) {
 	if pool.InUse() != 0 {
 		t.Fatalf("%d pages still held after preemption", pool.InUse())
 	}
-	sess = m.NewSessionWithKV(eng, newKV)
+	sess = m.NewSessionOn(eng, pool, 0, nil)
 	seq := append(append([]int{}, prompt...), out[:len(out)-1]...)
 	sess.Append(seq) // resume prefill; logits discarded, tokens already emitted
 	for len(out) < total {
@@ -120,7 +112,7 @@ func TestPagedResumeBitIdentical(t *testing.T) {
 }
 
 // TestSessionNoMaxSeqPrealloc is the lazy-allocation regression guard:
-// NewSession with capHint <= 0 must reserve about one page per store, not
+// NewSession with capHint <= 0 must reserve no pages up front, let alone
 // the MaxSeq worst case. The config's full KV footprint is ~50 MiB, so a
 // preallocating regression trips the byte bound by orders of magnitude.
 func TestSessionNoMaxSeqPrealloc(t *testing.T) {

@@ -179,7 +179,7 @@ func (c *PrefixCache) MatchRows(prompt []int) int {
 
 // Acquire returns the longest cached prefix of prompt, pinned: the entry
 // cannot be evicted until the matching Release. nil on a miss. The caller
-// mounts it with Model.NewSessionWithPrefix.
+// mounts it with Model.NewSessionOn.
 func (c *PrefixCache) Acquire(prompt []int) *PrefixEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -202,8 +202,8 @@ func (c *PrefixCache) Release(e *PrefixEntry) {
 	e.active--
 }
 
-// Insert caches the KV prefix of prompt from s, a session (paged KV, same
-// pool) that has prefilled at least the full prompt. It caches the longest
+// Insert caches the KV prefix of prompt from s, a session on the cache's
+// pool that has prefilled at least the full prompt. It caches the longest
 // aligned prefix of prompt[:len(prompt)−1] and — when the boundary lands
 // mid-page — a second entry extending it with the sub-page token tail, so
 // both exact-prompt repeats and longer shared-prefix prompts hit. The two
@@ -211,9 +211,8 @@ func (c *PrefixCache) Release(e *PrefixEntry) {
 // charged again, so charged is the positions newly retained (0 for a
 // duplicate insert). Inserts whose new charge would exceed maxCharge, or
 // that cannot fit under the cache's row cap after evicting every unpinned
-// entry, are dropped (ok=false, nothing retained); sessions without
-// shareable stores (contiguous KV) report ok=false too. freed counts
-// positions released by cap evictions this insert performed.
+// entry, are dropped (ok=false, nothing retained). freed counts positions
+// released by cap evictions this insert performed.
 func (c *PrefixCache) Insert(prompt []int, s *Session, maxCharge int) (charged, freed int, ok bool) {
 	rows := len(prompt) - 1
 	if rows < 1 {
@@ -222,13 +221,8 @@ func (c *PrefixCache) Insert(prompt []int, s *Session, maxCharge int) (charged, 
 	if s.Len() < len(prompt) {
 		panic(fmt.Sprintf("model: PrefixCache.Insert of a %d-token prompt into a %d-row session", len(prompt), s.Len()))
 	}
-	for l := range s.kv {
-		if _, isShared := s.kv[l].k.(SharedKVStore); !isShared {
-			return 0, 0, false
-		}
-		if _, isShared := s.kv[l].v.(SharedKVStore); !isShared {
-			return 0, 0, false
-		}
+	if s.pool != c.pool {
+		panic("model: PrefixCache.Insert of a session on another pool")
 	}
 
 	c.mu.Lock()
@@ -286,8 +280,8 @@ func (c *PrefixCache) insertOne(prompt []int, s *Session, rows int, tail []int, 
 		v:     make([][]*tensor.Page, len(s.kv)),
 	}
 	for l := range s.kv {
-		e.k[l] = s.kv[l].k.(SharedKVStore).SharePages(rows)
-		e.v[l] = s.kv[l].v.(SharedKVStore).SharePages(rows)
+		e.k[l] = s.kv[l].k.SharePages(rows)
+		e.v[l] = s.kv[l].v.SharePages(rows)
 	}
 	recount := func() int {
 		n := 0

@@ -32,7 +32,6 @@ func TestPrefixCacheConcurrentPinEvict(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	eng := model.Exact{}
 	pool := tensor.NewBlockPool(m.Cfg.DModel, pageRows, 0)
-	newKV := func() model.KVStore { return tensor.NewPagedRows(pool, 0) }
 	cache := model.NewPrefixCache(pool, m.Cfg.Layers, maxRows)
 
 	// Each group shares a page-aligned prefix; donors stay alive so the
@@ -42,7 +41,7 @@ func TestPrefixCacheConcurrentPinEvict(t *testing.T) {
 	validRows := make(map[int]bool) // coverages an Acquire may legally return
 	for g := range prompts {
 		prompts[g] = workload.TokenStream(workload.Wiki, 100+uint64(g), 2*pageRows+2, m.Cfg.Vocab)
-		donors[g] = prefillSession(m, eng, newKV, prompts[g])
+		donors[g] = prefillSession(m, eng, pool, prompts[g])
 		if _, _, ok := cache.Insert(prompts[g], donors[g], 1<<30); !ok {
 			t.Fatalf("seed insert %d failed", g)
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // prefillSession builds a paged session and prefills prompt through it.
-func prefillSession(m *model.Model, eng model.Engine, newKV func() model.KVStore, prompt []int) *model.Session {
-	s := m.NewSessionWithKV(eng, newKV)
+func prefillSession(m *model.Model, eng model.Engine, pool *tensor.BlockPool, prompt []int) *model.Session {
+	s := m.NewSessionOn(eng, pool, 0, nil)
 	s.Append(prompt)
 	return s
 }
@@ -26,11 +26,10 @@ func TestPrefixCacheMatch(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	eng := model.Exact{}
 	pool := tensor.NewBlockPool(m.Cfg.DModel, pageRows, 0)
-	newKV := func() model.KVStore { return tensor.NewPagedRows(pool, 0) }
 	cache := model.NewPrefixCache(pool, m.Cfg.Layers, 0)
 
 	prompt := workload.TokenStream(workload.Wiki, 1, 2*pageRows+3, m.Cfg.Vocab) // 11 tokens
-	donor := prefillSession(m, eng, newKV, prompt)
+	donor := prefillSession(m, eng, pool, prompt)
 	charged, _, ok := cache.Insert(prompt, donor, 1<<30)
 	if !ok || charged <= 0 {
 		t.Fatalf("Insert: charged=%d ok=%v", charged, ok)
@@ -108,11 +107,10 @@ func TestPrefixMountBitIdenticalEveryScheme(t *testing.T) {
 			// the match lands at page−1, page and page+1 rows.
 			for _, plen := range []int{pageRows, pageRows + 1, pageRows + 2} {
 				pool := tensor.NewBlockPool(m.Cfg.DModel, pageRows, 0)
-				newKV := func() model.KVStore { return tensor.NewPagedRows(pool, 0) }
 				cache := model.NewPrefixCache(pool, m.Cfg.Layers, 0)
 				prompt := workload.TokenStream(workload.PTB, 40+uint64(plen), plen, m.Cfg.Vocab)
 
-				donor := prefillSession(m, eng, newKV, prompt)
+				donor := prefillSession(m, eng, pool, prompt)
 				if _, _, ok := cache.Insert(prompt, donor, 1<<30); !ok {
 					t.Fatalf("prompt %d: insert failed", plen)
 				}
@@ -120,7 +118,7 @@ func TestPrefixMountBitIdenticalEveryScheme(t *testing.T) {
 				if e == nil || e.Rows() != plen-1 {
 					t.Fatalf("prompt %d: acquired %v", plen, e)
 				}
-				hit := m.NewSessionWithPrefix(eng, newKV, e)
+				hit := m.NewSessionOn(eng, pool, 0, e)
 				cold := m.NewSession(eng, 0)
 
 				// The hit session prefills only the uncovered tail.
@@ -165,11 +163,10 @@ func TestPrefixCOWIsolation(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	eng := model.Exact{}
 	pool := tensor.NewBlockPool(m.Cfg.DModel, pageRows, 0)
-	newKV := func() model.KVStore { return tensor.NewPagedRows(pool, 0) }
 	cache := model.NewPrefixCache(pool, m.Cfg.Layers, 0)
 	prompt := workload.TokenStream(workload.Wiki, 9, pageRows+2, m.Cfg.Vocab)
 
-	donor := prefillSession(m, eng, newKV, prompt)
+	donor := prefillSession(m, eng, pool, prompt)
 	if _, _, ok := cache.Insert(prompt, donor, 1<<30); !ok {
 		t.Fatal("insert failed")
 	}
@@ -186,8 +183,8 @@ func TestPrefixCOWIsolation(t *testing.T) {
 
 	cache.Release(e)
 	ea, eb := cache.Acquire(prompt), cache.Acquire(prompt)
-	hitA := m.NewSessionWithPrefix(eng, newKV, ea)
-	hitB := m.NewSessionWithPrefix(eng, newKV, eb)
+	hitA := m.NewSessionOn(eng, pool, 0, ea)
+	hitB := m.NewSessionOn(eng, pool, 0, eb)
 	ha := hitA.Append(append(append([]int(nil), prompt[ea.Rows():]...), 0))
 	hb := hitB.Append(append(append([]int(nil), prompt[eb.Rows():]...), 1))
 	if d := tensor.MaxAbsDiff(ha.RowView(ha.Rows-1, ha.Rows), la.RowView(la.Rows-1, la.Rows)); d != 0 {
@@ -216,7 +213,6 @@ func TestPrefixLRUEvictionAndPinning(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	eng := model.Exact{}
 	pool := tensor.NewBlockPool(m.Cfg.DModel, pageRows, 0)
-	newKV := func() model.KVStore { return tensor.NewPagedRows(pool, 0) }
 	// Each prompt below (10 tokens) inserts an aligned 8-row entry plus a
 	// full 9-row entry sharing its pages: 12 rows (3 pages) charged per
 	// prompt. The cap fits exactly two prompts' worth.
@@ -224,7 +220,7 @@ func TestPrefixLRUEvictionAndPinning(t *testing.T) {
 
 	mk := func(seed uint64) ([]int, *model.Session) {
 		prompt := workload.TokenStream(workload.Wiki, seed, 2*pageRows+2, m.Cfg.Vocab)
-		return prompt, prefillSession(m, eng, newKV, prompt)
+		return prompt, prefillSession(m, eng, pool, prompt)
 	}
 	p1, d1 := mk(101)
 	p2, d2 := mk(202)

@@ -9,8 +9,7 @@ import (
 	"tender/internal/tensor"
 )
 
-// replayDecode checks multi-row appends at an offset on contiguous
-// sessions: a plain decode fixes each request's token stream, then a
+// replayDecode checks multi-row appends at an offset on sessions: a plain decode fixes each request's token stream, then a
 // fresh session replays that stream k rows per Append after the prompt
 // and the tokens are chosen again from the replayed rows. Every replayed
 // row must equal the logits plain decode chose from, bit for bit.

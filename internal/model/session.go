@@ -32,133 +32,72 @@ import (
 // the Append calls it was given, which is why the serving scheduler feeds
 // it the whole prompt at once and then one token per call.
 type Session struct {
-	m   *Model
-	eng Engine
-	pos int
-	kv  []kvCache
-}
-
-// KVStore is the append-only row store a Session keeps per layer for its
-// cached keys and values. Two implementations exist: the contiguous
-// tensor.RowBuffer (one growing slab per store, the reference) and the
-// paged tensor.PagedRows (fixed-size pages from a shared tensor.BlockPool,
-// what the serving scheduler uses so KV memory is bounded by a pool budget
-// instead of worst-case sequence length). Attention reads rows through Row
-// and Span only, so both implementations feed the exact same values — and
-// the same accumulation order — into every matmul: decode output is
-// bit-identical across stores.
-type KVStore interface {
-	// Rows returns the number of rows appended so far.
-	Rows() int
-	// Cols returns the row width (the model's d_model).
-	Cols() int
-	// AppendRow appends one row of length Cols.
-	AppendRow(row []float64)
-	// AppendRows appends every row of m.
-	AppendRows(m *tensor.Matrix)
-	// Row returns row r aliasing the store's storage.
-	Row(r int) []float64
-	// Span returns the longest contiguous row-major run starting at row r
-	// (aliasing storage) and its length in rows; iterating spans visits
-	// every row in order without copying.
-	Span(r int) ([]float64, int)
-	// Release empties the store and returns its memory (pages to their
-	// pool, slabs to the garbage collector).
-	Release()
-}
-
-// SharedKVStore is a KVStore whose pages can be shared across stores:
-// tensor.PagedRows implements it over refcounted tensor.BlockPool pages.
-// SharePages hands out retained page references covering the store's first
-// rows; MountShared seeds an empty store with such references, serving the
-// mounted rows read-only and copy-on-writing a partially filled last page
-// on append. It is the substrate PrefixCache builds shared-prompt KV reuse
-// on; the contiguous RowBuffer deliberately does not implement it.
-type SharedKVStore interface {
-	KVStore
-	// SharePages returns one retained page reference per page covering the
-	// first rows rows; each must eventually be released to the pool.
-	SharePages(rows int) []*tensor.Page
-	// MountShared mounts rows rows of shared pages into an empty store,
-	// taking its own references.
-	MountShared(pages []*tensor.Page, rows int)
+	m    *Model
+	eng  Engine
+	pool *tensor.BlockPool
+	pos  int
+	kv   []kvCache
 }
 
 // kvCache stores the post-projection key and value rows (pre head-split,
 // d-model wide) for one layer.
 type kvCache struct {
-	k, v KVStore
+	k, v *tensor.PagedRows
 }
 
-// NewSession returns an empty decode session for m over eng backed by
-// contiguous per-session KV buffers. capHint, if positive, preallocates
-// the KV cache for that many positions (prompt length + expected new
-// tokens); otherwise one page worth of rows is reserved — never the full
-// MaxSeq worst case — and the cache grows on demand either way.
+// NewSession returns an empty decode session for m over eng whose KV cache
+// draws pages from a private unbounded pool. capHint, if positive, reserves
+// pages for that many positions (prompt length + expected new tokens) up
+// front, so decoding within it allocates no KV memory; otherwise pages are
+// acquired as the cache grows — never the full MaxSeq worst case.
 func (m *Model) NewSession(eng Engine, capHint int) *Session {
-	if capHint <= 0 {
-		capHint = tensor.DefaultPageRows
+	capHint = min(capHint, m.Cfg.MaxSeq)
+	pool := tensor.NewBlockPool(m.Cfg.DModel, tensor.DefaultPageRows, 0)
+	if capHint > 0 {
+		pool.Reserve(2 * len(m.Layers) * ((capHint + tensor.DefaultPageRows - 1) / tensor.DefaultPageRows))
 	}
-	if capHint > m.Cfg.MaxSeq {
-		capHint = m.Cfg.MaxSeq
-	}
-	return m.NewSessionWithKV(eng, func() KVStore {
-		return tensor.NewRowBuffer(m.Cfg.DModel, capHint)
-	})
+	return m.NewSessionOn(eng, pool, capHint, nil)
 }
 
-// NewSessionWithKV returns an empty decode session whose per-layer KV
-// stores come from newStore (called twice per layer, for keys and values).
-// Stores must be empty and Cols() == d_model. This is how the serving
-// layer mounts sessions on a shared paged block pool; NewSession is the
-// contiguous shorthand.
-func (m *Model) NewSessionWithKV(eng Engine, newStore func() KVStore) *Session {
-	if m.Cfg.Arch != Decoder {
-		panic("model: sessions require a decoder model")
-	}
-	s := &Session{m: m, eng: eng, kv: make([]kvCache, len(m.Layers))}
-	for l := range s.kv {
-		s.kv[l] = kvCache{k: newStore(), v: newStore()}
-		if c := s.kv[l].k.Cols(); c != m.Cfg.DModel {
-			panic(fmt.Sprintf("model: KV store is %d columns wide, model is %d", c, m.Cfg.DModel))
-		}
-	}
-	return s
-}
-
-// NewSessionWithPrefix returns a decode session that mounts a cached
-// prompt prefix instead of prefilling it: every layer's K/V store starts
-// with e's shared pages, the session's position starts at e.Rows(), and
-// the first Append must continue the same prompt from that position. The
-// stores newStore returns must implement SharedKVStore (paged stores over
-// the entry's pool). A nil entry degrades to NewSessionWithKV.
+// NewSessionOn returns a decode session whose per-layer K/V stores draw
+// pages from pool, which must be d_model wide. capHint, if positive,
+// pre-sizes each store's page table for that many positions. A non-nil
+// prefix (a pinned entry of a PrefixCache over the same pool) is mounted
+// instead of prefilled: every layer's stores start with the entry's shared
+// pages, the session's position starts at prefix.Rows(), and the first
+// Append must continue the same prompt from that position.
 //
 // Because causal attention makes each cached row depend only on the tokens
 // before it, and serving engines quantize rows position-independently, a
 // mounted session's logits are bit-identical to a cold session's at every
 // step — the prefix hit changes work, never tokens.
-func (m *Model) NewSessionWithPrefix(eng Engine, newStore func() KVStore, e *PrefixEntry) *Session {
-	s := m.NewSessionWithKV(eng, newStore)
-	if e == nil {
-		return s
+func (m *Model) NewSessionOn(eng Engine, pool *tensor.BlockPool, capHint int, prefix *PrefixEntry) *Session {
+	if m.Cfg.Arch != Decoder {
+		panic("model: sessions require a decoder model")
 	}
+	if c := pool.Cols(); c != m.Cfg.DModel {
+		panic(fmt.Sprintf("model: KV pool is %d columns wide, model is %d", c, m.Cfg.DModel))
+	}
+	s := &Session{m: m, eng: eng, pool: pool, kv: make([]kvCache, len(m.Layers))}
 	for l := range s.kv {
-		ks, ok := s.kv[l].k.(SharedKVStore)
-		vs, ok2 := s.kv[l].v.(SharedKVStore)
-		if !ok || !ok2 {
-			panic("model: NewSessionWithPrefix requires SharedKVStore KV stores")
-		}
-		ks.MountShared(e.k[l], e.rows)
-		vs.MountShared(e.v[l], e.rows)
+		s.kv[l] = kvCache{k: tensor.NewPagedRows(pool, capHint), v: tensor.NewPagedRows(pool, capHint)}
 	}
-	s.pos = e.rows
+	if prefix != nil {
+		if prefix.cache.pool != pool {
+			panic("model: prefix entry is from another pool")
+		}
+		for l, kv := range s.kv {
+			kv.k.MountShared(prefix.k[l], prefix.rows)
+			kv.v.MountShared(prefix.v[l], prefix.rows)
+		}
+		s.pos = prefix.rows
+	}
 	return s
 }
 
-// ReleaseKV empties every layer's KV store and returns its memory — pages
-// back to their pool for a paged session. The session must not be used
-// afterwards; the serving scheduler calls this when a request finishes or
-// is preempted.
+// ReleaseKV empties every layer's KV store and returns its pages to the
+// pool. The session must not be used afterwards; the serving scheduler
+// calls this when a request finishes or is preempted.
 func (s *Session) ReleaseKV() {
 	for l := range s.kv {
 		s.kv[l].k.Release()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -26,6 +27,9 @@ type generateRequest struct {
 	Seed         uint64  `json:"seed"`
 	TimeoutMs    int     `json:"timeout_ms,omitempty"`
 }
+
+// maxTimeoutMs is the largest timeout_ms a time.Duration holds.
+const maxTimeoutMs = int(math.MaxInt64 / time.Millisecond)
 
 // generateResponse is the JSON body of a 200 from POST /v1/generate.
 type generateResponse struct {
@@ -192,6 +196,12 @@ func (api API) generate(w http.ResponseWriter, r *http.Request) {
 	// 503 before validation ran on a replica).
 	if err := serve.ValidateRequest(api.Model, req); err != nil {
 		writeError(w, err)
+		return
+	}
+	// A timeout past time.Duration's range (~292 years) would wrap
+	// negative and expire the request at once.
+	if in.TimeoutMs > maxTimeoutMs {
+		writeError(w, fmt.Errorf("%w: timeout_ms %d above %d", serve.ErrInvalidRequest, in.TimeoutMs, maxTimeoutMs))
 		return
 	}
 	ctx := r.Context()

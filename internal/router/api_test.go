@@ -71,6 +71,7 @@ func TestHandler(t *testing.T) {
 		{"token outside vocab", `{"prompt":[1,64],"max_new_tokens":2}`, http.StatusBadRequest},
 		{"unknown scheme", `{"prompt":[1,2],"max_new_tokens":2,"scheme":"nope"}`, http.StatusNotFound},
 		{"scheme not hosted", `{"prompt":[1,2],"max_new_tokens":2,"scheme":"tender"}`, http.StatusNotFound},
+		{"timeout_ms past Duration range", `{"prompt":[1,2,3],"max_new_tokens":2,"timeout_ms":10000000000000}`, http.StatusBadRequest},
 	} {
 		if code, _, b := call(t, http.MethodPost, ts.URL+"/v1/generate", c.body); code != c.code {
 			t.Errorf("%s: status %d (%s), want %d", c.name, code, b, c.code)

@@ -175,22 +175,14 @@ func RunLoad(srv Generator, cfg LoadConfig) LoadReport {
 // same token-selection rule as the scheduler. The serving tests assert the
 // scheduler's outputs are bit-identical to this.
 func DecodeUnbatched(m *model.Model, eng model.Engine, trace []workload.RequestSpec, temperature float64, seedBase uint64) [][]int {
-	return decodeUnbatched(m, trace, temperature, seedBase, func(capHint int) *model.Session {
-		return m.NewSession(eng, capHint)
-	})
-}
-
-// decodeUnbatched is DecodeUnbatched over sessions made by newSession, so
-// a server whose KV store is paged or compressed is held to the same loop.
-func decodeUnbatched(m *model.Model, trace []workload.RequestSpec, temperature float64, seedBase uint64, newSession func(capHint int) *model.Session) [][]int {
 	out := make([][]int, len(trace))
 	for i, spec := range trace {
-		out[i] = decodeOne(m, newSession, spec, temperature, seedBase+uint64(i))
+		out[i] = decodeOne(m, eng, spec, temperature, seedBase+uint64(i))
 	}
 	return out
 }
 
-func decodeOne(m *model.Model, newSession func(capHint int) *model.Session, spec workload.RequestSpec, temperature float64, seed uint64) []int {
+func decodeOne(m *model.Model, eng model.Engine, spec workload.RequestSpec, temperature float64, seed uint64) []int {
 	maxNew := spec.NewTokens
 	if maxNew <= 0 {
 		maxNew = 1
@@ -198,7 +190,7 @@ func decodeOne(m *model.Model, newSession func(capHint int) *model.Session, spec
 	if limit := m.Cfg.MaxSeq - len(spec.Prompt) + 1; maxNew > limit {
 		maxNew = limit
 	}
-	sess := newSession(len(spec.Prompt) + maxNew)
+	sess := m.NewSession(eng, len(spec.Prompt)+maxNew)
 	defer sess.ReleaseKV()
 	rng := newRequestRNG(seed)
 	logits := sess.Append(spec.Prompt)

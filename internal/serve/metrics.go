@@ -27,11 +27,9 @@ type Metrics struct {
 	defaultScheme string
 	kvBudgetRows  int
 	kvPageRows    int
-	kvDtype       string
-	kvBytesPerRow int
 	queueDepth    func() int
 	// kvPages reads the shared block pool (pages in use, cumulative
-	// allocs, cumulative frees); nil under contiguous KV.
+	// allocs, cumulative frees); nil reports zeros.
 	kvPages func() (int64, int64, int64)
 	// prefixStats reads the prefix caches (held rows, held pages, entries,
 	// cumulative evictions); nil with the prefix cache off.
@@ -81,13 +79,11 @@ type Metrics struct {
 	fusedStepMs map[string]*obs.Histogram
 }
 
-func newMetrics(defaultScheme string, kvBudgetRows, kvPageRows int, kvDtype string, kvBytesPerRow int, queueDepth func() int, kvPages func() (int64, int64, int64), prefixStats func() (int64, int64, int64, int64)) *Metrics {
+func newMetrics(defaultScheme string, kvBudgetRows, kvPageRows int, queueDepth func() int, kvPages func() (int64, int64, int64), prefixStats func() (int64, int64, int64, int64)) *Metrics {
 	m := &Metrics{
 		defaultScheme: defaultScheme,
 		kvBudgetRows:  kvBudgetRows,
 		kvPageRows:    kvPageRows,
-		kvDtype:       kvDtype,
-		kvBytesPerRow: kvBytesPerRow,
 		queueDepth:    queueDepth,
 		kvPages:       kvPages,
 		prefixStats:   prefixStats,
@@ -290,19 +286,13 @@ type Snapshot struct {
 	Preemptions int64 `json:"preemptions"`
 	// KV cache accounting, in positions (rows) and pool pages.
 	// KVBudgetRows = 0 means unlimited.
-	// KVDtype is the page storage format; byte figures are effective
-	// storage (occupancy rows × the dtype's encoded bytes per row), the
-	// numbers that show what a compressed dtype actually bought.
-	KVDtype             string `json:"kv_dtype"`
-	KVBytesPerRow       int    `json:"kv_bytes_per_row"`
-	KVBudgetRows        int    `json:"kv_budget_rows"`
-	KVPageRows          int    `json:"kv_page_rows"`
-	KVOccupancyRows     int64  `json:"kv_occupancy_rows"`
-	KVPeakOccupancyRows int64  `json:"kv_peak_occupancy_rows"`
-	KVOccupancyBytes    int64  `json:"kv_occupancy_bytes"`
-	KVPagesInUse        int64  `json:"kv_pages_in_use"`
-	KVPageAllocs        int64  `json:"kv_page_allocs"`
-	KVPageFrees         int64  `json:"kv_page_frees"`
+	KVBudgetRows        int   `json:"kv_budget_rows"`
+	KVPageRows          int   `json:"kv_page_rows"`
+	KVOccupancyRows     int64 `json:"kv_occupancy_rows"`
+	KVPeakOccupancyRows int64 `json:"kv_peak_occupancy_rows"`
+	KVPagesInUse        int64 `json:"kv_pages_in_use"`
+	KVPageAllocs        int64 `json:"kv_page_allocs"`
+	KVPageFrees         int64 `json:"kv_page_frees"`
 	// Prefix-cache accounting (all zero with the cache off). Hits/misses
 	// count sessions entering or re-entering the batch through a hosted
 	// prefix index; PrefillTokensSkipped is the prefill work hits avoided.
@@ -370,13 +360,10 @@ func (m *Metrics) Snapshot() Snapshot {
 		ActiveSessions:      m.activeSessions,
 		PeakActiveSessions:  m.peakActive,
 		Preemptions:         m.preemptions,
-		KVDtype:             m.kvDtype,
-		KVBytesPerRow:       m.kvBytesPerRow,
 		KVBudgetRows:        m.kvBudgetRows,
 		KVPageRows:          m.kvPageRows,
 		KVOccupancyRows:     m.kvOccRows,
 		KVPeakOccupancyRows: m.kvPeakOccRows,
-		KVOccupancyBytes:    m.kvOccRows * int64(m.kvBytesPerRow),
 		PrefillTokens:       m.prefillTokens,
 		DecodeTokens:        m.decodeTokens,
 		FusedDecodeTokens:   m.fusedTokens,
@@ -448,8 +435,6 @@ func writeSnapshotProm(p *obs.PromWriter, s Snapshot) {
 	p.Counter("tender_preemptions_total", "Requests evicted by KV pressure.", float64(s.Preemptions))
 	p.Gauge("tender_kv_budget_rows", "Total KV position budget (0 = unlimited).", float64(s.KVBudgetRows))
 	p.Gauge("tender_kv_page_rows", "KV page granularity in positions.", float64(s.KVPageRows))
-	p.Gauge("tender_kv_bytes_per_row", "Encoded bytes per KV position per layer side (dtype "+s.KVDtype+").", float64(s.KVBytesPerRow))
-	p.Gauge("tender_kv_occupancy_bytes", "Effective bytes of encoded KV rows held by live sessions.", float64(s.KVOccupancyBytes))
 	p.Gauge("tender_kv_occupancy_rows", "KV positions held by active sessions.", float64(s.KVOccupancyRows))
 	p.Gauge("tender_kv_peak_occupancy_rows", "Peak KV positions ever held.", float64(s.KVPeakOccupancyRows))
 	p.Gauge("tender_kv_pages_in_use", "Pages checked out of the shared block pool.", float64(s.KVPagesInUse))

@@ -232,7 +232,7 @@ func TestPrometheusExposition(t *testing.T) {
 // enqueue instant still lands in the TTFT histogram, while a
 // completion with no timed first token records nothing.
 func TestMetricsTTFTAcceptsZero(t *testing.T) {
-	m := newMetrics("fp32", 0, 0, "f64", 1024, nil, nil, nil)
+	m := newMetrics("fp32", 0, 0, nil, nil, nil)
 	m.complete(5*time.Millisecond, 0, true)
 	m.complete(5*time.Millisecond, 0, false)
 	s := m.Snapshot()
@@ -248,7 +248,7 @@ func TestMetricsTTFTAcceptsZero(t *testing.T) {
 // injected clock: the windowed rate must follow the recent seconds while
 // the lifetime average keeps diluting.
 func TestWindowedTokensPerSec(t *testing.T) {
-	m := newMetrics("fp32", 0, 0, "f64", 1024, nil, nil, nil)
+	m := newMetrics("fp32", 0, 0, nil, nil, nil)
 	base := m.start
 	at := func(sec int) { m.now = func() time.Time { return base.Add(time.Duration(sec) * time.Second) } }
 

@@ -119,15 +119,6 @@ func (s *Server) releaseKV(a *activeReq) {
 	a.kvHeld = 0
 }
 
-// newSession mounts a session on paged stores drawing from the shared
-// pool, seeded with a pinned prefix entry's shared pages when one matched.
-func (s *Server) newSession(eng model.Engine, capRows int, e *model.PrefixEntry) *model.Session {
-	pool := s.kvPool
-	return s.cfg.Model.NewSessionWithPrefix(eng, func() model.KVStore {
-		return tensor.NewPagedRows(pool, capRows)
-	}, e)
-}
-
 // loop is the scheduler goroutine: it blocks until a request is queued,
 // waiting or active (or Stop is called), then runs one iteration.
 func (s *Server) loop() {
@@ -297,7 +288,7 @@ func (s *Server) mount(a *activeReq, now time.Time) bool {
 	a.kvBase = s.prefixBase(e)
 	a.consumed = a.kvSkipped()
 	a.prefillStartTraced = false
-	a.sess = s.newSession(a.eng, len(a.p.req.Prompt)+a.maxNew, e)
+	a.sess = s.cfg.Model.NewSessionOn(a.eng, s.kvPool, len(a.p.req.Prompt)+a.maxNew, e)
 	s.reserveKV(a, need)
 	if s.prefixCaches[a.scheme] != nil {
 		s.metrics.prefixMount(a.kvSkipped())

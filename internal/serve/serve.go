@@ -158,18 +158,6 @@ type Config struct {
 	// (default tensor.DefaultPageRows). Sessions acquire pages lazily as
 	// they grow instead of preallocating worst-case MaxSeq buffers.
 	KVPageRows int
-	// KVDtype selects the KV page storage format: "" or "f64" (reference,
-	// zero-copy), "f16" (IEEE half, 4× density at d_model=128), or "int8"
-	// (symmetric per-row absmax codes, ~7.5×). KVBudgetRows stays
-	// denominated in f64-equivalent rows — the byte budget is what the
-	// operator provisions — so a compressed dtype multiplies the effective
-	// position capacity by the per-row byte ratio instead of shrinking the
-	// server's memory. Compressed stores decode through a per-store page
-	// cache; serving stays bit-identical to sequential decode over stores
-	// of the same dtype (decode is a pure function of the stored codes).
-	KVDtype string
-	// kvDtype is the parsed KVDtype, set by fill.
-	kvDtype tensor.KVDtype
 	// PrefixCache enables shared-prefix KV reuse over the paged pool: each
 	// completed prefill donates its prompt's KV pages to a per-engine
 	// prefix index (model.PrefixCache), and later prompts sharing the
@@ -239,17 +227,6 @@ func (c *Config) fill() error {
 	}
 	if c.KVPageRows <= 0 {
 		c.KVPageRows = tensor.DefaultPageRows
-	}
-	dtype, err := tensor.ParseKVDtype(c.KVDtype)
-	if err != nil {
-		return fmt.Errorf("serve: %v", err)
-	}
-	c.kvDtype = dtype
-	if c.KVBudgetRows > 0 && dtype != tensor.KVF64 {
-		// Same bytes, more positions: the budget is provisioned memory, so
-		// a compressed dtype stretches it by the per-row byte ratio.
-		d := c.Model.Cfg.DModel
-		c.KVBudgetRows = c.KVBudgetRows * tensor.KVF64.BytesPerRow(d) / dtype.BytesPerRow(d)
 	}
 	if c.KVBudgetRows < 0 {
 		c.KVBudgetRows = 0
@@ -433,7 +410,7 @@ func New(cfg Config) (*Server, error) {
 		// per budgeted page of positions.
 		maxPages = cfg.KVBudgetRows / cfg.KVPageRows * 2 * cfg.Model.Cfg.Layers
 	}
-	s.kvPool = tensor.NewBlockPoolDtype(cfg.Model.Cfg.DModel, cfg.KVPageRows, maxPages, cfg.kvDtype)
+	s.kvPool = tensor.NewBlockPool(cfg.Model.Cfg.DModel, cfg.KVPageRows, maxPages)
 	if cfg.PrefixCache {
 		s.prefixCaches = make(map[string]*model.PrefixCache, len(cfg.Engines))
 		for spec, eng := range cfg.Engines {
@@ -463,7 +440,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.metrics = newMetrics(cfg.DefaultScheme, cfg.KVBudgetRows, cfg.KVPageRows,
-		cfg.kvDtype.String(), cfg.kvDtype.BytesPerRow(cfg.Model.Cfg.DModel),
 		func() int { return len(s.queue) + int(s.waitCount.Load()) }, pages, prefixStats)
 	s.metrics.now = func() time.Time { return s.now() }
 	return s, nil

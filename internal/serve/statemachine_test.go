@@ -87,7 +87,7 @@ func TestSchedulerStateMachine(t *testing.T) {
 		return out
 	}
 	var total Snapshot
-	for seed := uint64(1); seed <= 16; seed++ {
+	for seed := uint64(1); seed <= stateMachineSeeds; seed++ {
 		if !t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			snap := runStateMachine(t, m, seed, ref)
 			total.Completed += snap.Completed

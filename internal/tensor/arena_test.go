@@ -101,17 +101,3 @@ func TestArenaGrowsAcrossClasses(t *testing.T) {
 		t.Fatalf("expected class reuse, cap %d", cap(again.Data))
 	}
 }
-
-func TestRowBufferViewIntoAndAppendRow(t *testing.T) {
-	b := NewRowBuffer(3, 2)
-	b.AppendRow([]float64{1, 2, 3})
-	b.AppendRow([]float64{4, 5, 6})
-	var m Matrix
-	b.ViewInto(&m)
-	if m.Rows != 2 || m.Cols != 3 || m.At(1, 2) != 6 {
-		t.Fatalf("ViewInto mismatch: %v", &m)
-	}
-	if MaxAbsDiff(&m, b.View()) != 0 {
-		t.Fatal("ViewInto and View disagree")
-	}
-}

@@ -51,9 +51,9 @@ func F16Bits(x float64) uint16 {
 
 // F16FromBits converts an IEEE binary16 bit pattern to float64. Every
 // binary16 value is exactly representable in binary64, so the conversion
-// assembles the float64 bit pattern directly — this sits on the KV-cache
-// decode hot path (KVF16 pages), where a math.Pow per element would
-// dominate the attention arithmetic.
+// assembles the float64 bit pattern directly — F16RoundInPlace runs it on
+// every GEMM operand and output of the FP16 baseline, where a math.Pow per
+// element would dominate the arithmetic.
 func F16FromBits(h uint16) float64 {
 	sign := uint64(h&0x8000) << 48
 	exp := uint64(h>>10) & 0x1f

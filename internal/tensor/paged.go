@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -23,14 +24,9 @@ const DefaultPageRows = 16
 // so concurrent readers of a shared page never race with the one writer
 // extending it past the rows they read. The refs field is guarded by the
 // owning pool's mutex.
-// A page holds exactly one of the dtype storage arrays (data for KVF64,
-// h for KVF16, q+scales for KVInt8), matching its pool's KVDtype.
 type Page struct {
-	data   []float64
-	h      []uint16
-	q      []int8
-	scales []float64 // per-row int8 quantization scales
-	refs   int
+	data []float64
+	refs int
 }
 
 // BlockPool hands out fixed-size KV pages — pageRows×cols row slabs — from
@@ -48,7 +44,6 @@ type BlockPool struct {
 	cols     int
 	pageRows int
 	maxPages int // 0 = unbounded
-	dtype    KVDtype
 
 	mu     sync.Mutex
 	free   []*Page
@@ -59,29 +54,30 @@ type BlockPool struct {
 
 // NewBlockPool returns a pool of pageRows×cols pages holding at most
 // maxPages pages in flight (0 = unbounded). No memory is reserved up
-// front; pages are created on demand and recycled thereafter.
+// front (see Reserve); pages are created on demand and recycled
+// thereafter.
 func NewBlockPool(cols, pageRows, maxPages int) *BlockPool {
-	return NewBlockPoolDtype(cols, pageRows, maxPages, KVF64)
-}
-
-// NewBlockPoolDtype is NewBlockPool with an explicit page storage format.
-// All stores drawing from one pool share its dtype; page references can
-// therefore be shared between stores (prefix cache) without conversion.
-func NewBlockPoolDtype(cols, pageRows, maxPages int, dtype KVDtype) *BlockPool {
 	if cols <= 0 || pageRows <= 0 || maxPages < 0 {
 		panic(fmt.Sprintf("tensor: NewBlockPool(%d, %d, %d)", cols, pageRows, maxPages))
 	}
-	if dtype != KVF64 && dtype != KVF16 && dtype != KVInt8 {
-		panic(fmt.Sprintf("tensor: NewBlockPoolDtype: bad dtype %d", int(dtype)))
-	}
-	return &BlockPool{cols: cols, pageRows: pageRows, maxPages: maxPages, dtype: dtype}
+	return &BlockPool{cols: cols, pageRows: pageRows, maxPages: maxPages}
 }
 
-// Dtype returns the pool's page storage format.
-func (p *BlockPool) Dtype() KVDtype { return p.dtype }
-
-// PageBytes returns the storage bytes of one page under the pool's dtype.
-func (p *BlockPool) PageBytes() int { return p.pageRows * p.dtype.BytesPerRow(p.cols) }
+// Reserve puts n fresh pages on the freelist, carved from one slab, so the
+// next n page acquisitions allocate nothing. Reserved pages are free, not
+// in use: the bound and the counters see them only once handed out.
+func (p *BlockPool) Reserve(n int) {
+	size := p.pageRows * p.cols
+	slab := make([]float64, n*size)
+	pages := make([]Page, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = slices.Grow(p.free, n)
+	for i := range pages {
+		pages[i].data = slab[i*size : (i+1)*size : (i+1)*size]
+		p.free = append(p.free, &pages[i])
+	}
+}
 
 // Cols returns the row width of the pool's pages.
 func (p *BlockPool) Cols() int { return p.cols }
@@ -129,17 +125,7 @@ func (p *BlockPool) get() *Page {
 		pg.refs = 1
 		return pg
 	}
-	pg := &Page{refs: 1}
-	switch p.dtype {
-	case KVF16:
-		pg.h = make([]uint16, p.pageRows*p.cols)
-	case KVInt8:
-		pg.q = make([]int8, p.pageRows*p.cols)
-		pg.scales = make([]float64, p.pageRows)
-	default:
-		pg.data = make([]float64, p.pageRows*p.cols)
-	}
-	return pg
+	return &Page{data: make([]float64, p.pageRows*p.cols), refs: 1}
 }
 
 // Retain adds one reference to pg on behalf of a new holder. The holder
@@ -171,9 +157,9 @@ func (p *BlockPool) Release(pg *Page) {
 }
 
 // PagedRows is an append-only row store backed by fixed-size pages from a
-// shared BlockPool: the paged counterpart of RowBuffer. Pages are acquired
-// lazily as rows arrive — an empty store holds no memory — and released to
-// the pool by Release. Rows never straddle pages, so Row and Span hand out
+// shared BlockPool: the store behind every session's KV cache. Pages are
+// acquired lazily as rows arrive — an empty store holds no memory — and
+// released to the pool by Release. Rows never straddle pages, so Row and Span hand out
 // views directly into page storage with no gather or copy.
 //
 // A store may additionally mount a shared read-only prefix (MountShared):
@@ -183,13 +169,6 @@ func (p *BlockPool) Release(pg *Page) {
 // land inside a partially filled shared page first copies that page's
 // mounted rows into a private one (copy-on-write), so a shared page is
 // never written by a store that does not own it exclusively.
-// Under a compressed pool dtype (KVF16, KVInt8) Row and Span decode page
-// contents into a per-store scratch buffer instead of aliasing page
-// memory. The scratch caches one decoded page, so re-reading the same page
-// (per-head attention passes) decodes once; the returned slices stay valid
-// until the next Row/Span call that touches a different page, or the next
-// Append/Release/MountShared on the store. The pool's KVF64 default keeps
-// the zero-copy alias behaviour exactly as before.
 type PagedRows struct {
 	pool  *BlockPool
 	pages []*Page
@@ -198,11 +177,6 @@ type PagedRows struct {
 	// refcounted shares that must not be written. Cleared page by page as
 	// copy-on-write privatizes them (only the last, partial one ever is).
 	shared int
-	// scratch holds the decoded rows of page scratchPg (scratchRows rows);
-	// scratchPg is -1 when nothing is cached. Unused for KVF64.
-	scratch     []float64
-	scratchPg   int
-	scratchRows int
 }
 
 // NewPagedRows returns an empty store drawing pages from pool. capRows, if
@@ -213,18 +187,11 @@ func NewPagedRows(pool *BlockPool, capRows int) *PagedRows {
 		capRows = 0
 	}
 	r := pool.pageRows
-	p := &PagedRows{pool: pool, pages: make([]*Page, 0, (capRows+r-1)/r), scratchPg: -1}
-	if pool.dtype != KVF64 {
-		p.scratch = make([]float64, r*pool.cols)
-	}
-	return p
+	return &PagedRows{pool: pool, pages: make([]*Page, 0, (capRows+r-1)/r)}
 }
 
 // Rows returns the number of rows readable so far (mounted + appended).
 func (p *PagedRows) Rows() int { return p.rows }
-
-// Cols returns the row width.
-func (p *PagedRows) Cols() int { return p.pool.cols }
 
 // MountShared mounts rows rows of a shared prefix into an empty store: the
 // store takes one reference on every page and serves the mounted rows
@@ -284,66 +251,31 @@ func (p *PagedRows) AppendRow(row []float64) {
 		// The append lands inside a mounted page other holders may read:
 		// copy its mounted rows into a private page first. Only the last
 		// shared page can be partial, so this runs at most once per store.
-		// Copy-on-write duplicates the raw encoded storage, so the
-		// privatized rows decode bit-identically to the shared originals.
 		fresh := p.pool.get()
 		old := p.pages[pg]
-		usedRows := p.rows % r
-		switch p.pool.dtype {
-		case KVF16:
-			copy(fresh.h[:usedRows*cols], old.h[:usedRows*cols])
-		case KVInt8:
-			copy(fresh.q[:usedRows*cols], old.q[:usedRows*cols])
-			copy(fresh.scales[:usedRows], old.scales[:usedRows])
-		default:
-			copy(fresh.data[:usedRows*cols], old.data[:usedRows*cols])
-		}
+		used := (p.rows % r) * cols
+		copy(fresh.data[:used], old.data[:used])
 		p.pool.Release(old)
 		p.pages[pg] = fresh
 		p.shared = pg
 	}
-	inPage := p.rows % r
-	off := inPage * cols
-	page := p.pages[pg]
-	switch p.pool.dtype {
-	case KVF16:
-		encodeF16Row(page.h[off:off+cols], row)
-	case KVInt8:
-		page.scales[inPage] = encodeInt8Row(page.q[off:off+cols], row)
-	default:
-		copy(page.data[off:off+cols], row)
-	}
+	off := (p.rows % r) * cols
+	copy(p.pages[pg].data[off:off+cols], row)
 	p.rows++
 }
 
-// AppendRows appends every row of m to the store.
-func (p *PagedRows) AppendRows(m *Matrix) {
-	if m.Cols != p.pool.cols {
-		panic(fmt.Sprintf("tensor: PagedRows append %d cols to %d-col store", m.Cols, p.pool.cols))
-	}
-	for r := 0; r < m.Rows; r++ {
-		p.AppendRow(m.Row(r))
-	}
-}
-
-// Row returns row r as a slice aliasing page storage (KVF64) or the
-// store's decode scratch (compressed dtypes; see the type comment for the
-// validity window).
+// Row returns row r as a slice aliasing page storage.
 func (p *PagedRows) Row(r int) []float64 {
 	pr := p.pool.pageRows
 	cols := p.pool.cols
 	off := (r % pr) * cols
-	if p.pool.dtype == KVF64 {
-		return p.pages[r/pr].data[off : off+cols]
-	}
-	return p.decodedPage(r / pr)[off : off+cols]
+	return p.pages[r/pr].data[off : off+cols]
 }
 
 // Span returns the longest contiguous run of rows starting at r — the
 // remainder of r's page, clipped to the appended rows — as a row-major
 // slice, plus the run length (≥ 1 for r < Rows). Iterating spans walks the
-// whole store page by page; under KVF64 the slices alias page storage with
-// no copy, under compressed dtypes they point into the decode scratch.
+// whole store page by page; the slices alias page storage with no copy.
 func (p *PagedRows) Span(r int) ([]float64, int) {
 	pr := p.pool.pageRows
 	cols := p.pool.cols
@@ -353,40 +285,7 @@ func (p *PagedRows) Span(r int) ([]float64, int) {
 		end = p.rows
 	}
 	lo := (r % pr) * cols
-	if p.pool.dtype == KVF64 {
-		return p.pages[pg].data[lo : lo+(end-r)*cols], end - r
-	}
-	return p.decodedPage(pg)[lo : lo+(end-r)*cols], end - r
-}
-
-// decodedPage returns the scratch buffer holding page pg's readable rows
-// decoded to float64, decoding on a cache miss. Decoding is a pure
-// function of the stored codes, so repeated reads — and reads of the same
-// shared page through different stores — always see identical values.
-func (p *PagedRows) decodedPage(pg int) []float64 {
-	pr := p.pool.pageRows
-	cols := p.pool.cols
-	avail := p.rows - pg*pr
-	if avail > pr {
-		avail = pr
-	}
-	// Appended rows never change, so a cache covering avail rows is current.
-	if p.scratchPg == pg && p.scratchRows >= avail {
-		return p.scratch
-	}
-	page := p.pages[pg]
-	n := avail * cols
-	switch p.pool.dtype {
-	case KVF16:
-		decodeF16Rows(p.scratch[:n], page.h[:n])
-	case KVInt8:
-		for r := 0; r < avail; r++ {
-			decodeInt8Row(p.scratch[r*cols:(r+1)*cols], page.q[r*cols:(r+1)*cols], page.scales[r])
-		}
-	}
-	p.scratchPg = pg
-	p.scratchRows = avail
-	return p.scratch
+	return p.pages[pg].data[lo : lo+(end-r)*cols], end - r
 }
 
 // Release empties the store, dropping its reference on every page —
@@ -401,5 +300,4 @@ func (p *PagedRows) Release() {
 	p.pages = p.pages[:0]
 	p.rows = 0
 	p.shared = 0
-	p.scratchPg = -1
 }

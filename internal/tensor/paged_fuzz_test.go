@@ -28,10 +28,9 @@ const (
 // arbitrary interleavings of append, SharePages + MountShared into another
 // store (the share's page references kept by an external holder, as the
 // prefix cache does), copy-on-write appends after a mount, store release
-// and holder release — once per KVDtype. After every operation each live
-// store's Row and Span walk must equal a reference built from the rows as
-// appended, passed through the dtype's own encode/decode (so an append by
-// one holder of shared pages must leave every other holder's rows alone),
+// and holder release. After every operation each live store's Row and
+// Span walk must equal the rows as appended (so an append by one holder of
+// shared pages must leave every other holder's rows alone),
 // and every page's reference count must equal its holders. Once everything
 // is released the pool must be empty with balanced counters.
 func FuzzPagedRowsOps(f *testing.F) {
@@ -67,17 +66,15 @@ func FuzzPagedRowsOps(f *testing.F) {
 		if len(data) > 128 {
 			data = data[:128]
 		}
-		for _, dtype := range []KVDtype{KVF64, KVF16, KVInt8} {
-			runPagedOps(t, dtype, data)
-		}
+		runPagedOps(t, data)
 	})
 }
 
-func runPagedOps(t *testing.T, dtype KVDtype, data []byte) {
+func runPagedOps(t *testing.T, data []byte) {
 	// Bound: every slot full and every holder set distinct, plus the one
 	// transient page of a copy-on-write.
 	pagesPerStore := fuzzMaxRows / fuzzPageRows
-	pool := NewBlockPoolDtype(fuzzCols, fuzzPageRows, (fuzzSlots+fuzzMaxHeld)*pagesPerStore+1, dtype)
+	pool := NewBlockPool(fuzzCols, fuzzPageRows, (fuzzSlots+fuzzMaxHeld)*pagesPerStore+1)
 	var stores [fuzzSlots]*PagedRows
 	var refs [fuzzSlots][][]float64
 	var held [][]*Page
@@ -95,7 +92,7 @@ func runPagedOps(t *testing.T, dtype KVDtype, data []byte) {
 			row[c] = rng.Norm()
 		}
 		stores[s].AppendRow(row)
-		refs[s] = append(refs[s], kvRoundTrip(dtype, row))
+		refs[s] = append(refs[s], row)
 	}
 	dropHeld := func() {
 		for _, pg := range held[0] {
@@ -160,10 +157,10 @@ func runPagedOps(t *testing.T, dtype KVDtype, data []byte) {
 		dropHeld()
 	}
 	if n := pool.InUse(); n != 0 {
-		t.Fatalf("%v: %d pages in use after every holder released", dtype, n)
+		t.Fatalf("%d pages in use after every holder released", n)
 	}
 	if allocs, frees := pool.Counters(); allocs != frees {
-		t.Fatalf("%v: counters unbalanced: %d allocs, %d frees", dtype, allocs, frees)
+		t.Fatalf("counters unbalanced: %d allocs, %d frees", allocs, frees)
 	}
 }
 
@@ -182,21 +179,21 @@ func checkPagedStores(t *testing.T, pool *BlockPool, stores []*PagedRows, refs [
 		}
 		want := refs[s]
 		if p.Rows() != len(want) {
-			t.Fatalf("%v step %d: slot %d has %d rows, want %d", pool.dtype, step, s, p.Rows(), len(want))
+			t.Fatalf("step %d: slot %d has %d rows, want %d", step, s, p.Rows(), len(want))
 		}
 		for r, w := range want {
 			if !slices.Equal(p.Row(r), w) {
-				t.Fatalf("%v step %d: slot %d Row(%d) = %v, want %v", pool.dtype, step, s, r, p.Row(r), w)
+				t.Fatalf("step %d: slot %d Row(%d) = %v, want %v", step, s, r, p.Row(r), w)
 			}
 		}
 		for r := 0; r < len(want); {
 			span, n := p.Span(r)
 			if n < 1 || r+n > len(want) || len(span) != n*fuzzCols {
-				t.Fatalf("%v step %d: slot %d Span(%d) run %d of %d rows", pool.dtype, step, s, r, n, len(want))
+				t.Fatalf("step %d: slot %d Span(%d) run %d of %d rows", step, s, r, n, len(want))
 			}
 			for j := 0; j < n; j++ {
 				if !slices.Equal(span[j*fuzzCols:(j+1)*fuzzCols], want[r+j]) {
-					t.Fatalf("%v step %d: slot %d Span(%d) row %d differs", pool.dtype, step, s, r, j)
+					t.Fatalf("step %d: slot %d Span(%d) row %d differs", step, s, r, j)
 				}
 			}
 			r += n
@@ -209,27 +206,10 @@ func checkPagedStores(t *testing.T, pool *BlockPool, stores []*PagedRows, refs [
 	}
 	for pg, n := range holders {
 		if pg.refs != n {
-			t.Fatalf("%v step %d: page has %d references, %d holders", pool.dtype, step, pg.refs, n)
+			t.Fatalf("step %d: page has %d references, %d holders", step, pg.refs, n)
 		}
 	}
 	if got := pool.InUse(); got != len(holders) {
-		t.Fatalf("%v step %d: pool reports %d pages in use, holders reach %d", pool.dtype, step, got, len(holders))
+		t.Fatalf("step %d: pool reports %d pages in use, holders reach %d", step, got, len(holders))
 	}
-}
-
-// kvRoundTrip is row as a store of the given dtype reads it back.
-func kvRoundTrip(dtype KVDtype, row []float64) []float64 {
-	out := make([]float64, len(row))
-	switch dtype {
-	case KVF16:
-		h := make([]uint16, len(row))
-		encodeF16Row(h, row)
-		decodeF16Rows(out, h)
-	case KVInt8:
-		q := make([]int8, len(row))
-		decodeInt8Row(out, q, encodeInt8Row(q, row))
-	default:
-		copy(out, row)
-	}
-	return out
 }

@@ -4,62 +4,6 @@ import (
 	"testing"
 )
 
-// TestPagedRowsMatchesRowBuffer: appending the same rows through PagedRows
-// and RowBuffer yields identical Rows/Row/Span contents, including page
-// boundaries at page−1, page, page+1 and multi-page lengths.
-func TestPagedRowsMatchesRowBuffer(t *testing.T) {
-	const cols, pageRows = 6, 4
-	rng := NewRNG(3)
-	for _, n := range []int{1, pageRows - 1, pageRows, pageRows + 1, 3*pageRows + 2} {
-		pool := NewBlockPool(cols, pageRows, 0)
-		paged := NewPagedRows(pool, n)
-		ref := NewRowBuffer(cols, 0)
-		src := RandNormal(rng, n, cols, 1)
-		// Mix single-row and bulk appends so both entry points are covered.
-		paged.AppendRow(src.Row(0))
-		ref.AppendRow(src.Row(0))
-		if n > 1 {
-			rest := src.RowView(1, n)
-			paged.AppendRows(rest)
-			ref.AppendRows(rest)
-		}
-		if paged.Rows() != ref.Rows() || paged.Cols() != ref.Cols() {
-			t.Fatalf("n=%d: shape (%d,%d) vs (%d,%d)", n, paged.Rows(), paged.Cols(), ref.Rows(), ref.Cols())
-		}
-		for r := 0; r < n; r++ {
-			pr, rr := paged.Row(r), ref.Row(r)
-			for c := range rr {
-				if pr[c] != rr[c] {
-					t.Fatalf("n=%d row %d col %d: %v vs %v", n, r, c, pr[c], rr[c])
-				}
-			}
-		}
-		// Span iteration must cover every row exactly once, in order.
-		for base := 0; base < n; {
-			data, run := paged.Span(base)
-			if run < 1 || base+run > n {
-				t.Fatalf("n=%d: Span(%d) run %d", n, base, run)
-			}
-			if base/pageRows != (base+run-1)/pageRows {
-				t.Fatalf("n=%d: Span(%d) crosses a page boundary (run %d)", n, base, run)
-			}
-			for j := 0; j < run; j++ {
-				rr := ref.Row(base + j)
-				for c := range rr {
-					if data[j*cols+c] != rr[c] {
-						t.Fatalf("n=%d: span at %d row %d differs", n, base, j)
-					}
-				}
-			}
-			base += run
-		}
-		// RowBuffer's span is the whole remainder.
-		if _, run := ref.Span(1); n > 1 && run != n-1 {
-			t.Fatalf("RowBuffer.Span(1) run %d, want %d", run, n-1)
-		}
-	}
-}
-
 // TestBlockPoolBoundAndRecycling: a bounded pool panics past its cap,
 // Release returns pages for reuse, and the counters track the traffic.
 func TestBlockPoolBoundAndRecycling(t *testing.T) {
@@ -101,6 +45,24 @@ func TestBlockPoolBoundAndRecycling(t *testing.T) {
 	b.Release()
 }
 
+// TestBlockPoolReserve: reserved pages wait on the freelist — neither in
+// use nor counted — and serve the next acquisitions without a heap
+// allocation.
+func TestBlockPoolReserve(t *testing.T) {
+	pool := NewBlockPool(4, 2, 0)
+	pool.Reserve(3)
+	if allocs, frees := pool.Counters(); pool.InUse() != 0 || allocs != 0 || frees != 0 {
+		t.Fatalf("after Reserve: %d in use, %d allocs, %d frees; want all 0", pool.InUse(), allocs, frees)
+	}
+	// AllocsPerRun calls f once to warm up, then once measured: two pages.
+	if n := testing.AllocsPerRun(1, func() { pool.get() }); n != 0 {
+		t.Fatalf("acquiring a reserved page allocated %v times", n)
+	}
+	if got := pool.InUse(); got != 2 {
+		t.Fatalf("%d pages in use, want 2", got)
+	}
+}
+
 // TestPagedRowsShareMountCOW covers the prefix-sharing surface at every
 // partial-page boundary: a donor store shares its first L rows (L = page−1,
 // page, page+1), a second store mounts them, reads them bit-identically,
@@ -114,7 +76,9 @@ func TestPagedRowsShareMountCOW(t *testing.T) {
 		pool := NewBlockPool(cols, pageRows, 0)
 		donor := NewPagedRows(pool, 0)
 		src := RandNormal(rng, share+2, cols, 1)
-		donor.AppendRows(src)
+		for r := 0; r < src.Rows; r++ {
+			donor.AppendRow(src.Row(r))
+		}
 
 		pages := donor.SharePages(share)
 		wantPages := (share + pageRows - 1) / pageRows

@@ -10,14 +10,13 @@
 // serving layers replicate it so that batching and storage layout never
 // change a result bit.
 //
-// Three allocation-management facilities back the serving hot paths:
+// Two allocation-management facilities back the serving hot paths:
 //
 //   - Arena, a size-classed sync.Pool of matrix slabs that lets fused
 //     decode reuse every intermediate (zero heap allocations per token).
-//   - RowBuffer, the contiguous append-only row store (the KV-cache
-//     reference implementation).
-//   - BlockPool / Page / PagedRows, the paged KV substrate: fixed-size
-//     refcounted pages drawn from one shared, optionally bounded pool.
+//   - BlockPool / Page / PagedRows, the KV-cache store: fixed-size
+//     refcounted float64 pages drawn from one shared, optionally bounded
+//     pool.
 //     PagedRows can mount shared read-only prefix pages produced by
 //     another store (MountShared/SharePages) with copy-on-write on a
 //     partially filled last page — the mechanism prompt-prefix KV reuse

@@ -366,6 +366,30 @@ func TestCausalMask(t *testing.T) {
 	}
 }
 
+func TestCausalMaskOffset(t *testing.T) {
+	// 2 query rows at absolute positions 3 and 4 over 5 cached keys.
+	m := New(2, 5)
+	CausalMaskOffsetInPlace(m, 3)
+	for r := 0; r < 2; r++ {
+		for c := 0; c < 5; c++ {
+			masked := math.IsInf(m.At(r, c), -1)
+			want := c > r+3
+			if masked != want {
+				t.Fatalf("mask[%d][%d] = %v, want %v", r, c, masked, want)
+			}
+		}
+	}
+	// Offset 0 on a square matrix matches the prefill mask.
+	a, b := New(4, 4), New(4, 4)
+	CausalMaskInPlace(a)
+	CausalMaskOffsetInPlace(b, 0)
+	for i := range a.Data {
+		if a.Data[i] != b.Data[i] && !(math.IsInf(a.Data[i], -1) && math.IsInf(b.Data[i], -1)) {
+			t.Fatalf("offset-0 mask disagrees with CausalMaskInPlace at %d", i)
+		}
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)
