@@ -1,7 +1,6 @@
 package tender_test
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"tender/internal/model"
 	"tender/internal/obs"
 	"tender/internal/quant"
-	"tender/internal/router"
 	"tender/internal/schemes"
 	"tender/internal/serve"
 	"tender/internal/sim/accel"
@@ -60,41 +58,6 @@ func BenchmarkAblationBias(b *testing.B)       { benchTable(b, experiments.Ablat
 func BenchmarkAblationClustering(b *testing.B) { benchTable(b, experiments.AblationClustering) }
 func BenchmarkAblationBits(b *testing.B)       { benchTable(b, experiments.AblationBits) }
 func BenchmarkAblationDataflow(b *testing.B)   { benchTable(b, experiments.AblationDataflow) }
-
-// BenchmarkServeThroughput measures the continuous-batching server's
-// decode throughput on a fixed closed-loop trace (batch 8); b.N scales the
-// number of load rounds. Serving speed end to end, with paired runs, is
-// measured by perfbench (bash perfbench/run.sh).
-func BenchmarkServeThroughput(b *testing.B) {
-	m := model.New(model.Registry("opt-6.7b"))
-	engines, err := engine.BuildEngines(m, []string{"tender"}, engine.BuildOptions{
-		Bits: 8, Streams: 2, StreamLen: 64, Serving: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := workload.RequestTrace(workload.TraceConfig{
-		Requests: 16, Vocab: m.Cfg.Vocab,
-		MinPrompt: 16, MaxPrompt: 32, MinNew: 8, MaxNew: 8,
-	}, 1)
-	srv, err := serve.New(serve.Config{Model: m, Engines: engines, MaxBatch: 8, PrefillChunk: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv.Start()
-	defer srv.Stop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var decoded int64
-	for i := 0; i < b.N; i++ {
-		rep := serve.RunLoad(srv, serve.LoadConfig{Trace: trace, Clients: 8})
-		if rep.Failed > 0 {
-			b.Fatalf("%d requests failed", rep.Failed)
-		}
-		decoded += rep.DecodeTokens
-	}
-	b.ReportMetric(float64(decoded)/b.Elapsed().Seconds(), "tokens/s")
-}
 
 // BenchmarkFusedDecode compares steady-state decode throughput of the
 // fused batched step (one forward pass per iteration across all sessions,
@@ -352,7 +315,7 @@ func BenchmarkPrefixCache(b *testing.B) {
 	donor := m.NewSessionOn(eng, pool, 0, nil)
 	donor.Append(prompt)
 	cache := model.NewPrefixCache(pool, cfg.Layers, 0)
-	if _, _, ok := cache.Insert(prompt, donor, 1<<30); !ok {
+	if !cache.Insert(prompt, donor) {
 		b.Fatal("prefix insert failed")
 	}
 
@@ -563,62 +526,6 @@ func BenchmarkAccelModelRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		accel.RunModel(cfg, "opt-6.7b", 512)
-	}
-}
-
-// BenchmarkRouterThroughput measures aggregate decode throughput of the
-// prefix-affinity router over three sharded replicas on a prefix-grouped
-// multi-tenant trace; b.N scales the number of load rounds. Routing
-// correctness (affinity, failover, the chaos soak) is checked by the
-// router package's tests.
-func BenchmarkRouterThroughput(b *testing.B) {
-	m := model.New(model.Registry("opt-6.7b"))
-	engines, err := engine.BuildEngines(m, []string{"fp32"}, engine.BuildOptions{
-		Bits: 8, Streams: 2, StreamLen: 64, Serving: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := workload.PrefixGroupedTrace(workload.PrefixGroupConfig{
-		Groups: 4, RequestsPerGroup: 4,
-		PrefixTokens: 32, TailTokens: 8, NewTokens: 8, Vocab: m.Cfg.Vocab,
-	}, 1)
-	const replicas = 3
-	var members []router.Replica
-	for i := 0; i < replicas; i++ {
-		srv, err := serve.New(serve.Config{
-			Model: m, Engines: engines, MaxBatch: 8, QueueDepth: len(trace),
-			PrefillChunk: 16, KVPageRows: tensor.DefaultPageRows, PrefixCache: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv.Start()
-		defer srv.Stop()
-		members = append(members, router.Replica{
-			ID: fmt.Sprintf("r%d", i), Backend: router.InProc{Srv: srv},
-		})
-	}
-	rt, err := router.New(router.Config{Replicas: members, Policy: router.PolicyAffinity})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt.Start()
-	defer rt.Stop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var decoded int64
-	for i := 0; i < b.N; i++ {
-		rep := serve.RunLoad(rt, serve.LoadConfig{Trace: trace, Clients: 4})
-		if rep.Failed > 0 {
-			b.Fatalf("%d requests failed", rep.Failed)
-		}
-		decoded += rep.DecodeTokens
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(decoded)/b.Elapsed().Seconds(), "tokens/s")
-	if rate, ok := rt.Snapshot().AggregatePrefixHitRate(); ok {
-		b.ReportMetric(rate, "hit-rate")
 	}
 }
 

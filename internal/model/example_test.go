@@ -39,7 +39,7 @@ func ExamplePrefixCache() {
 	// Cold request: prefill everything, then donate the prefix.
 	donor := m.NewSessionOn(eng, pool, 0, nil)
 	donor.Append(prompt)
-	if _, _, ok := cache.Insert(prompt, donor, 1<<30); !ok {
+	if !cache.Insert(prompt, donor) {
 		fmt.Println("insert failed")
 		return
 	}

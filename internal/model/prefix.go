@@ -23,8 +23,10 @@ import (
 // mount an entry take their own references, so evicting an entry while a
 // session still reads its pages is safe — the pages outlive the entry.
 // Pinning (Acquire/Release) tracks the mounted-session count so eviction
-// only reclaims entries no active session uses, which keeps the byte
-// accounting of a serving KV budget exact.
+// only reclaims entries no active session uses. The cache keeps no budget
+// of its own: its pages are ordinary pool pages, so a serving scheduler
+// sees them in BlockPool.Free and evicts entries (EvictLRU) until the
+// pool covers what live sessions need.
 //
 // All methods are safe for concurrent use, but the intended deployment is
 // single-writer: the serving scheduler goroutine does every Acquire /
@@ -40,11 +42,12 @@ type PrefixCache struct {
 	lruHead *PrefixEntry // most recently used
 	lruTail *PrefixEntry // least recently used
 	entries int
-	// charge counts, per layer-0 K page, how many entries hold it. Page
-	// sharing is uniform across layers and K/V by construction (entries
-	// are whole-prefix shares of one session), so layer-0 K pages stand in
-	// for "position pages": each charged page accounts pageRows positions
-	// — 2×layers actual pool pages.
+	// charge counts, per layer-0 K page, how many entries hold it — what
+	// the row cap and Stats count. Page sharing is uniform across layers
+	// and K/V by construction (entries are whole-prefix shares of one
+	// session), so layer-0 K pages stand in for "position pages": each
+	// charged page accounts pageRows positions — 2×layers actual pool
+	// pages.
 	charge    map[*tensor.Page]int
 	heldRows  int
 	evictions int64
@@ -165,18 +168,6 @@ func tailMatches(rest, tail []int) bool {
 	return true
 }
 
-// MatchRows returns the covered row count of the longest cached prefix of
-// prompt without pinning it — what a scheduler sizes admission with before
-// committing.
-func (c *PrefixCache) MatchRows(prompt []int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.match(prompt); e != nil {
-		return e.rows
-	}
-	return 0
-}
-
 // Acquire returns the longest cached prefix of prompt, pinned: the entry
 // cannot be evicted until the matching Release. nil on a miss. The caller
 // mounts it with Model.NewSessionOn.
@@ -206,17 +197,15 @@ func (c *PrefixCache) Release(e *PrefixEntry) {
 // pool that has prefilled at least the full prompt. It caches the longest
 // aligned prefix of prompt[:len(prompt)−1] and — when the boundary lands
 // mid-page — a second entry extending it with the sub-page token tail, so
-// both exact-prompt repeats and longer shared-prefix prompts hit. The two
-// entries share pages, and pages already held by other entries are not
-// charged again, so charged is the positions newly retained (0 for a
-// duplicate insert). Inserts whose new charge would exceed maxCharge, or
-// that cannot fit under the cache's row cap after evicting every unpinned
-// entry, are dropped (ok=false, nothing retained). freed counts positions
-// released by cap evictions this insert performed.
-func (c *PrefixCache) Insert(prompt []int, s *Session, maxCharge int) (charged, freed int, ok bool) {
+// both exact-prompt repeats and longer shared-prefix prompts hit. The
+// entries take references on s's pages, never new pages. An entry that
+// cannot fit under the cache's row cap after evicting every unpinned entry
+// is dropped; ok reports whether any entry was cached (a duplicate counts,
+// refreshing its recency).
+func (c *PrefixCache) Insert(prompt []int, s *Session) (ok bool) {
 	rows := len(prompt) - 1
 	if rows < 1 {
-		return 0, 0, false
+		return false
 	}
 	if s.Len() < len(prompt) {
 		panic(fmt.Sprintf("model: PrefixCache.Insert of a %d-token prompt into a %d-row session", len(prompt), s.Len()))
@@ -231,26 +220,20 @@ func (c *PrefixCache) Insert(prompt []int, s *Session, maxCharge int) (charged, 
 	if depth >= 1 {
 		// Aligned entry: what prompts sharing the prefix but diverging
 		// after it (different user turns on one system prompt) can mount.
-		ch, fr, inserted := c.insertOne(prompt, s, depth*c.pageRows, nil, maxCharge)
-		charged += ch
-		freed += fr
-		ok = ok || inserted
+		ok = c.insertOne(prompt, s, depth*c.pageRows, nil)
 	}
 	if tail := prompt[depth*c.pageRows : rows]; len(tail) > 0 {
 		// Full entry: the extra sub-page tail exact prompt repeats reuse.
 		// It shares the aligned entry's pages, so only the tail's partial
 		// page is new charge.
-		ch, fr, inserted := c.insertOne(prompt, s, rows, tail, maxCharge-charged)
-		charged += ch
-		freed += fr
-		ok = ok || inserted
+		ok = c.insertOne(prompt, s, rows, tail) || ok
 	}
-	return charged, freed, ok
+	return ok
 }
 
 // insertOne adds a single entry covering rows tokens of prompt (tail is
 // prompt's sub-page remainder past the aligned chunks). Caller holds c.mu.
-func (c *PrefixCache) insertOne(prompt []int, s *Session, rows int, tail []int, maxCharge int) (charged, freed int, ok bool) {
+func (c *PrefixCache) insertOne(prompt []int, s *Session, rows int, tail []int) bool {
 	node := c.root
 	for covered := 0; covered+c.pageRows <= rows; covered += c.pageRows {
 		key := chunkKey(prompt[covered : covered+c.pageRows])
@@ -267,7 +250,7 @@ func (c *PrefixCache) insertOne(prompt []int, s *Session, rows int, tail []int, 
 	for _, e := range node.entries {
 		if e.rows == rows && slices.Equal(e.tail, tail) {
 			c.touch(e) // duplicate: refresh recency, charge nothing
-			return 0, 0, true
+			return true
 		}
 	}
 
@@ -283,7 +266,7 @@ func (c *PrefixCache) insertOne(prompt []int, s *Session, rows int, tail []int, 
 		e.k[l] = s.kv[l].k.SharePages(rows)
 		e.v[l] = s.kv[l].v.SharePages(rows)
 	}
-	recount := func() int {
+	charged := func() int {
 		n := 0
 		for _, pg := range e.k[0] {
 			if c.charge[pg] == 0 {
@@ -292,33 +275,22 @@ func (c *PrefixCache) insertOne(prompt []int, s *Session, rows int, tail []int, 
 		}
 		return n
 	}
-	charged = recount()
-	// Only the row cap is worth evicting for: heldRows shrinks as entries
-	// go. The maxCharge bound (the serving KV budget's remaining headroom)
-	// cannot be helped by eviction — the scheduler already reclaims cache
-	// memory for live sessions on the admission path, and freeing pages
-	// the new entry shares only re-charges them to this insert — so an
-	// over-budget insert is dropped without touching existing entries.
-	for c.maxRows > 0 && c.heldRows+charged > c.maxRows && c.lruTail != nil {
-		fr := c.evictLocked(c.lruTail)
-		if fr < 0 {
-			break // nothing unpinned left
+	// Evict until the row cap fits the new entry; an eviction may uncharge
+	// pages the entry shares, so its charge is recounted each time.
+	for c.maxRows > 0 && c.heldRows+charged() > c.maxRows {
+		if !c.evictLocked(c.lruTail) {
+			c.dropPages(e) // nothing unpinned left
+			return false
 		}
-		freed += fr
-		charged = recount() // eviction may have uncharged shared pages
 	}
-	if charged > maxCharge || (c.maxRows > 0 && c.heldRows+charged > c.maxRows) {
-		c.dropPages(e)
-		return 0, freed, false
-	}
+	c.heldRows += charged()
 	for _, pg := range e.k[0] {
 		c.charge[pg]++
 	}
-	c.heldRows += charged
 	node.entries = append(node.entries, e)
 	c.entries++
 	c.pushFront(e)
-	return charged, freed, true
+	return true
 }
 
 // dropPages releases every page reference an unlinked entry holds.
@@ -335,24 +307,22 @@ func (c *PrefixCache) dropPages(e *PrefixEntry) {
 }
 
 // evictLocked removes the least recently used unpinned entry at or before
-// e in LRU order, returning the positions freed, or −1 when every entry
-// from e back is pinned. Caller holds c.mu.
-func (c *PrefixCache) evictLocked(e *PrefixEntry) int {
+// e in LRU order, reporting false when every entry from e back is pinned.
+// Caller holds c.mu.
+func (c *PrefixCache) evictLocked(e *PrefixEntry) bool {
 	for e != nil && e.active > 0 {
 		e = e.prev
 	}
 	if e == nil {
-		return -1
+		return false
 	}
-	freed := 0
 	for _, pg := range e.k[0] {
 		c.charge[pg]--
 		if c.charge[pg] == 0 {
 			delete(c.charge, pg)
-			freed += c.pageRows
+			c.heldRows -= c.pageRows
 		}
 	}
-	c.heldRows -= freed
 	c.dropPages(e)
 	c.unlink(e)
 	for i, cand := range e.node.entries {
@@ -363,38 +333,25 @@ func (c *PrefixCache) evictLocked(e *PrefixEntry) int {
 	}
 	c.entries--
 	c.evictions++
-	return freed
+	return true
 }
 
-// EvictLRU evicts unpinned entries, least recently used first, until at
-// least wantRows positions are freed or nothing unpinned remains. It
-// returns the positions actually freed — what a serving scheduler credits
-// back to its KV budget.
-func (c *PrefixCache) EvictLRU(wantRows int) (freed int) {
+// EvictLRU evicts the least recently used unpinned entry, reporting false
+// when every entry is pinned. The entry's pages return to the pool once no
+// session mounts them; a serving scheduler evicts until BlockPool.Free
+// covers its need.
+func (c *PrefixCache) EvictLRU() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for freed < wantRows {
-		fr := c.evictLocked(c.lruTail)
-		if fr < 0 {
-			return freed
-		}
-		freed += fr
-	}
-	return freed
+	return c.evictLocked(c.lruTail)
 }
 
-// Flush evicts every unpinned entry and returns the positions freed. With
-// no pinned entries left (no active sessions), the cache afterwards holds
-// no pages.
-func (c *PrefixCache) Flush() (freed int) {
+// Flush evicts every unpinned entry. With no pinned entries left (no
+// active sessions), the cache afterwards holds no pages.
+func (c *PrefixCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		fr := c.evictLocked(c.lruTail)
-		if fr < 0 {
-			return freed
-		}
-		freed += fr
+	for c.evictLocked(c.lruTail) {
 	}
 }
 

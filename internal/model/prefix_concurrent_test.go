@@ -42,7 +42,7 @@ func TestPrefixCacheConcurrentPinEvict(t *testing.T) {
 	for g := range prompts {
 		prompts[g] = workload.TokenStream(workload.Wiki, 100+uint64(g), 2*pageRows+2, m.Cfg.Vocab)
 		donors[g] = prefillSession(m, eng, pool, prompts[g])
-		if _, _, ok := cache.Insert(prompts[g], donors[g], 1<<30); !ok {
+		if !cache.Insert(prompts[g], donors[g]) {
 			t.Fatalf("seed insert %d failed", g)
 		}
 	}
@@ -90,7 +90,7 @@ func TestPrefixCacheConcurrentPinEvict(t *testing.T) {
 				return
 			default:
 			}
-			cache.Insert(prompts[i%groups], donors[i%groups], 1<<30)
+			cache.Insert(prompts[i%groups], donors[i%groups])
 			runtime.Gosched()
 		}
 	}()
@@ -104,7 +104,7 @@ func TestPrefixCacheConcurrentPinEvict(t *testing.T) {
 				return
 			default:
 			}
-			cache.EvictLRU(pageRows)
+			cache.EvictLRU()
 			runtime.Gosched()
 		}
 	}()

@@ -17,6 +17,17 @@ func prefillSession(m *model.Model, eng model.Engine, pool *tensor.BlockPool, pr
 	return s
 }
 
+// matchRows returns the covered rows of prompt's longest cached prefix (0
+// on a miss), dropping the pin Acquire takes.
+func matchRows(cache *model.PrefixCache, prompt []int) int {
+	e := cache.Acquire(prompt)
+	if e == nil {
+		return 0
+	}
+	cache.Release(e)
+	return e.Rows()
+}
+
 // TestPrefixCacheMatch covers the trie semantics: exact-prompt repeats hit
 // the full (sub-page tail) entry, prompts sharing only the page-aligned
 // prefix hit the aligned entry, diverging prompts miss, and a hit never
@@ -30,9 +41,8 @@ func TestPrefixCacheMatch(t *testing.T) {
 
 	prompt := workload.TokenStream(workload.Wiki, 1, 2*pageRows+3, m.Cfg.Vocab) // 11 tokens
 	donor := prefillSession(m, eng, pool, prompt)
-	charged, _, ok := cache.Insert(prompt, donor, 1<<30)
-	if !ok || charged <= 0 {
-		t.Fatalf("Insert: charged=%d ok=%v", charged, ok)
+	if !cache.Insert(prompt, donor) {
+		t.Fatal("Insert failed")
 	}
 	// Entries: aligned (8 rows) + full (10 rows); they share the first two
 	// pages, so the charge is the full entry's page-rounded 10 rows = 12.
@@ -41,35 +51,36 @@ func TestPrefixCacheMatch(t *testing.T) {
 	}
 
 	// Exact repeat: longest entry is the full one, len(prompt)-1 = 10 rows.
-	if got := cache.MatchRows(prompt); got != 10 {
+	if got := matchRows(cache, prompt); got != 10 {
 		t.Fatalf("exact repeat matched %d rows, want 10", got)
 	}
 	// Same aligned prefix, diverging afterwards: the aligned entry (8).
 	div := append(append([]int(nil), prompt[:2*pageRows]...),
 		(prompt[2*pageRows]+1)%m.Cfg.Vocab, 1, 2)
-	if got := cache.MatchRows(div); got != 8 {
+	if got := matchRows(cache, div); got != 8 {
 		t.Fatalf("aligned-prefix prompt matched %d rows, want 8", got)
 	}
 	// Diverging in the first page: miss.
 	miss := append([]int(nil), prompt...)
 	miss[1] = (miss[1] + 1) % m.Cfg.Vocab
-	if got := cache.MatchRows(miss); got != 0 {
+	if got := matchRows(cache, miss); got != 0 {
 		t.Fatalf("diverging prompt matched %d rows, want 0", got)
 	}
 	// A prompt equal to the full entry's coverage plus nothing to prefill
 	// must fall back to a shorter entry: prompt[:10] has limit 9 < full's
 	// 10 rows, so the aligned 8-row entry wins.
-	if got := cache.MatchRows(prompt[:10]); got != 8 {
+	if got := matchRows(cache, prompt[:10]); got != 8 {
 		t.Fatalf("covered-entirely prompt matched %d rows, want 8", got)
 	}
 	// Short prompt whose limit is below every entry: miss.
-	if got := cache.MatchRows(prompt[:3]); got != 0 {
+	if got := matchRows(cache, prompt[:3]); got != 0 {
 		t.Fatalf("short prompt matched %d rows, want 0", got)
 	}
 
 	donor.ReleaseKV()
-	if freed := cache.Flush(); freed != 12 {
-		t.Fatalf("Flush freed %d rows, want 12", freed)
+	cache.Flush()
+	if st := cache.Stats(); st.Entries != 0 || st.HeldRows != 0 {
+		t.Fatalf("stats after flush: %+v", st)
 	}
 	if got := pool.InUse(); got != 0 {
 		t.Fatalf("%d pages leaked after flush", got)
@@ -111,7 +122,7 @@ func TestPrefixMountBitIdenticalEveryScheme(t *testing.T) {
 				prompt := workload.TokenStream(workload.PTB, 40+uint64(plen), plen, m.Cfg.Vocab)
 
 				donor := prefillSession(m, eng, pool, prompt)
-				if _, _, ok := cache.Insert(prompt, donor, 1<<30); !ok {
+				if !cache.Insert(prompt, donor) {
 					t.Fatalf("prompt %d: insert failed", plen)
 				}
 				e := cache.Acquire(prompt)
@@ -167,7 +178,7 @@ func TestPrefixCOWIsolation(t *testing.T) {
 	prompt := workload.TokenStream(workload.Wiki, 9, pageRows+2, m.Cfg.Vocab)
 
 	donor := prefillSession(m, eng, pool, prompt)
-	if _, _, ok := cache.Insert(prompt, donor, 1<<30); !ok {
+	if !cache.Insert(prompt, donor) {
 		t.Fatal("insert failed")
 	}
 	e := cache.Acquire(prompt)
@@ -226,14 +237,15 @@ func TestPrefixLRUEvictionAndPinning(t *testing.T) {
 	p2, d2 := mk(202)
 	p3, d3 := mk(303)
 
-	if _, _, ok := cache.Insert(p1, d1, 1<<30); !ok {
+	if !cache.Insert(p1, d1) {
 		t.Fatal("insert 1 failed")
 	}
-	if ch, _, ok := cache.Insert(p1, d1, 1<<30); !ok || ch != 0 {
-		t.Fatalf("duplicate insert: charged %d ok=%v, want 0/true", ch, ok)
+	held := cache.Stats().HeldRows
+	if !cache.Insert(p1, d1) || cache.Stats().HeldRows != held {
+		t.Fatalf("duplicate insert: want ok and no new charge, stats %+v", cache.Stats())
 	}
 	e1 := cache.Acquire(p1) // pin p1's full entry
-	if _, _, ok := cache.Insert(p2, d2, 1<<30); !ok {
+	if !cache.Insert(p2, d2) {
 		t.Fatal("insert 2 failed")
 	}
 	st := cache.Stats()
@@ -244,13 +256,13 @@ func TestPrefixLRUEvictionAndPinning(t *testing.T) {
 	// p3 exceeds the cap: LRU eviction must reclaim p2's entries (p1's
 	// full entry is pinned; its aligned entry shares the pinned entry's
 	// pages, so evicting it frees nothing and the evictor keeps going).
-	if _, _, ok := cache.Insert(p3, d3, 1<<30); !ok {
+	if !cache.Insert(p3, d3) {
 		t.Fatal("insert 3 failed under cap pressure")
 	}
-	if got := cache.MatchRows(p2); got != 0 {
+	if got := matchRows(cache, p2); got != 0 {
 		t.Fatalf("p2 still cached (%d rows) after cap eviction", got)
 	}
-	if got := cache.MatchRows(p1); got != e1.Rows() {
+	if got := matchRows(cache, p1); got != e1.Rows() {
 		t.Fatalf("pinned p1 entry evicted (match %d rows)", got)
 	}
 	if st := cache.Stats(); st.HeldRows > 24 {
@@ -259,7 +271,7 @@ func TestPrefixLRUEvictionAndPinning(t *testing.T) {
 
 	// Flush with a pin held: everything except the pinned entry goes.
 	cache.Flush()
-	if got := cache.MatchRows(p1); got != e1.Rows() {
+	if got := matchRows(cache, p1); got != e1.Rows() {
 		t.Fatal("Flush evicted a pinned entry")
 	}
 	cache.Release(e1)

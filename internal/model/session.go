@@ -105,6 +105,19 @@ func (s *Session) ReleaseKV() {
 	}
 }
 
+// KVPagesToGrow returns how many pool pages the session's KV stores would
+// acquire appending positions until it holds n: a page per layer per K/V
+// for every page of positions started, plus the copy-on-write of a
+// mounted prefix's partial last page. This is what a scheduler budgets
+// against BlockPool.Free.
+func (s *Session) KVPagesToGrow(n int) int {
+	need := 0
+	for _, kv := range s.kv {
+		need += kv.k.PagesToGrow(n) + kv.v.PagesToGrow(n)
+	}
+	return need
+}
+
 // Len returns the number of positions already in the cache.
 func (s *Session) Len() int { return s.pos }
 

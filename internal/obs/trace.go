@@ -77,12 +77,12 @@ func (k Kind) String() string {
 var argNames = [...][2]string{
 	KindEnqueue:      {"prompt_tokens", "max_new_tokens"},
 	KindReject:       {"reason", ""},
-	KindAdmit:        {"kv_rows_reserved", "prefix_rows_skipped"},
+	KindAdmit:        {"kv_rows_needed", "prefix_rows_skipped"},
 	KindPrefillStart: {"pending_tokens", ""},
 	KindPrefillEnd:   {"prefilled_tokens", ""},
 	KindDecode:       {"tokens_out", "fused"},
 	KindPreempt:      {"reason", "tokens_out"},
-	KindResume:       {"kv_rows_reserved", "prefix_rows_skipped"},
+	KindResume:       {"kv_rows_needed", "prefix_rows_skipped"},
 	KindComplete:     {"tokens_out", ""},
 	KindExpire:       {"reason", "tokens_out"},
 	KindCancel:       {"reason", "tokens_out"},

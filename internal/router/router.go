@@ -60,16 +60,23 @@ type Replica struct {
 	Backend Backend
 }
 
-// Config configures a Router.
-// Defaults Config fills in for zero values, exported so callers can
-// reproduce the router's hashing (e.g. to predict a key's owner).
+// The router's hashing constants, exported so callers can reproduce it
+// (e.g. to predict a key's owner).
 const (
 	// DefaultVNodes is the consistent-hash virtual-node count per replica.
 	DefaultVNodes = 64
 	// DefaultAffinityChunks caps how many leading page-aligned chunks the
-	// affinity key hashes.
+	// affinity key hashes: enough to separate tenants' system prompts, few
+	// enough that deep common prefixes still collapse to one key.
 	DefaultAffinityChunks = 4
 )
+
+// snapshotMaxAge bounds how stale a replica's cached metrics snapshot may
+// be when used for load scoring before it is refreshed inline (the health
+// prober also refreshes it every period).
+const snapshotMaxAge = 100 * time.Millisecond
+
+// Config configures a Router.
 
 type Config struct {
 	// Replicas are the initial members; ids must be unique and non-empty.
@@ -80,23 +87,11 @@ type Config struct {
 	// chunks to; it should match the replicas' KVPageRows (default
 	// tensor.DefaultPageRows).
 	PageRows int
-	// AffinityChunks caps how many leading pages the affinity key hashes
-	// (default DefaultAffinityChunks): enough to separate tenants' system
-	// prompts, few enough that deep common prefixes still collapse to one
-	// key.
-	AffinityChunks int
-	// VNodes is the consistent-hash virtual-node count per replica
-	// (default DefaultVNodes).
-	VNodes int
 	// SpillMargin, when > 0, lets affinity routing spill to the
 	// least-loaded replica when the owner's load score exceeds the
 	// minimum by more than this margin — residual load balancing for hot
 	// shards. 0 disables spilling (strict affinity).
 	SpillMargin int
-	// SnapshotMaxAge bounds how stale a replica's cached metrics snapshot
-	// may be when used for load scoring before it is refreshed inline
-	// (default 100ms; the health prober also refreshes it every period).
-	SnapshotMaxAge time.Duration
 	// ProbePeriod is the background health-check interval; 0 disables the
 	// prober (state then changes only through Generate failures and
 	// explicit Drain/Restore calls).
@@ -242,17 +237,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.PageRows <= 0 {
 		cfg.PageRows = tensor.DefaultPageRows
 	}
-	if cfg.AffinityChunks <= 0 {
-		cfg.AffinityChunks = DefaultAffinityChunks
-	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
 	if cfg.ProbeFailures <= 0 {
 		cfg.ProbeFailures = 2
-	}
-	if cfg.SnapshotMaxAge <= 0 {
-		cfg.SnapshotMaxAge = 100 * time.Millisecond
 	}
 	if cfg.MaxAttempts < 0 {
 		cfg.MaxAttempts = 0
@@ -296,7 +282,7 @@ func (r *Router) rebuildRingLocked() {
 		}
 	}
 	sort.Strings(up)
-	r.ring = NewRing(up, r.cfg.VNodes)
+	r.ring = NewRing(up, DefaultVNodes)
 }
 
 // Start launches the background health prober when ProbePeriod is set.
@@ -374,7 +360,7 @@ func (r *Router) Generate(ctx context.Context, req serve.Request) (serve.Result,
 	case PolicyScatter:
 		key = ScatterKey(req.Prompt)
 	default:
-		key = AffinityKey(req.Prompt, r.cfg.PageRows, r.cfg.AffinityChunks)
+		key = AffinityKey(req.Prompt, r.cfg.PageRows, DefaultAffinityChunks)
 	}
 	tried := make(map[string]bool)
 	var lastErr error
@@ -678,13 +664,13 @@ func (r *Router) leastLoaded(candidates []*replica) *replica {
 }
 
 // freshSnapshot returns the replica's cached metrics snapshot,
-// refreshing it inline when older than SnapshotMaxAge. The prober also
+// refreshing it inline when older than snapshotMaxAge. The prober also
 // refreshes it every period, so with probing on the inline path rarely
 // fires.
 func (r *Router) freshSnapshot(rep *replica) (serve.Snapshot, bool) {
 	rep.snapMu.Lock()
 	defer rep.snapMu.Unlock()
-	if time.Since(rep.snapAt) > r.cfg.SnapshotMaxAge {
+	if time.Since(rep.snapAt) > snapshotMaxAge {
 		r.mu.Lock()
 		be := rep.be
 		r.mu.Unlock()

@@ -248,8 +248,8 @@ func TestPrefixPreemptionRefcountStress(t *testing.T) {
 
 // TestPrefixHitThatCannotFitMountsCold: a prompt whose best cached match
 // ends mid-page pins that entry, and the pin keeps the entry's partial
-// last page charged to the cache. When that charge plus the request's own
-// need exceeds the budget on an otherwise idle server, holding would wait
+// last page in the pool. When that page plus the request's own need
+// exceeds the budget on an otherwise idle server, holding would wait
 // forever for memory only its own pin withholds; admission must instead
 // mount cold — same tokens, no hit.
 func TestPrefixHitThatCannotFitMountsCold(t *testing.T) {
@@ -264,14 +264,14 @@ func TestPrefixHitThatCannotFitMountsCold(t *testing.T) {
 	}
 	prefix := workload.TokenStream(workload.Wiki, 1, 17, m.Cfg.Vocab)
 	// The donor caches 17 rows: two full pages plus one row of a third,
-	// 24 rows of charge, of which a hit mounts 16.
+	// 24 rows of pool pages, of which a hit mounts 16 and copies the rest.
 	donor := Request{Prompt: append(append([]int(nil), prefix...), 5), MaxNewTokens: 1}
 	drive(t, srv, submitAll(t, srv, []Request{donor}))
 	if held := srv.prefixCaches["fp32"].Stats().HeldRows; held != 24 {
 		t.Fatalf("donor left %d cached rows, want 24", held)
 	}
 	// 40 prompt rows + 8 more decode rows fill the 48-row budget exactly:
-	// the hit needs 48−16 = 32 rows while the pinned entry holds 24.
+	// the hit needs 48−16 = 32 rows of pages while the pinned entry holds 24.
 	long := append(append([]int(nil), prefix...), workload.TokenStream(workload.PTB, 2, 23, m.Cfg.Vocab)...)
 	res := drive(t, srv, submitAll(t, srv, []Request{{Prompt: long, MaxNewTokens: 9}}))[0]
 	if res.Err != nil {
@@ -283,4 +283,52 @@ func TestPrefixHitThatCannotFitMountsCold(t *testing.T) {
 		t.Fatalf("want a cold mount after evicting the cache, got %d hits, %d evictions",
 			snap.PrefixHits, snap.PrefixEvictions)
 	}
+}
+
+// TestPrefixDonationFreesNoPool: a running request's donated prompt pages
+// are one set of pool pages that the request and the cache both hold, so
+// the donation takes nothing from the pool. While the donor decodes, a
+// short request fits the pages left without evicting the donor's fresh
+// entries, and a repeat of the donor's prompt then hits them.
+func TestPrefixDonationFreesNoPool(t *testing.T) {
+	m := model.New(model.TinyConfig())
+	srv, err := New(Config{
+		Model: m, Engines: map[string]model.Engine{"fp32": model.Exact{}},
+		PrefillChunk: 32, KVBudgetRows: 48, KVPageRows: 8, PrefixCache: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor := workload.TokenStream(workload.Wiki, 3, 20, m.Cfg.Vocab)
+	reqs := []Request{
+		{Prompt: donor, MaxNewTokens: 8},
+		{Prompt: workload.TokenStream(workload.PTB, 4, 5, m.Cfg.Vocab), MaxNewTokens: 4},
+		{Prompt: donor, MaxNewTokens: 4},
+	}
+	// One iteration per submission: the donor prefills its whole prompt
+	// and donates it in the first, then decodes while the others arrive.
+	var ps []*pending
+	for i := range reqs {
+		ps = append(ps, submitAll(t, srv, reqs[i:i+1])...)
+		srv.iterate(srv.now())
+		snap := srv.Metrics().Snapshot()
+		if len(srv.waiting) != 0 || snap.PrefixEvictions != 0 {
+			t.Fatalf("request %d: %d waiting, %d prefix evictions, want both 0", i, len(srv.waiting), snap.PrefixEvictions)
+		}
+	}
+	if snap := srv.Metrics().Snapshot(); snap.PrefixHits != 1 {
+		t.Fatalf("the repeated prompt got %d prefix hits, want 1", snap.PrefixHits)
+	}
+	res := drive(t, srv, ps)
+	specs := make([]workload.RequestSpec, len(reqs))
+	got := make([][]int, len(reqs))
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+		specs[i] = workload.RequestSpec{Prompt: reqs[i].Prompt, NewTokens: reqs[i].MaxNewTokens}
+		got[i] = r.Tokens
+	}
+	identtest.Equal(t, "donor, short request and repeat",
+		identtest.Output{Tokens: got}, identtest.Output{Tokens: DecodeUnbatched(m, model.Exact{}, specs, 0, 0)})
 }

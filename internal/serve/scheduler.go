@@ -40,16 +40,36 @@ func (s *Server) pageRound(rows int) int {
 	return pageRoundUp(rows, s.cfg.KVPageRows)
 }
 
-// pageFloor rounds a row count down to the server's KV page granularity.
-func (s *Server) pageFloor(rows int) int {
-	return rows / s.cfg.KVPageRows * s.cfg.KVPageRows
+// posPages is the pool pages one page of KV positions takes: a K and a V
+// page in every layer.
+func (s *Server) posPages() int { return 2 * s.cfg.Model.Cfg.Layers }
+
+// mountNeed is the pool pages a session mounted on e (nil = cold) would
+// acquire to hold n > e.Rows() positions: all pages past e's whole ones,
+// since a partial last page of e is copied on write.
+func (s *Server) mountNeed(e *model.PrefixEntry, n int) int {
+	whole := 0
+	if e != nil {
+		whole = e.Rows() / s.cfg.KVPageRows
+	}
+	return s.posPages() * (s.pageRound(n)/s.cfg.KVPageRows - whole)
 }
 
-// admissionNeed is the KV reservation a request entering the batch with a
-// seqLen-token prefill must secure: enough to prefill fully and emit its
-// first decode row. Growth beyond it is reserved iteration by iteration.
-func (s *Server) admissionNeed(seqLen int) int {
-	return s.pageRound(seqLen + 1)
+// kvNeed is the pool pages a's session has yet to acquire before its next
+// step: enough to finish its whole prefill and emit its first decode row
+// (the footprint admission secured), or to append the next step's rows,
+// whichever is more.
+func (s *Server) kvNeed(a *activeReq) int {
+	return a.sess.KVPagesToGrow(max(len(a.seq)+1, a.sess.Len()+s.chunkLen(a)))
+}
+
+// owed sums the outstanding page needs of the batch.
+func (s *Server) owed() int {
+	sum := 0
+	for _, a := range s.batch {
+		sum += s.kvNeed(a)
+	}
+	return sum
 }
 
 // acquirePrefix pins the longest cached prefix of prompt for the scheme's
@@ -70,41 +90,20 @@ func (s *Server) releasePrefix(scheme string, e *model.PrefixEntry) {
 	}
 }
 
-// prefixBase is the page-aligned floor of an entry's covered rows: the
-// positions a mounting session reads from cache-charged pages and is
-// therefore not charged for itself. The partial last page of a mid-page
-// match stays in the session's own charge — copy-on-write gives it a
-// private copy of that page.
-func (s *Server) prefixBase(e *model.PrefixEntry) int {
-	if e == nil {
-		return 0
-	}
-	return s.pageFloor(e.Rows())
-}
-
 // reclaimKV evicts unreferenced cached prefixes, least recently used
-// first, until need rows fit the budget or nothing evictable remains —
+// first, until the pool has need pages free or nothing evictable remains —
 // cache memory yields to live sessions before the scheduler holds
 // admission or preempts anyone.
 func (s *Server) reclaimKV(need int) {
 	for _, spec := range s.prefixOrder {
-		if need <= s.kvFree {
-			return
+		for need > s.kvPool.Free() && s.prefixCaches[spec].EvictLRU() {
 		}
-		s.kvFree += s.prefixCaches[spec].EvictLRU(need - s.kvFree)
 	}
 }
 
-// reserveKV charges need rows of the budget to a.
-func (s *Server) reserveKV(a *activeReq, need int) {
-	s.kvFree -= need
-	a.kvHeld += need
-}
-
 // releaseKV returns a's pages to the pool (the refcounts keep any shared
-// prefix pages alive for their other holders), unpins its prefix entry,
-// and returns its reservation to the budget. A request on the wait list
-// holds none of these, so releasing it is a no-op.
+// prefix pages alive for their other holders) and unpins its prefix entry.
+// A request on the wait list holds neither, so releasing it is a no-op.
 func (s *Server) releaseKV(a *activeReq) {
 	if a.sess != nil {
 		a.sess.ReleaseKV()
@@ -114,9 +113,6 @@ func (s *Server) releaseKV(a *activeReq) {
 		s.prefixCaches[a.scheme].Release(a.entry)
 		a.entry = nil
 	}
-	a.kvBase = 0
-	s.kvFree += a.kvHeld
-	a.kvHeld = 0
 }
 
 // loop is the scheduler goroutine: it blocks until a request is queued,
@@ -141,18 +137,30 @@ func (s *Server) loop() {
 	}
 }
 
-// iterate runs one scheduler iteration at now: admit → reap expired →
-// reserve KV growth (preempting if the pool is dry) → step the batch →
-// retire finished. Batches are assembled at iteration granularity
-// (continuous batching): a request joins as soon as a slot — and enough
-// KV budget — frees, mid-flight requests are unaffected, and one
-// iteration may mix prefill chunks of new requests with decode steps of
-// old ones. It never blocks, so tests drive it directly on a fake clock.
+// iterate runs one scheduler iteration at now: schedule, then execute.
+// Batches are assembled at iteration granularity (continuous batching): a
+// request joins as soon as a slot — and enough free KV pages — frees,
+// mid-flight requests are unaffected, and one iteration may mix prefill
+// chunks of new requests with decode steps of old ones. It never blocks,
+// so tests drive it directly on a fake clock.
 func (s *Server) iterate(now time.Time) {
+	s.schedule(now)
+	s.execute()
+}
+
+// schedule is the first half of an iteration: admit → reap expired →
+// secure the batch's KV growth (preempting if the pool is dry). Afterwards
+// the batch's outstanding page needs fit the pool's free pages.
+func (s *Server) schedule(now time.Time) {
 	s.admit(now)
 	s.reap(now)
 	s.ensureKV(now)
 	s.waitCount.Store(int64(len(s.waiting)))
+}
+
+// execute is the second half of an iteration: step the batch → retire
+// finished.
+func (s *Server) execute() {
 	if len(s.batch) > 0 {
 		s.runIteration()
 		s.retire()
@@ -195,8 +203,8 @@ func (s *Server) pull() bool {
 // admit fills free batch slots from the head of the wait list — preempted
 // requests first, oldest preemption first, then the one request held at
 // the head of the line — and then from the queue. A request that fits the
-// batch but not the remaining KV budget stays at the head of the wait
-// list until pages free up, and nothing behind it is admitted: admission
+// batch but not the pool's free pages stays at the head of the wait list
+// until pages free up, and nothing behind it is admitted: admission
 // control by memory, not just slots.
 func (s *Server) admit(now time.Time) {
 	for len(s.batch) < s.cfg.MaxBatch {
@@ -235,36 +243,36 @@ func expired(a *activeReq, now time.Time) error {
 // mount admits a if its KV admission need fits: it pins the longest cached
 // prefix of the prompt (before the fit check, so eviction cannot
 // invalidate the sizing underneath it), reclaims cached prefixes if the
-// budget is short, and builds a fresh session over the pinned pages whose
+// pool is short, and builds a fresh session over the pinned pages whose
 // prefill will (re)build a.seq — minus whatever prefix the cache covers.
-// On a miss it releases the pin and reports false.
-//
-// Admission needs no growth headroom beyond the prompt footprint: if the
-// batch's next growth collides with a fresh admission, ensureKV preempts
-// the newcomer — the LIFO victim with the least progress to lose (prefill
-// only starts after ensureKV, so a same-iteration eviction discards
-// nothing but a session object). A resumed request keeps its RNG stream
-// and output, so the tokens it goes on to emit are exactly those of an
-// unpreempted run.
+// The need is the pages a's whole prefill and first decode row take,
+// sized from the pinned entry's rows; it fits when the pool's free pages
+// cover it on top of what the batch is owed, which already includes the
+// batch's next growth. Later growth that collides with it makes ensureKV
+// preempt the newest request first. A resumed request keeps its RNG
+// stream and output, so the tokens it goes on to emit are exactly those
+// of an unpreempted run. On a miss mount releases the pin and reports
+// false.
 func (s *Server) mount(a *activeReq, now time.Time) bool {
 	e := s.acquirePrefix(a.scheme, a.p.req.Prompt)
-	need := s.admissionNeed(len(a.seq)) - s.prefixBase(e)
+	owed := s.owed()
+	need := s.mountNeed(e, len(a.seq)+1)
 	// An injected KV-exhaustion fault holds the request exactly as a dry
 	// pool would; the next admission pass redraws, so the hold is
 	// transient by construction.
 	denied := s.cfg.Chaos.KVExhausted()
-	s.reclaimKV(need)
-	if !denied && need > s.kvFree && e != nil && len(s.batch) == 0 {
+	s.reclaimKV(owed + need)
+	if !denied && owed+need > s.kvPool.Free() && e != nil && len(s.batch) == 0 {
 		// Nothing runs, so only a's own pin keeps the cache from yielding
 		// what it needs (the matched entry's partial last page, or pages
 		// it shares with other entries): the hit can never fit, so mount
 		// cold instead of holding forever.
 		s.releasePrefix(a.scheme, e)
 		e = nil
-		need = s.admissionNeed(len(a.seq))
+		need = s.mountNeed(nil, len(a.seq)+1)
 		s.reclaimKV(need)
 	}
-	if denied || need > s.kvFree {
+	if denied || owed+need > s.kvPool.Free() {
 		s.releasePrefix(a.scheme, e)
 		return false
 	}
@@ -285,15 +293,13 @@ func (s *Server) mount(a *activeReq, now time.Time) bool {
 		a.preemptedFor += now.Sub(a.preemptedAt)
 	}
 	a.entry = e
-	a.kvBase = s.prefixBase(e)
 	a.consumed = a.kvSkipped()
 	a.prefillStartTraced = false
 	a.sess = s.cfg.Model.NewSessionOn(a.eng, s.kvPool, len(a.p.req.Prompt)+a.maxNew, e)
-	s.reserveKV(a, need)
 	if s.prefixCaches[a.scheme] != nil {
 		s.metrics.prefixMount(a.kvSkipped())
 	}
-	s.tracer.Record(kind, a.p.id, s.iter, int64(a.kvHeld), int64(a.kvSkipped()))
+	s.tracer.Record(kind, a.p.id, s.iter, int64(need/s.posPages()*s.cfg.KVPageRows), int64(a.kvSkipped()))
 	return true
 }
 
@@ -331,19 +337,21 @@ func (s *Server) preemptReq(a *activeReq, now time.Time) {
 	s.tracer.Record(obs.KindPreempt, a.p.id, s.iter, obs.ReasonKVPressure, int64(len(a.out)))
 }
 
-// ensureKV reserves this iteration's page-granular KV growth for every
-// active request in admission order, preempting from the tail — the most
-// recently admitted request — whenever the budget runs dry. The oldest
-// request can always proceed: its worst-case footprint was checked
-// against the whole budget at submission, so preemption guarantees
-// progress rather than deadlock.
+// ensureKV secures this iteration's KV growth for every active request
+// in admission order: each request's outstanding need, on top of what the
+// requests before it are owed, must fit the pool's free pages, and when it
+// does not the scheduler preempts from the tail — the most recently
+// admitted request. The oldest request can always proceed: its worst-case
+// footprint was checked against the whole budget at submission, so
+// preemption guarantees progress rather than deadlock.
 func (s *Server) ensureKV(now time.Time) {
+	owed := 0
 	i := 0
 	for i < len(s.batch) {
 		a := s.batch[i]
-		need := max(0, s.pageRound(a.sess.Len()+s.chunkLen(a))-a.kvBase-a.kvHeld)
+		need := owed + s.kvNeed(a)
 		s.reclaimKV(need) // cached prefixes yield before anyone is preempted
-		for need > s.kvFree && len(s.batch) > i+1 {
+		for need > s.kvPool.Free() && len(s.batch) > i+1 {
 			s.preemptReq(s.batch[len(s.batch)-1], now)
 			s.batch = s.batch[:len(s.batch)-1]
 			// The victim's release may have unpinned prefix entries that
@@ -351,14 +359,14 @@ func (s *Server) ensureKV(now time.Time) {
 			// another victim.
 			s.reclaimKV(need)
 		}
-		if need > s.kvFree {
+		if need > s.kvPool.Free() {
 			// a is itself the newest survivor and still cannot grow;
 			// requeue it too and let the older requests run.
 			s.preemptReq(a, now)
 			s.batch = append(s.batch[:i], s.batch[i+1:]...)
 			continue
 		}
-		s.reserveKV(a, need)
+		owed = need
 		i++
 	}
 }
@@ -447,27 +455,22 @@ func (s *Server) runIteration() {
 	}
 	var liveRows int64
 	for _, a := range batch {
-		liveRows += int64(a.kvHeld)
+		liveRows += int64(s.pageRound(a.sess.Len()))
 	}
 	s.liveKVRows.Store(liveRows)
 	// Pages are per-layer per-K/V; convert to positions so occupancy reads
 	// in the same unit as the budget.
-	kvOcc := int64(s.kvPool.InUse()) * int64(s.cfg.KVPageRows) / int64(2*s.cfg.Model.Cfg.Layers)
+	kvOcc := int64(s.kvPool.InUse()) * int64(s.cfg.KVPageRows) / int64(s.posPages())
 	s.metrics.iteration(len(batch), prefill, decode, fused, perScheme, kvOcc)
 }
 
 // insertPrefix donates a's freshly prefilled prompt KV to its engine's
-// prefix index, best effort: the new charge is bounded by the remaining
-// KV budget (cached pages must never crowd out admissible requests), and
-// the cache may evict older unpinned prefixes to fit its own cap — both
-// movements settle against the budget here.
+// prefix index, best effort: the entries share a's pages, and the cache
+// may evict older unpinned prefixes to fit its own row cap.
 func (s *Server) insertPrefix(a *activeReq) {
-	c := s.prefixCaches[a.scheme]
-	if c == nil {
-		return
+	if c := s.prefixCaches[a.scheme]; c != nil {
+		c.Insert(a.p.req.Prompt, a.sess)
 	}
-	charged, freed, _ := c.Insert(a.p.req.Prompt, a.sess, s.kvFree)
-	s.kvFree += freed - charged
 }
 
 // workItem is one unit of an iteration's model work: a fused decode of
@@ -662,10 +665,9 @@ func (a *activeReq) emit(row []float64) {
 
 // retire delivers results for requests that reached their token budget
 // or failed their step, returning their pages to the pool. A finishing
-// request donates its prompt prefix to the cache one last time, funded by
-// the budget it is about to release — this is the attempt that succeeds
-// when the pool was too tight at prefill-completion time (the whole point
-// of caching under pressure: memory frees exactly when a request ends).
+// request donates its prompt prefix to the cache one last time: this
+// refreshes the entries' recency, and it is the attempt that succeeds when
+// pinned entries kept the cache's row cap full at prefill-completion time.
 func (s *Server) retire() {
 	now := s.now()
 	s.batch = slices.DeleteFunc(s.batch, func(a *activeReq) bool {
@@ -676,9 +678,7 @@ func (s *Server) retire() {
 			// the rest of the batch never notices.
 			s.finish(a, now, a.failed)
 		case len(a.out) >= a.maxNew:
-			if s.prefixCaches != nil && a.consumed == len(a.seq) {
-				s.kvFree += a.kvHeld
-				a.kvHeld = 0
+			if a.consumed == len(a.seq) {
 				s.insertPrefix(a)
 			}
 			s.finish(a, now, nil)
@@ -701,7 +701,7 @@ func (s *Server) shutdown() {
 	s.batch, s.waiting = nil, nil
 	s.waitCount.Store(0)
 	for _, c := range s.prefixCaches {
-		s.kvFree += c.Flush()
+		c.Flush()
 	}
 }
 

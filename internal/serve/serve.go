@@ -25,18 +25,21 @@
 // single-threaded decode path for every scheme — batching and fusion
 // change wall-clock, never tokens.
 //
-// KV memory is paged and budgeted: sessions draw fixed-size pages from
-// one shared tensor.BlockPool, Config.KVBudgetRows bounds total positions,
-// admission reserves page-rounded footprints, and the scheduler preempts
-// (and later resumes, bit-identically) the most recently admitted request
-// when the pool runs dry. With Config.PrefixCache, completed prefills
-// donate their prompt's KV pages to a per-engine prefix index
-// (model.PrefixCache): later prompts sharing the prefix mount those
-// refcounted pages instead of recomputing them, admission charges only
-// the unshared tail, and unreferenced cached prefixes are evicted
-// LRU-first whenever live sessions need the memory. Prefix hits are
-// bit-identical to cold prefill for every row-independent engine;
-// row-coupled ones (OliVe) transparently keep the cold path.
+// KV memory is paged and budgeted, and the page pool is the one ledger:
+// sessions draw fixed-size pages lazily from one shared tensor.BlockPool
+// whose bound is Config.KVBudgetRows. Each time it decides, the scheduler
+// works out every request's outstanding page need from the request's own
+// state and compares the sum with the pool's free pages: admission
+// secures the whole-prefill footprint, and before each step the batch's
+// growth must fit, else the most recently admitted request is preempted
+// (and later resumed, bit-identically). With Config.PrefixCache, completed
+// prefills donate their prompt's KV pages to a per-engine prefix index
+// (model.PrefixCache) — a donation takes no new pages — and later prompts
+// sharing the prefix mount those refcounted pages instead of recomputing
+// them, needing pages only for the unshared tail. Unreferenced cached
+// prefixes are evicted LRU-first whenever live sessions need the memory.
+// Prefix hits are bit-identical to cold prefill for every row-independent
+// engine; row-coupled ones (OliVe) transparently keep the cold path.
 //
 // See docs/ARCHITECTURE.md for the full design, the page-table diagram
 // and the metrics reference.
@@ -47,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -144,15 +146,17 @@ type Config struct {
 	// request, so long prompts cannot starve decode steps (default 32).
 	// Row-coupled engines (OliVe) ignore it: they prefill whole prompts.
 	PrefillChunk int
-	// KVBudgetRows caps the total KV positions held by all active
-	// sessions (0 = unlimited). One position is one row of keys and one
-	// of values in every layer; the scheduler admits new requests only
-	// while their prompt fits, reserves page-granular growth before each
-	// iteration, and preempts the most recently admitted request when
-	// the pool runs dry (its pages are freed and it is requeued, to be
-	// resumed later by re-prefilling its retained prompt + generated
-	// tokens — output tokens are unchanged by preemption). Rounded up to
-	// a multiple of KVPageRows.
+	// KVBudgetRows caps the total KV positions held in the shared page
+	// pool — by active sessions and cached prefixes alike (0 = unlimited).
+	// One position is one row of keys and one of values in every layer;
+	// the pool's page bound is this budget, and it is the only KV ledger.
+	// The scheduler admits a new request only while the pool's free pages
+	// cover its prefill on top of what the batch is still owed, secures
+	// each iteration's growth the same way, and preempts the most recently
+	// admitted request when the pool runs dry (its pages are freed and it
+	// is requeued, to be resumed later by re-prefilling its retained
+	// prompt + generated tokens — output tokens are unchanged by
+	// preemption). Rounded up to a multiple of KVPageRows.
 	KVBudgetRows int
 	// KVPageRows is the page granularity of the shared KV block pool
 	// (default tensor.DefaultPageRows). Sessions acquire pages lazily as
@@ -160,10 +164,10 @@ type Config struct {
 	KVPageRows int
 	// PrefixCache enables shared-prefix KV reuse over the paged pool: each
 	// completed prefill donates its prompt's KV pages to a per-engine
-	// prefix index (model.PrefixCache), and later prompts sharing the
-	// prefix mount those refcounted pages instead of recomputing them —
-	// admission charges only the unshared tail against KVBudgetRows, and
-	// unreferenced cached prefixes are evicted LRU-first under pool
+	// prefix index (model.PrefixCache) without taking new pages, and later
+	// prompts sharing the prefix mount those refcounted pages instead of
+	// recomputing them — admission needs pages only for the unshared tail,
+	// and unreferenced cached prefixes are evicted LRU-first under pool
 	// pressure before the scheduler holds or preempts anything. Hits are
 	// bit-identical to cold prefill for every engine whose quantization
 	// treats activation rows independently; row-coupled engines (OliVe)
@@ -187,7 +191,8 @@ type Config struct {
 	BrownoutQueueWait time.Duration
 	// BrownoutKVFrac, when in (0,1], sheds new submissions with
 	// ErrOverloaded while live sessions hold at least this fraction of
-	// KVBudgetRows (cached prefixes do not count — they yield to live
+	// KVBudgetRows, counted as each session's page-rounded length (pages
+	// only the prefix cache holds do not count — they yield to live
 	// requests). 0 disables KV brownout; requires a KV budget.
 	BrownoutKVFrac float64
 	// Chaos, when non-nil, injects seeded faults into the scheduler —
@@ -282,8 +287,7 @@ type Server struct {
 	draining atomic.Bool
 	// Brownout gauges, written by the scheduler goroutine and read by
 	// Generate: the queue wait of the most recent admission, and the KV
-	// rows live sessions currently charge against the budget (cache
-	// charges excluded — they yield to live requests).
+	// rows live sessions currently hold, page-rounded per session.
 	recentQueueWait atomic.Int64
 	liveKVRows      atomic.Int64
 	// inflight counts requests Generate has accepted and not yet returned
@@ -293,13 +297,11 @@ type Server struct {
 	// metrics window reads (time.Now outside tests).
 	now func() time.Time
 	// Scheduler-goroutine state: fused steppers per engine (nil = engine
-	// is row-coupled and steps one request at a time), the remaining KV
-	// budget rows (effectively unbounded without a budget), the active
-	// batch in admission order, and the wait list — preempted requests in
+	// is row-coupled and steps one request at a time), the active batch in
+	// admission order, and the wait list — preempted requests in
 	// preemption order, then at most one request that left the queue but
 	// has not been admitted yet (held at the head of the line for KV).
 	steppers map[model.Engine]*model.BatchStepper
-	kvFree   int
 	batch    []*activeReq
 	waiting  []*activeReq
 	// iter numbers scheduler iterations for trace events; only the
@@ -351,14 +353,9 @@ type activeReq struct {
 	// token (a first prefill); a resume re-prefill re-derives tokens the
 	// request already emitted, so it stays silent.
 	emitPrefill bool
-	// kvHeld is the page-rounded KV row capacity reserved for this
-	// request out of the KV budget.
-	kvHeld int
 	// entry is the pinned prefix-cache entry the session mounted (nil on a
-	// miss or with the cache off); kvBase is the page-aligned floor of its
-	// covered rows — positions charged to the cache, not to this request.
+	// miss or with the cache off).
 	entry  *model.PrefixEntry
-	kvBase int
 	maxNew int
 	// out is allocated at the first admission; started (zero until then)
 	// marks it.
@@ -398,18 +395,11 @@ func New(cfg Config) (*Server, error) {
 		now:      time.Now,
 		workers:  runtime.GOMAXPROCS(0),
 		steppers: make(map[model.Engine]*model.BatchStepper),
-		kvFree:   cfg.KVBudgetRows,
 	}
-	if s.kvFree == 0 {
-		s.kvFree = math.MaxInt // no reservation can exhaust it
-	}
-	maxPages := 0
-	if cfg.KVBudgetRows > 0 {
-		// The budget is page-aligned, so this bound is exactly what
-		// position accounting can hand out: one K and one V page per layer
-		// per budgeted page of positions.
-		maxPages = cfg.KVBudgetRows / cfg.KVPageRows * 2 * cfg.Model.Cfg.Layers
-	}
+	// The pool is the one KV ledger: its bound is the page-aligned budget,
+	// one K and one V page per layer per page of positions (unbounded
+	// without a budget).
+	maxPages := cfg.KVBudgetRows / cfg.KVPageRows * s.posPages()
 	s.kvPool = tensor.NewBlockPool(cfg.Model.Cfg.DModel, cfg.KVPageRows, maxPages)
 	if cfg.PrefixCache {
 		s.prefixCaches = make(map[string]*model.PrefixCache, len(cfg.Engines))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,12 +68,15 @@ type smReq struct {
 // deadlines, some sharing prompt prefixes, some long enough to force
 // prefix eviction and preemption), cancellations, clock jumps past
 // deadlines, injected KV vetoes and step panics — then drains and stops.
-// After every iteration it checks the scheduler's accounting: pool page
-// counters balance, the KV budget equals free + batch reservations +
-// cached prefix charge, waiting requests hold no KV, every request gets
-// exactly one Result and leaves the scheduler when it does, and every
-// output is the unbatched reference's (a prefix of it for a failed
-// request). A stopped server holds no pages. A failing run names its seed.
+// The pool is the one KV ledger, so the checks are on it: after each
+// iteration's scheduling half the batch's outstanding page needs fit the
+// pool's free pages; after every iteration the page counters balance
+// (allocs − frees = in use ≤ cap), waiting requests hold no session and no
+// pin, every request gets exactly one Result and leaves the scheduler when
+// it does, no step fails but by an injected panic (a pool overrun would
+// surface as one), and every output is the unbatched reference's (a prefix
+// of it for a failed request). A stopped server holds no pages. A failing
+// run names its seed.
 func TestSchedulerStateMachine(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	refs := make(map[string][]int)
@@ -118,11 +122,10 @@ func TestSchedulerStateMachine(t *testing.T) {
 }
 
 func runStateMachine(t *testing.T, m *model.Model, seed uint64, ref func(Request) []int) Snapshot {
-	const budget = 48
 	srv, err := New(Config{
 		Model: m, Engines: map[string]model.Engine{"fp32": model.Exact{}},
 		MaxBatch: 3, QueueDepth: 6, PrefillChunk: 5,
-		KVBudgetRows: budget, KVPageRows: 8, PrefixCache: true,
+		KVBudgetRows: 48, KVPageRows: 8, PrefixCache: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,14 +179,21 @@ func runStateMachine(t *testing.T, m *model.Model, seed uint64, ref func(Request
 				}
 				r.res = &res
 				r.cancel()
+				if errors.Is(res.Err, ErrInternal) && !strings.Contains(res.Err.Error(), "chaos: injected") {
+					t.Fatalf("%s: request %d failed by itself: %v", what, r.p.id, res.Err)
+				}
 				checkResult(t, r, ref(r.req))
 			default:
 			}
 		}
-		checkScheduler(t, srv, budget, reqs, what)
+		checkScheduler(t, srv, reqs, what)
 	}
 	step := func(what string) {
-		srv.iterate(now)
+		srv.schedule(now)
+		if owed, free := srv.owed(), srv.kvPool.Free(); owed > free {
+			t.Fatalf("%s: the batch is owed %d pages, the pool has %d free", what, owed, free)
+		}
+		srv.execute()
 		srv.cfg.Chaos = nil
 		collect(what)
 	}
@@ -234,26 +244,12 @@ func runStateMachine(t *testing.T, m *model.Model, seed uint64, ref func(Request
 
 // checkScheduler asserts the scheduler's accounting invariants between
 // iterations.
-func checkScheduler(t *testing.T, srv *Server, budget int, reqs []*smReq, what string) {
+func checkScheduler(t *testing.T, srv *Server, reqs []*smReq, what string) {
 	t.Helper()
 	allocs, frees := srv.kvPool.Counters()
 	inUse := srv.kvPool.InUse()
-	if allocs-frees != int64(inUse) {
-		t.Fatalf("%s: %d page allocs − %d frees != %d in use", what, allocs, frees, inUse)
-	}
-	if rows := inUse * srv.cfg.KVPageRows / (2 * srv.cfg.Model.Cfg.Layers); rows > budget {
-		t.Fatalf("%s: %d KV rows in use over the %d-row budget", what, rows, budget)
-	}
-	sum := srv.kvFree
-	for _, a := range srv.batch {
-		sum += a.kvHeld
-	}
-	for _, c := range srv.prefixCaches {
-		sum += c.Stats().HeldRows
-	}
-	if sum != budget {
-		t.Fatalf("%s: kvFree %d + batch reservations + cache charge = %d, want budget %d",
-			what, srv.kvFree, sum, budget)
+	if allocs-frees != int64(inUse) || inUse > srv.kvPool.Cap() {
+		t.Fatalf("%s: %d page allocs − %d frees, %d in use, cap %d", what, allocs, frees, inUse, srv.kvPool.Cap())
 	}
 	scheduled := make(map[*pending]bool)
 	for _, a := range slices.Concat(srv.batch, srv.waiting) {
@@ -268,9 +264,9 @@ func checkScheduler(t *testing.T, srv *Server, budget int, reqs []*smReq, what s
 		}
 	}
 	for _, a := range srv.waiting {
-		if a.kvHeld != 0 || a.sess != nil || a.entry != nil {
-			t.Fatalf("%s: waiting request %d holds KV (%d rows, session %v, entry %v)",
-				what, a.p.id, a.kvHeld, a.sess != nil, a.entry != nil)
+		if a.sess != nil || a.entry != nil {
+			t.Fatalf("%s: waiting request %d holds KV (session %v, entry %v)",
+				what, a.p.id, a.sess != nil, a.entry != nil)
 		}
 	}
 }

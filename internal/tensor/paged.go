@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 )
@@ -87,6 +88,18 @@ func (p *BlockPool) PageRows() int { return p.pageRows }
 
 // Cap returns the pool's page bound (0 = unbounded).
 func (p *BlockPool) Cap() int { return p.maxPages }
+
+// Free returns how many more pages can be handed out before the bound is
+// reached (math.MaxInt for an unbounded pool): the one KV ledger a server
+// compares its requests' page needs (PagedRows.PagesToGrow) with.
+func (p *BlockPool) Free() int {
+	if p.maxPages == 0 {
+		return math.MaxInt
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.maxPages - p.inUse
+}
 
 // InUse returns the number of distinct pages currently handed out. A page
 // shared by several holders counts once — the bound governs memory, not
@@ -233,6 +246,21 @@ func (p *PagedRows) SharePages(rows int) []*Page {
 		out[i] = p.pages[i]
 	}
 	return out
+}
+
+// PagesToGrow returns how many pool pages appending rows until the store
+// holds n would acquire: one per page started, plus one copy-on-write page
+// when the rows end inside a shared page.
+func (p *PagedRows) PagesToGrow(n int) int {
+	r := p.pool.pageRows
+	if n <= p.rows {
+		return 0
+	}
+	need := (n+r-1)/r - len(p.pages)
+	if p.rows%r != 0 && p.rows/r < p.shared {
+		need++
+	}
+	return need
 }
 
 // AppendRow appends a single row (length Cols), acquiring a page from the

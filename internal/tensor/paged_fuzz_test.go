@@ -31,7 +31,8 @@ const (
 // and holder release. After every operation each live store's Row and
 // Span walk must equal the rows as appended (so an append by one holder of
 // shared pages must leave every other holder's rows alone),
-// and every page's reference count must equal its holders. Once everything
+// every page's reference count must equal its holders, and every append
+// must acquire exactly the pages PagesToGrow predicted. Once everything
 // is released the pool must be empty with balanced counters.
 func FuzzPagedRowsOps(f *testing.F) {
 	op := func(kind, arg byte) []byte { return []byte{kind, arg} }
@@ -81,9 +82,6 @@ func runPagedOps(t *testing.T, data []byte) {
 	rng := NewRNG(uint64(len(data)))
 
 	appendTo := func(s int) {
-		if stores[s] == nil {
-			stores[s] = NewPagedRows(pool, 0)
-		}
 		if stores[s].Rows() >= fuzzMaxRows {
 			return
 		}
@@ -91,7 +89,12 @@ func runPagedOps(t *testing.T, data []byte) {
 		for c := range row {
 			row[c] = rng.Norm()
 		}
+		want := stores[s].PagesToGrow(stores[s].Rows() + 1)
+		before, _ := pool.Counters()
 		stores[s].AppendRow(row)
+		if after, _ := pool.Counters(); after-before != int64(want) {
+			t.Fatalf("append acquired %d pages, PagesToGrow predicted %d", after-before, want)
+		}
 		refs[s] = append(refs[s], row)
 	}
 	dropHeld := func() {
@@ -106,8 +109,17 @@ func runPagedOps(t *testing.T, data []byte) {
 		s := int(arg & 3)
 		switch kind % fuzzKinds {
 		case fuzzAppend:
-			for n := 1 + int(arg>>2)%fuzzPageRows; n > 0; n-- {
+			if stores[s] == nil {
+				stores[s] = NewPagedRows(pool, 0)
+			}
+			n := 1 + int(arg>>2)%fuzzPageRows
+			want := stores[s].PagesToGrow(min(stores[s].Rows()+n, fuzzMaxRows))
+			before, _ := pool.Counters()
+			for ; n > 0; n-- {
 				appendTo(s)
+			}
+			if after, _ := pool.Counters(); after-before != int64(want) {
+				t.Fatalf("step %d: appends acquired %d pages, PagesToGrow predicted %d", i/2, after-before, want)
 			}
 		case fuzzShare:
 			src := stores[s]
@@ -209,7 +221,8 @@ func checkPagedStores(t *testing.T, pool *BlockPool, stores []*PagedRows, refs [
 			t.Fatalf("step %d: page has %d references, %d holders", step, pg.refs, n)
 		}
 	}
-	if got := pool.InUse(); got != len(holders) {
-		t.Fatalf("step %d: pool reports %d pages in use, holders reach %d", step, got, len(holders))
+	if got := pool.InUse(); got != len(holders) || pool.Free() != pool.Cap()-got {
+		t.Fatalf("step %d: pool reports %d pages in use and %d free of %d, holders reach %d",
+			step, got, pool.Free(), pool.Cap(), len(holders))
 	}
 }

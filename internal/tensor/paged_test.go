@@ -1,11 +1,13 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 )
 
 // TestBlockPoolBoundAndRecycling: a bounded pool panics past its cap,
-// Release returns pages for reuse, and the counters track the traffic.
+// Free counts down to it, Release returns pages for reuse, and the
+// counters track the traffic.
 func TestBlockPoolBoundAndRecycling(t *testing.T) {
 	const cols, pageRows = 4, 2
 	pool := NewBlockPool(cols, pageRows, 2)
@@ -15,8 +17,11 @@ func TestBlockPoolBoundAndRecycling(t *testing.T) {
 		row[0] = float64(i)
 		a.AppendRow(row)
 	}
-	if got := pool.InUse(); got != 2 {
-		t.Fatalf("pages in use %d, want 2", got)
+	if got := pool.InUse(); got != 2 || pool.Free() != 0 {
+		t.Fatalf("pages in use %d, free %d; want 2, 0", got, pool.Free())
+	}
+	if got := NewBlockPool(cols, pageRows, 0).Free(); got != math.MaxInt {
+		t.Fatalf("unbounded pool has %d pages free, want math.MaxInt", got)
 	}
 	func() {
 		defer func() {
@@ -87,6 +92,11 @@ func TestPagedRowsShareMountCOW(t *testing.T) {
 		}
 		mounted := NewPagedRows(pool, 0)
 		mounted.MountShared(pages, share)
+		// Growing one row past the mount takes a fresh page at a page
+		// boundary and a copy-on-write page inside a partial one.
+		if got := mounted.PagesToGrow(share + 1); got != 1 {
+			t.Fatalf("share=%d: PagesToGrow(%d) = %d, want 1", share, share+1, got)
+		}
 		for _, pg := range pages {
 			pool.Release(pg) // the cache-style holder drops its references
 		}
