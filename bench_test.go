@@ -60,10 +60,10 @@ func BenchmarkAblationBits(b *testing.B)       { benchTable(b, experiments.Ablat
 func BenchmarkAblationDataflow(b *testing.B)   { benchTable(b, experiments.AblationDataflow) }
 
 // BenchmarkFusedDecode compares steady-state decode throughput of the
-// fused batched step (one forward pass per iteration across all sessions,
-// model.BatchStepper) against the per-request path (one Session.Append per
-// session per iteration) at batch 8, for the FP32 reference and the
-// Tender engines. Sessions are rebuilt outside the timer every cycle so
+// fused step (one model.Step forward pass per iteration across all
+// sessions) against the per-request path (one Session.Append per session
+// per iteration) at batch 8, for the FP32 reference and the Tender
+// engines. Sessions are rebuilt outside the timer every cycle so
 // the KV length stays bounded and comparable between the two paths.
 func BenchmarkFusedDecode(b *testing.B) {
 	m := model.New(model.Registry("opt-6.7b"))
@@ -79,31 +79,32 @@ func BenchmarkFusedDecode(b *testing.B) {
 	prompt := workload.TokenStream(workload.Wiki, 5, 32, m.Cfg.Vocab)
 	for _, spec := range specs {
 		eng := engines[spec]
-		build := func() ([]*model.Session, []int) {
-			sessions := make([]*model.Session, batch)
+		build := func() ([]model.Segment, []int) {
+			segs := make([]model.Segment, batch)
 			last := make([]int, batch)
-			for i := range sessions {
-				sessions[i] = m.NewSession(eng, len(prompt)+cycle+1)
-				lg := sessions[i].Append(prompt)
+			for i := range segs {
+				segs[i].S = m.NewSession(eng, len(prompt)+cycle+1)
+				lg := segs[i].S.Append(prompt)
 				last[i] = model.Greedy(lg.Row(lg.Rows - 1))
+				segs[i].Tokens = last[i : i+1]
 			}
-			return sessions, last
+			return segs, last
 		}
 		var perReq, fused float64 // tokens/s
 		b.Run(spec+"/per-request", func(b *testing.B) {
 			b.ReportAllocs()
-			sessions, last := build()
+			segs, last := build()
 			steps := 0
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				if steps == cycle {
 					b.StopTimer()
-					sessions, last = build()
+					segs, last = build()
 					steps = 0
 					b.StartTimer()
 				}
-				for i, s := range sessions {
-					last[i] = model.Greedy(s.Append([]int{last[i]}).Row(0))
+				for i, sg := range segs {
+					last[i] = model.Greedy(sg.S.Append([]int{last[i]}).Row(0))
 				}
 				steps++
 			}
@@ -112,22 +113,19 @@ func BenchmarkFusedDecode(b *testing.B) {
 		})
 		b.Run(spec+"/fused", func(b *testing.B) {
 			b.ReportAllocs()
-			bs, err := m.NewBatchStepper(eng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sessions, last := build()
+			logits := tensor.New(batch, m.Cfg.Vocab)
+			segs, last := build()
 			steps := 0
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				if steps == cycle {
 					b.StopTimer()
-					sessions, last = build()
+					segs, last = build()
 					steps = 0
 					b.StartTimer()
 				}
-				logits := bs.Step(sessions, last)
-				for i := range sessions {
+				model.Step(segs, logits)
+				for i := range segs {
 					last[i] = model.Greedy(logits.Row(i))
 				}
 				steps++
@@ -159,32 +157,30 @@ func BenchmarkDecodeAllocs(b *testing.B) {
 	}
 	m := model.New(cfg)
 	eng := model.Exact{}
-	bs, err := m.NewBatchStepper(eng)
-	if err != nil {
-		b.Fatal(err)
-	}
 	const batch = 4
 	const cycle = 128
 	pool := tensor.NewBlockPool(cfg.DModel, tensor.DefaultPageRows, 0)
 	prompt := workload.TokenStream(workload.Wiki, 9, 16, cfg.Vocab)
-	var live []*model.Session
-	build := func(newSession func(capHint int) *model.Session) ([]*model.Session, []int) {
-		for _, s := range live {
-			s.ReleaseKV() // pages go back to their pool, as in serving
+	var live []model.Segment
+	build := func(newSession func(capHint int) *model.Session) ([]model.Segment, []int) {
+		for _, sg := range live {
+			sg.S.ReleaseKV() // pages go back to their pool, as in serving
 		}
-		sessions := make([]*model.Session, batch)
+		segs := make([]model.Segment, batch)
 		last := make([]int, batch)
-		for i := range sessions {
-			sessions[i] = newSession(len(prompt) + cycle + 1)
-			lg := sessions[i].Append(prompt)
+		for i := range segs {
+			segs[i].S = newSession(len(prompt) + cycle + 1)
+			lg := segs[i].S.Append(prompt)
 			last[i] = model.Greedy(lg.Row(lg.Rows - 1))
+			segs[i].Tokens = last[i : i+1]
 		}
-		live = sessions
-		return sessions, last
+		live = segs
+		return segs, last
 	}
-	step := func(sessions []*model.Session, last []int) {
-		logits := bs.Step(sessions, last)
-		for j := range sessions {
+	logits := tensor.New(batch, cfg.Vocab)
+	step := func(segs []model.Segment, last []int) {
+		model.Step(segs, logits)
+		for j := range segs {
 			last[j] = model.Greedy(logits.Row(j))
 		}
 	}

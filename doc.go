@@ -20,13 +20,16 @@
 // activations, which is what keeps serving decode steps cheap.
 //
 // On top of the packed engines, the serving scheduler (internal/serve)
-// fuses decode: all sessions on one engine advance through a single
-// forward pass per iteration (model.BatchStepper) — one MatMul per weight
-// site over the stacked batch, per-session attention, an arena-recycled
-// zero-allocation hot path. It is the same incremental block
-// model.Session.Append runs, so fusion is bit-identical to stepping each
-// session alone for every scheme whose quantization treats activation
-// rows independently (schemes.RowIndependent documents the audit).
+// fuses every step: the requests on one engine — prefill chunks, resumed
+// tails and decode tokens alike — advance through model.Step, one forward
+// pass over their stacked segments per work item — one MatMul per weight
+// site over all the rows, per-session attention, only each segment's last
+// row unembedded, an arena-recycled zero-allocation hot path. It is the
+// same incremental block model.Session.Append runs, so fusion is
+// bit-identical to stepping each session alone for every scheme whose
+// quantization treats activation rows independently
+// (model.Model.RowIndependent; schemes.RowIndependent documents the
+// audit).
 //
 // KV cache memory is paged: session caches are tensor.PagedRows stores of
 // fixed-size float64 pages acquired lazily from a shared, size-bounded

@@ -3,29 +3,28 @@ package model
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"tender/internal/tensor"
 )
 
 // scratch recycles every intermediate of the incremental block. An Arena is
-// safe for concurrent use, so sessions and steppers on different goroutines
-// share it; in steady state a decode step draws every matrix from it and
-// performs no heap allocations.
+// safe for concurrent use, so passes on different goroutines share it; in
+// steady state a decode step draws every matrix from it and performs no
+// heap allocations.
 var scratch = tensor.NewArena()
 
-// segment is one session's share of a stacked forward pass: its new tokens,
-// which occupy consecutive rows of the stacked activations at absolute
-// positions s.pos .. s.pos+len(toks)-1.
-type segment struct {
-	s    *Session
-	toks []int
+// Segment is one session's share of a Step: the tokens appended to S at
+// positions S.Len() .. S.Len()+len(Tokens)-1 — a prefill chunk of any
+// length, a resumed tail, or one decode token. The segments of a pass
+// occupy consecutive rows of its stacked activations.
+type Segment struct {
+	S      *Session
+	Tokens []int
 }
 
 // pass is the incremental transformer: the one block every KV-cached path
-// runs. Session.Append is a pass over one segment (a prefill chunk or a
-// decode token) and BatchStepper.Step a pass over one single-token segment
-// per session. Weight sites run one engine call over all stacked rows;
+// runs. Step is a pass over any mix of segments and Session.Append a pass
+// over one. Weight sites run one engine call over all stacked rows;
 // attention runs per segment against that session's cache. Model.block,
 // the full-sequence encoder/forward block, is the independent reference
 // the identity tests hold it to.
@@ -48,15 +47,15 @@ func newPass(m *Model, eng Engine) pass {
 // forward appends every segment's tokens to its session and returns the
 // final-LayerNormed hidden rows, stacked in segment order. The result is a
 // scratch matrix: the caller unembeds it and puts it back.
-func (p *pass) forward(segs []segment) *tensor.Matrix {
+func (p *pass) forward(segs []Segment) *tensor.Matrix {
 	m := p.m
 	rows := 0
 	for _, sg := range segs {
-		n := len(sg.toks)
-		if sg.s.pos+n > m.Cfg.MaxSeq {
-			panic(fmt.Sprintf("model: session length %d+%d exceeds max %d", sg.s.pos, n, m.Cfg.MaxSeq))
+		n := len(sg.Tokens)
+		if sg.S.pos+n > m.Cfg.MaxSeq {
+			panic(fmt.Sprintf("model: session length %d+%d exceeds max %d", sg.S.pos, n, m.Cfg.MaxSeq))
 		}
-		for _, t := range sg.toks {
+		for _, t := range sg.Tokens {
 			if t < 0 || t >= m.Cfg.Vocab {
 				panic(fmt.Sprintf("model: token %d out of vocab", t))
 			}
@@ -66,10 +65,10 @@ func (p *pass) forward(segs []segment) *tensor.Matrix {
 	x := scratch.GetUninit(rows, m.Cfg.DModel)
 	r := 0
 	for _, sg := range segs {
-		for i, t := range sg.toks {
+		for i, t := range sg.Tokens {
 			row := x.Row(r)
 			copy(row, m.Embed.Row(t))
-			pos := m.Pos.Row(sg.s.pos + i)
+			pos := m.Pos.Row(sg.S.pos + i)
 			for c := range row {
 				row[c] += pos[c]
 			}
@@ -80,7 +79,7 @@ func (p *pass) forward(segs []segment) *tensor.Matrix {
 		p.block(l, segs, x)
 	}
 	for _, sg := range segs {
-		sg.s.pos += len(sg.toks)
+		sg.S.pos += len(sg.Tokens)
 	}
 	tensor.LayerNormRows(x, m.LNFGain, m.LNFBias)
 	return x
@@ -89,7 +88,7 @@ func (p *pass) forward(segs []segment) *tensor.Matrix {
 // block is Model.block for the stacked segments against their cached
 // keys/values: in-place residual adds give the same values as the
 // reference's fresh Add results.
-func (p *pass) block(l int, segs []segment, x *tensor.Matrix) {
+func (p *pass) block(l int, segs []Segment, x *tensor.Matrix) {
 	m := p.m
 	lay := &m.Layers[l]
 	rows := x.Rows
@@ -106,13 +105,13 @@ func (p *pass) block(l int, segs []segment, x *tensor.Matrix) {
 	attnOut := scratch.Get(rows, d)
 	r := 0
 	for _, sg := range segs {
-		n := len(sg.toks)
-		kv := &sg.s.kv[l]
+		n := len(sg.Tokens)
+		kv := &sg.S.kv[l]
 		for i := r; i < r+n; i++ {
 			kv.k.AppendRow(xk.Row(i))
 			kv.v.AppendRow(xv.Row(i))
 		}
-		p.attend(l, sg.s, xq, attnOut, r, n)
+		p.attend(l, sg.S, xq, attnOut, r, n)
 		r += n
 	}
 	p.releaseSite(xq)
@@ -266,112 +265,80 @@ func (p *pass) releaseSite(m *tensor.Matrix) {
 	}
 }
 
-// BatchStepper runs one fused decode iteration across many Sessions: the
-// current token of every session is stacked into one [B × d_model]
-// activation matrix and the incremental block runs once — a single
-// Engine.MatMul per weight site (Q/K/V/Out/FC1/FC2 and the unembedding)
-// over the stacked batch — while attention stays per session, scoring each
-// row against that session's own KV cache and position offset. It is the
-// same pass Session.Append runs, with one single-token segment per session,
-// so the result is bit-identical to stepping each session alone as long as
-// every weight site of the engine treats activation rows independently
-// (RowIndependentEngine).
-//
-// With an EngineInto engine (the FP32 reference) steady-state decode
-// performs no heap allocations per token. A stepper is bound to one
-// (Model, Engine) pair; membership is passed per call, so the serving
-// scheduler can regroup requests every iteration as sessions join and
-// finish. A BatchStepper is not safe for concurrent use, but separate
-// steppers sharing one engine may run concurrently — engines and their
-// packed weights are read-only at inference time.
-type BatchStepper struct {
-	pass
-	segs   []segment      // per-Step scratch
-	logits *tensor.Matrix // previous Step's output, recycled next call
-	// stepHook, when set, observes every Step's batch size and wall-clock.
-	// The clock is read only with a hook installed, so the unhooked path —
-	// including the zero-alloc decode benchmarks — pays nothing.
-	stepHook func(batch int, d time.Duration)
-}
-
-// SetStepHook installs (or, with nil, removes) a per-Step timing callback.
-// The hook runs on the Step caller's goroutine after the forward pass; it
-// must not retain the stepper's matrices. Not safe to call concurrently
-// with Step.
-func (bs *BatchStepper) SetStepHook(hook func(batch int, d time.Duration)) {
-	bs.stepHook = hook
-}
-
-// weightSiteKinds are the matmul sites fused over the stacked batch.
+// weightSiteKinds are the matmul sites a pass runs over its stacked rows.
 var weightSiteKinds = [...]SiteKind{KindQ, KindK, KindV, KindOut, KindFC1, KindFC2}
 
-// rowIndependent is the audit fused decode and the prefix cache share: eng
-// must implement RowIndependentEngine and report every weight site of the
-// model row-independent.
-func (m *Model) rowIndependent(eng Engine) error {
+// RowIndependent is the row-independence audit: it reports whether eng
+// implements RowIndependentEngine and declares every weight site of the
+// model row-independent. Only such an engine may stack several sessions'
+// rows into one pass (Step) or re-chunk a prefill (a PrefixCache hit)
+// bit-identically; a row-coupled engine (OliVe's cross-row outlier-victim
+// pairing) must step one session at a time, in the pieces its reference
+// decode used.
+func (m *Model) RowIndependent(eng Engine) bool {
 	rie, ok := eng.(RowIndependentEngine)
 	if !ok {
-		return fmt.Errorf("model: engine %T does not declare row-independent matmuls", eng)
+		return false
 	}
 	for l := 0; l < m.Cfg.Layers; l++ {
 		for _, kind := range weightSiteKinds {
-			site := Site{l, kind, -1}
-			if !rie.RowIndependentMatMul(site) {
-				return fmt.Errorf("model: %v of engine %T is row-dependent; fused decode would not be bit-identical", site, eng)
+			if !rie.RowIndependentMatMul(Site{l, kind, -1}) {
+				return false
 			}
 		}
 	}
-	return nil
+	return true
 }
 
-// NewBatchStepper returns a fused decode stepper for m over eng, or an
-// error when the engine cannot guarantee bit-identical fusion: it must
-// implement RowIndependentEngine and report every weight site of the
-// model row-independent. Row-dependent engines (e.g. OliVe's cross-row
-// outlier-victim pairing) must keep decoding one session at a time.
-func (m *Model) NewBatchStepper(eng Engine) (*BatchStepper, error) {
-	if m.Cfg.Arch != Decoder {
-		return nil, fmt.Errorf("model: fused decode requires a decoder model")
+// Step appends every segment's tokens to its session in one forward pass
+// and writes the logits of each segment's last token into the matching row
+// of logits (len(segs) × vocab, caller-owned): segment i's rows are
+// stacked into one activation matrix with the other segments', every
+// weight site runs one Engine call over them all, and attention stays per
+// session against its own KV cache and position offset. Only the rows a
+// caller reads are unembedded. Step keeps no state, so concurrent calls on
+// disjoint sessions may share an engine; with an EngineInto engine and a
+// reused segs slice and logits matrix, steady-state decode performs no heap
+// allocations.
+//
+// Each session's logits are bit-identical to appending its segment alone
+// (Session.Append) as long as the engine is RowIndependent; Step panics
+// when several sessions would share a pass on an engine that is not. Every
+// session must belong to the same model and engine, appear at most once,
+// and have room for its segment.
+func Step(segs []Segment, logits *tensor.Matrix) {
+	if len(segs) == 0 {
+		panic("model: Step with no segments")
 	}
-	if err := m.rowIndependent(eng); err != nil {
-		return nil, err
-	}
-	return &BatchStepper{pass: newPass(m, eng)}, nil
-}
-
-// Step appends one token to every session in a single fused forward pass
-// and returns the stacked logits (len(sessions) × vocab, row i for
-// sessions[i]). All sessions must belong to the stepper's model and
-// engine, appear at most once, and have room for one more position. The
-// returned matrix is owned by the stepper and valid until the next Step.
-func (bs *BatchStepper) Step(sessions []*Session, tokens []int) *tensor.Matrix {
-	b := len(sessions)
-	if b == 0 || len(tokens) != b {
-		panic(fmt.Sprintf("model: BatchStepper.Step with %d sessions, %d tokens", b, len(tokens)))
-	}
-	var t0 time.Time
-	if bs.stepHook != nil {
-		t0 = time.Now()
-	}
-	segs := bs.segs[:0]
-	for i, s := range sessions {
-		if s.m != bs.m || s.eng != bs.eng {
-			panic("model: BatchStepper.Step session bound to a different model or engine")
+	m, eng := segs[0].S.m, segs[0].S.eng
+	for _, sg := range segs {
+		if sg.S.m != m || sg.S.eng != eng {
+			panic("model: Step session bound to a different model or engine")
 		}
-		segs = append(segs, segment{s, tokens[i : i+1]})
+		if len(sg.Tokens) == 0 {
+			panic("model: Step with an empty segment")
+		}
 	}
-	x := bs.forward(segs)
-	clear(segs) // drop session references until the next Step
-	bs.segs = segs
-	if bs.logits != nil {
-		scratch.Put(bs.logits)
+	if len(segs) > 1 && !m.RowIndependent(eng) {
+		panic(fmt.Sprintf("model: engine %T is row-dependent; its sessions must step one at a time", eng))
 	}
-	logits := scratch.GetUninit(b, bs.m.Cfg.Vocab)
-	tensor.MatMulInto(x, bs.m.Unembed, logits)
+	if logits.Rows != len(segs) || logits.Cols != m.Cfg.Vocab {
+		panic(fmt.Sprintf("model: Step logits %dx%d for %d segments over vocab %d",
+			logits.Rows, logits.Cols, len(segs), m.Cfg.Vocab))
+	}
+	p := newPass(m, eng)
+	x := p.forward(segs)
+	if x.Rows > len(segs) {
+		// Some segment spans several rows: gather each one's last.
+		last := scratch.GetUninit(len(segs), m.Cfg.DModel)
+		r := 0
+		for i, sg := range segs {
+			r += len(sg.Tokens)
+			copy(last.Row(i), x.Row(r-1))
+		}
+		scratch.Put(x)
+		x = last
+	}
+	tensor.MatMulInto(x, m.Unembed, logits)
 	scratch.Put(x)
-	bs.logits = logits
-	if bs.stepHook != nil {
-		bs.stepHook(b, time.Since(t0))
-	}
-	return logits
 }

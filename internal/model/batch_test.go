@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -28,11 +29,12 @@ func prefill(t *testing.T, m *model.Model, eng model.Engine, n int, seed uint64)
 	return sessions, last
 }
 
-// TestFusedStepBitIdentical is the fused-decode invariant: for every
-// registry scheme whose engine admits fusion, BatchStepper.Step produces
-// logits bit-identical to stepping each session alone through
-// Session.Append — greedy and sampled, including after batch members
-// finish mid-decode (the harness staggers emission budgets).
+// TestFusedStepBitIdentical is the fused-step invariant: for every
+// registry scheme whose engine admits fusion, model.Step produces logits
+// bit-identical to stepping each session alone through Session.Append —
+// greedy and sampled, with passes that mix prefill chunks of several
+// lengths and decode tokens, including after members finish mid-decode
+// (the harness staggers starts and emission budgets).
 func TestFusedStepBitIdentical(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor", "uniform:gran=row",
@@ -52,20 +54,45 @@ func TestFusedStepBitIdentical(t *testing.T) {
 	}.Run(t)
 }
 
-// TestOliveRejectsFusedDecode: OliVe's cross-row pair encoding is
-// row-dependent; fusing it would change tokens, so NewBatchStepper must
-// refuse the engine instead.
-func TestOliveRejectsFusedDecode(t *testing.T) {
-	m := model.New(model.TinyConfig())
-	engines := identtest.Engines(t, m, []string{"olive"})
-	if _, err := m.NewBatchStepper(engines["olive"]); err == nil {
-		t.Fatal("olive must not admit fused decode")
-	}
+// mustPanic runs f and fails the test unless it panics with a message
+// containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("expected a panic containing %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("unexpected panic: %v", msg)
+		}
+	}()
+	f()
 }
 
-// TestFusedSteppersConcurrentOnSharedEngine: separate BatchSteppers over
-// one packed engine may run concurrently (run under -race in CI). Outputs
-// must still match the sequential reference.
+// TestOliveRejectsFusedDecode: OliVe's cross-row pair encoding is
+// row-dependent; fusing it would change tokens, so the audit must fail it
+// and Step must refuse to stack two of its sessions — while a single
+// session still steps.
+func TestOliveRejectsFusedDecode(t *testing.T) {
+	m := model.New(model.TinyConfig())
+	engines := identtest.Engines(t, m, []string{"olive", "fp32"})
+	if m.RowIndependent(engines["olive"]) {
+		t.Fatal("olive must not pass the row-independence audit")
+	}
+	if !m.RowIndependent(engines["fp32"]) {
+		t.Fatal("fp32 must pass the row-independence audit")
+	}
+	a, b := m.NewSession(engines["olive"], 8), m.NewSession(engines["olive"], 8)
+	model.Step([]model.Segment{{S: a, Tokens: []int{1, 2}}}, tensor.New(1, m.Cfg.Vocab))
+	mustPanic(t, "row-dependent", func() {
+		model.Step([]model.Segment{{S: a, Tokens: []int{3}}, {S: b, Tokens: []int{1}}}, tensor.New(2, m.Cfg.Vocab))
+	})
+}
+
+// TestFusedSteppersConcurrentOnSharedEngine: Steps over one packed engine
+// on disjoint sessions may run concurrently (run under -race in CI).
+// Outputs must still match the sequential reference.
 func TestFusedSteppersConcurrentOnSharedEngine(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	engines := identtest.Engines(t, m, []string{"smoothquant"})
@@ -88,51 +115,50 @@ func TestFusedSteppersConcurrentOnSharedEngine(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			bs, err := m.NewBatchStepper(eng)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			sess := make([]*model.Session, 2)
+			segs := make([]model.Segment, 2)
 			last := make([]int, 2)
-			for i := range sess {
+			logits := tensor.New(2, m.Cfg.Vocab)
+			for i := range segs {
 				prompt := workload.TokenStream(workload.Wiki, 41+uint64(g)+uint64(i), 3+2*i, m.Cfg.Vocab)
-				sess[i] = m.NewSession(eng, len(prompt)+16)
-				lg := sess[i].Append(prompt)
-				last[i] = model.Greedy(lg.Row(lg.Rows - 1))
+				segs[i] = model.Segment{S: m.NewSession(eng, len(prompt)+16), Tokens: prompt}
 			}
-			for step := 0; step < 4; step++ {
-				logits := bs.Step(sess, last)
-				for i := range sess {
+			model.Step(segs, logits) // both prompts in one pass
+			for step := 0; step <= 4; step++ {
+				for i := range segs {
 					last[i] = model.Greedy(logits.Row(i))
-					got[g] = append(got[g], last[i])
+					if step > 0 {
+						got[g] = append(got[g], last[i])
+					}
+					segs[i].Tokens = last[i : i+1]
+				}
+				if step < 4 {
+					model.Step(segs, logits)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	identtest.Equal(t, "concurrent steppers", identtest.Output{Tokens: got}, identtest.Output{Tokens: want})
+	identtest.Equal(t, "concurrent steps", identtest.Output{Tokens: got}, identtest.Output{Tokens: want})
 }
 
-// TestBatchStepperRejectsMismatchedSessions: sessions bound to another
-// engine must be refused loudly, not silently mis-served.
-func TestBatchStepperRejectsMismatchedSessions(t *testing.T) {
+// TestStepRejectsMismatchedSessions: sessions bound to another engine,
+// empty segments and a wrongly shaped logits matrix must be refused
+// loudly, not silently mis-served.
+func TestStepRejectsMismatchedSessions(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	engines := identtest.Engines(t, m, []string{"fp32", "fp16"})
-	bs, err := m.NewBatchStepper(engines["fp32"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	mine := m.NewSession(engines["fp32"], 8)
 	other := m.NewSession(engines["fp16"], 8)
 	other.Append([]int{1, 2})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic for mismatched session engine")
-		}
-		if !strings.Contains(r.(string), "different model or engine") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	bs.Step([]*model.Session{other}, []int{3})
+	vocab := m.Cfg.Vocab
+	mustPanic(t, "different model or engine", func() {
+		model.Step([]model.Segment{{S: mine, Tokens: []int{1}}, {S: other, Tokens: []int{3}}}, tensor.New(2, vocab))
+	})
+	mustPanic(t, "empty segment", func() {
+		model.Step([]model.Segment{{S: mine}}, tensor.New(1, vocab))
+	})
+	mustPanic(t, "logits", func() {
+		model.Step([]model.Segment{{S: mine, Tokens: []int{1}}}, tensor.New(2, vocab))
+	})
+	mustPanic(t, "no segments", func() { model.Step(nil, nil) })
 }

@@ -8,10 +8,11 @@
 // FP32 (Exact), the paper's Tender algorithm and all baseline schemes
 // execute the same model. The transformer block exists twice: Model.block
 // behind Model.Forward (full-sequence evaluation and the encoder), and
-// one incremental block behind every KV-cached path — Session.Append
-// (prefill chunks, decode steps) and BatchStepper (fused batched decode,
-// one forward pass over the stacked current tokens of many sessions,
-// attention still per session). The full-sequence block is the
+// one incremental block behind every KV-cached path — Step (one forward
+// pass over the stacked segments of many sessions, each a prefill chunk
+// of any length or one decode token, attention still per session, only
+// each segment's last row unembedded) and Session.Append (one segment,
+// every row's logits: the oracle). The full-sequence block is the
 // independent reference the identity tests hold the incremental one to.
 // Calibrate records
 // per-site operands with a Recorder and compiles a SchemeEngine whose
@@ -23,13 +24,15 @@
 // shared one for NewSessionOn. PrefixCache builds shared-prompt KV reuse
 // on the pages' reference counts — a trie of page-aligned token chunks
 // whose entries hold the K/V pages of cached prompt prefixes, mounted into
-// new sessions by NewSessionOn so covered tokens skip prefill entirely. PrefixShareable gates the feature
-// per engine: only schemes whose activation quantization treats rows
-// independently may re-chunk prefill bit-identically (the same audit
-// NewBatchStepper applies to fused decode; OliVe fails both).
+// new sessions by NewSessionOn so covered tokens skip prefill entirely.
+// One audit, Model.RowIndependent, gates both features per engine: only
+// schemes whose activation quantization treats rows independently may
+// stack sessions in one Step or re-chunk prefill bit-identically (OliVe
+// fails it).
 //
 // Throughout the package the contract is bit-identity: chunked prefill,
-// batched or fused decode, any KV page size, and prefix mounts all
+// fused steps mixing prefill and decode, any KV page size, and prefix
+// mounts all
 // produce exactly the logits of a one-shot single-session run, for every
 // engine built with the Serving option whose weight sites treat rows
 // independently — the tests in session_test.go, paged_test.go,

@@ -162,7 +162,7 @@ func (e *SchemeEngine) ExactActAct() bool { return !e.QuantActAct }
 // backend kern (schemes.GEMMKernelSetter), returning how many sites accepted
 // it and how many weight sites exist — the audit surface: site kernels
 // without the capability keep the bit-exact reference GEMM, exactly as
-// row-dependent kernels opt out of fused decode. Activation-activation and
+// row-dependent kernels opt out of fused steps. Activation-activation and
 // value sites are never routed: their per-call quantize-and-multiply paths
 // define the bit-identity contract between fused and per-request serving.
 // Call once after Calibrate, before any MatMul.

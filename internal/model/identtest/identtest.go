@@ -1,7 +1,8 @@
 // Package identtest is the shared bit-identity harness. Every decode
 // path the repo ships — per-request (whole or chunked prefill, any KV
-// page size), fused batched (model.BatchStepper), and the serving stack's
-// wrappers around them — must emit exactly the tokens of the plain
+// page size), fused (model.Step over staggered requests, so one pass mixes
+// prefill chunks of several lengths with decode tokens), and the serving
+// stack's wrappers around them — must emit exactly the tokens of the plain
 // sequential reference, for every registry scheme, greedy and sampled.
 // Test packages declare a Matrix of schemes ×
 // temperatures × paths and let Run drive the comparisons instead of
@@ -282,52 +283,58 @@ func onPool(t *testing.T, c Case, pageRows int, decode func(newSession func() *m
 	return out
 }
 
-// fusedDecode steps all live requests together through one BatchStepper;
-// staggered NewTokens shrink the group mid-decode, covering the member-
-// retires case the scheduler hits constantly.
+// fusedChunk is the prefill chunk of the fused path: short enough that
+// most prompts take several chunks and their last chunk is shorter.
+const fusedChunk = 3
+
+// fusedDecode steps every live request through one model.Step per step.
+// Request i starts at step i, so the passes mix prefill chunks of several
+// lengths (fusedChunk rows, a prompt's shorter remainder) with single-token
+// decode segments, and staggered NewTokens shrink the group as members
+// finish — the mixes the serving scheduler produces every iteration.
 func fusedDecode(t *testing.T, c Case, newSession func() *model.Session) Output {
 	t.Helper()
-	bs, err := c.Model.NewBatchStepper(c.Engine)
-	if err != nil {
-		t.Fatalf("NewBatchStepper(%s): %v", c.Scheme, err)
-	}
 	n := len(c.Prompts)
 	out := Output{Tokens: make([][]int, n), Logits: make([]*tensor.Matrix, n)}
 	sess := make([]*model.Session, n)
 	rngs := make([]*tensor.RNG, n)
-	last := make([]int, n)
-	for i, prompt := range c.Prompts {
+	fed := make([]int, n) // prompt tokens appended so far
+	for i := range sess {
 		rngs[i] = tensor.NewRNG(c.SeedBase + uint64(i))
-		sess[i] = newSession()
-		logits := sess[i].Append(prompt)
 		out.Logits[i] = tensor.New(c.NewTokens[i], c.Model.Cfg.Vocab)
-		row := logits.Row(logits.Rows - 1)
-		copy(out.Logits[i].Row(0), row)
-		last[i] = choose(row, c.Temp, rngs[i])
-		out.Tokens[i] = []int{last[i]}
 	}
-	for {
+	for step := 0; ; step++ {
 		var live []int
-		for i := range sess {
-			if len(out.Tokens[i]) < c.NewTokens[i] {
-				live = append(live, i)
+		var segs []model.Segment
+		for i, prompt := range c.Prompts {
+			if i > step || len(out.Tokens[i]) == c.NewTokens[i] {
+				continue
 			}
+			if sess[i] == nil {
+				sess[i] = newSession()
+			}
+			var toks []int
+			if fed[i] < len(prompt) {
+				toks = prompt[fed[i]:min(fed[i]+fusedChunk, len(prompt))]
+				fed[i] += len(toks)
+			} else {
+				toks = out.Tokens[i][len(out.Tokens[i])-1:]
+			}
+			live = append(live, i)
+			segs = append(segs, model.Segment{S: sess[i], Tokens: toks})
 		}
 		if len(live) == 0 {
-			break
+			break // requests start one per step, so a gap means all are done
 		}
-		group := make([]*model.Session, len(live))
-		toks := make([]int, len(live))
+		logits := tensor.New(len(segs), c.Model.Cfg.Vocab)
+		model.Step(segs, logits)
 		for gi, i := range live {
-			group[gi] = sess[i]
-			toks[gi] = last[i]
-		}
-		logits := bs.Step(group, toks)
-		for gi, i := range live {
+			if fed[i] < len(c.Prompts[i]) {
+				continue // mid-prompt chunk: nothing to emit yet
+			}
 			row := logits.Row(gi)
 			copy(out.Logits[i].Row(len(out.Tokens[i])), row)
-			last[i] = choose(row, c.Temp, rngs[i])
-			out.Tokens[i] = append(out.Tokens[i], last[i])
+			out.Tokens[i] = append(out.Tokens[i], choose(row, c.Temp, rngs[i]))
 		}
 	}
 	for _, s := range sess {

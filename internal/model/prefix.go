@@ -26,7 +26,10 @@ import (
 // only reclaims entries no active session uses. The cache keeps no budget
 // of its own: its pages are ordinary pool pages, so a serving scheduler
 // sees them in BlockPool.Free and evicts entries (EvictLRU) until the
-// pool covers what live sessions need.
+// pool covers what live sessions need. Only Model.RowIndependent engines
+// may serve hits: a hit re-chunks prefill (the covered rows are mounted,
+// only the tail is appended), which is exact only when every weight site
+// quantizes activation rows independently.
 //
 // All methods are safe for concurrent use, but the intended deployment is
 // single-writer: the serving scheduler goroutine does every Acquire /
@@ -90,14 +93,6 @@ type PrefixCacheStats struct {
 	// Evictions counts entries removed by EvictLRU or Flush, cumulative.
 	Evictions int64
 }
-
-// PrefixShareable reports whether eng may serve prefix-cache hits
-// bit-identically: a hit re-chunks prefill (the covered rows are mounted,
-// only the tail is appended), which is exact only when every weight site
-// quantizes activation rows independently — the same audit fused decode
-// runs. Row-coupled engines (OliVe's outlier-victim pairing) must keep
-// cold-prefilling every prompt.
-func (m *Model) PrefixShareable(eng Engine) bool { return m.rowIndependent(eng) == nil }
 
 // NewPrefixCache returns an empty cache over pool for a model with layers
 // transformer layers. maxRows, if positive, caps the positions the cache
@@ -278,7 +273,7 @@ func (c *PrefixCache) insertOne(prompt []int, s *Session, rows int, tail []int) 
 	// Evict until the row cap fits the new entry; an eviction may uncharge
 	// pages the entry shares, so its charge is recounted each time.
 	for c.maxRows > 0 && c.heldRows+charged() > c.maxRows {
-		if !c.evictLocked(c.lruTail) {
+		if !c.evictLocked(c.lruTail, false) {
 			c.dropPages(e) // nothing unpinned left
 			return false
 		}
@@ -307,10 +302,11 @@ func (c *PrefixCache) dropPages(e *PrefixEntry) {
 }
 
 // evictLocked removes the least recently used unpinned entry at or before
-// e in LRU order, reporting false when every entry from e back is pinned.
-// Caller holds c.mu.
-func (c *PrefixCache) evictLocked(e *PrefixEntry) bool {
-	for e != nil && e.active > 0 {
+// e in LRU order — with freeing set, the least recently used one whose
+// eviction returns a page to the pool — reporting false when there is
+// none. Caller holds c.mu.
+func (c *PrefixCache) evictLocked(e *PrefixEntry, freeing bool) bool {
+	for e != nil && (e.active > 0 || freeing && !c.soleHolder(e)) {
 		e = e.prev
 	}
 	if e == nil {
@@ -336,14 +332,27 @@ func (c *PrefixCache) evictLocked(e *PrefixEntry) bool {
 	return true
 }
 
-// EvictLRU evicts the least recently used unpinned entry, reporting false
-// when every entry is pinned. The entry's pages return to the pool once no
-// session mounts them; a serving scheduler evicts until BlockPool.Free
-// covers its need.
+// soleHolder reports whether e holds a page no one else references — no
+// other entry, no session — so that evicting e frees memory. Sharing is
+// uniform across layers and K/V (see charge), so layer 0's K pages decide.
+func (c *PrefixCache) soleHolder(e *PrefixEntry) bool {
+	for _, pg := range e.k[0] {
+		if c.pool.Refs(pg) == 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// EvictLRU evicts the least recently used unpinned entry whose eviction
+// returns at least one page to the pool, reporting false when no entry
+// would. An entry whose every page a live session or another entry also
+// holds is kept: dropping it would free nothing and only lose future
+// hits. A serving scheduler evicts until BlockPool.Free covers its need.
 func (c *PrefixCache) EvictLRU() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evictLocked(c.lruTail)
+	return c.evictLocked(c.lruTail, true)
 }
 
 // Flush evicts every unpinned entry. With no pinned entries left (no
@@ -351,7 +360,7 @@ func (c *PrefixCache) EvictLRU() bool {
 func (c *PrefixCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.evictLocked(c.lruTail) {
+	for c.evictLocked(c.lruTail, false) {
 	}
 }
 

@@ -105,7 +105,7 @@ func TestPrefixMountBitIdenticalEveryScheme(t *testing.T) {
 		}
 		eng := engines[key]
 		t.Run(name, func(t *testing.T) {
-			if !m.PrefixShareable(eng) {
+			if !m.RowIndependent(eng) {
 				// Row-coupled quantization (OliVe) cannot re-chunk prefill
 				// bit-identically; the serving layer keeps such engines on
 				// the cold path, so there is no hit path to verify.

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"tender/internal/tensor"
 )
@@ -12,15 +13,14 @@ import (
 // through the same Engine interface as Model.Forward, so Tender, every
 // baseline scheme, and exact FP serve through one code path.
 //
-// Append and BatchStepper.Step run the same incremental block (pass), so
-// a session advanced alone or inside a fused batch computes the same
-// values.
+// Append and Step run the same incremental block (pass), so a session
+// advanced alone or inside a fused pass computes the same values.
 //
 // A Session is owned by a single request and is not safe for concurrent
 // use; different Sessions over the same Model and Engine may run
 // concurrently (engines are read-only at inference time).
 //
-// The engine sees each Append as a standalone tensor: row r of a step is
+// The engine sees each step as a standalone tensor: row r of a segment is
 // absolute position Len()+r, but Engine.MatMul carries no position, so an
 // engine whose quantization metadata varies by row position (e.g. Tender
 // row chunking calibrated over more rows than one step) would make
@@ -29,8 +29,8 @@ import (
 // which engine.BuildEngines guarantees for every scheme built with the
 // Serving option — and whose activation rows are quantized independently
 // (RowIndependentEngine); a row-coupled engine (OliVe) is exact only for
-// the Append calls it was given, which is why the serving scheduler feeds
-// it the whole prompt at once and then one token per call.
+// the pieces it was given, which is why the serving scheduler feeds it the
+// whole prompt at once and then one token per step.
 type Session struct {
 	m    *Model
 	eng  Engine
@@ -121,21 +121,19 @@ func (s *Session) KVPagesToGrow(n int) int {
 // Len returns the number of positions already in the cache.
 func (s *Session) Len() int { return s.pos }
 
-// Model returns the session's model.
-func (s *Session) Model() *Model { return s.m }
-
 // Append runs the incremental block over the next tokens (absolute
 // positions Len()..Len()+n-1), extends the KV cache, and returns the
-// logits for the appended positions (n × vocab) in a fresh matrix the
+// logits for every appended position (n × vocab) in a fresh matrix the
 // caller owns. Appending the whole prompt in one call is the prefill step
 // and is bit-identical to Model.Forward; subsequent single-token calls are
-// decode steps.
+// decode steps. Serving runs Step, which unembeds only each segment's last
+// row; Append is the all-rows oracle the references and tests read.
 func (s *Session) Append(tokens []int) *tensor.Matrix {
 	if len(tokens) == 0 {
 		panic("model: Session.Append with no tokens")
 	}
 	p := newPass(s.m, s.eng)
-	x := p.forward([]segment{{s, tokens}})
+	x := p.forward([]Segment{{s, tokens}})
 	logits := tensor.MatMul(x, s.m.Unembed)
 	scratch.Put(x)
 	return logits
@@ -154,9 +152,10 @@ func Greedy(logits []float64) int {
 
 // Sample draws a token from softmax(logits/temp) using u ∈ [0, 1) as the
 // inverse-CDF coordinate, so callers control determinism through their own
-// RNG. temp <= 0 degrades to Greedy.
+// RNG. temp <= 0 degrades to Greedy, and so does a positive temperature
+// so small that the scaled logits overflow: that is the argmax's limit.
 func Sample(logits []float64, temp, u float64) int {
-	if temp <= 0 {
+	if temp <= 0 || math.IsInf(logits[Greedy(logits)]/temp, 0) {
 		return Greedy(logits)
 	}
 	p := softmaxVec(logits, temp)

@@ -59,7 +59,7 @@ func TestSessionIncrementalMatchesForward(t *testing.T) {
 	ran := 0
 	for name, eng := range forwardEngines(t, m) {
 		exact, ok := eng.(interface{ ExactActAct() bool })
-		if !m.PrefixShareable(eng) || !ok || !exact.ExactActAct() {
+		if !m.RowIndependent(eng) || !ok || !exact.ExactActAct() {
 			continue
 		}
 		ran++
@@ -159,13 +159,26 @@ func TestSessionRejectsEncoder(t *testing.T) {
 // and degrades to Greedy at temp <= 0.
 func TestSampleDeterminism(t *testing.T) {
 	logits := []float64{0.1, 2.5, -1, 0.4}
-	if model.Sample(logits, 0, 0.7) != model.Greedy(logits) {
-		t.Fatal("temp<=0 must be greedy")
-	}
 	if model.Sample(logits, 1, 0.3) != model.Sample(logits, 1, 0.3) {
 		t.Fatal("Sample not deterministic")
 	}
-	if model.Sample(logits, 1, 0.999999) >= len(logits) {
-		t.Fatal("Sample out of range")
+	tiny := []float64{0.5, 3, -1, 2} // greedy: token 1
+	for _, c := range []struct {
+		name    string
+		logits  []float64
+		temp, u float64
+		want    int
+	}{
+		{"temp 0 is greedy", logits, 0, 0.7, model.Greedy(logits)},
+		{"u near 1 stays in range", logits, 1, 0.999999, len(logits) - 1},
+		// logits/temp overflows to ±Inf: the argmax is the limit, not
+		// the last vocab id a NaN softmax falls through to.
+		{"temp 1e-310 is greedy", tiny, 1e-310, 0.5, 1},
+		{"smallest subnormal temp is greedy", tiny, 5e-324, 0.5, 1},
+		{"all-negative overflow is greedy", []float64{-3, -0.5, -2}, 1e-310, 0.5, 1},
+	} {
+		if got := model.Sample(c.logits, c.temp, c.u); got != c.want {
+			t.Errorf("%s: Sample = %d, want %d", c.name, got, c.want)
+		}
 	}
 }

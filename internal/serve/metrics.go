@@ -74,8 +74,7 @@ type Metrics struct {
 	stagePreempted obs.Histogram
 	latencyHist    obs.Histogram
 	ttftHist       obs.Histogram
-	// fusedStepMs times each fused BatchStepper.Step per engine spec, via
-	// the model-layer step hook.
+	// fusedStepMs times each fused work item's model.Step per engine spec.
 	fusedStepMs map[string]*obs.Histogram
 }
 
@@ -177,7 +176,7 @@ func (m *Metrics) stages(queueWait, hold, prefill, decode, preempted time.Durati
 	m.mu.Unlock()
 }
 
-// fusedStep times one fused BatchStepper.Step of the given engine spec.
+// fusedStep times one work item's model.Step on the given engine spec.
 func (m *Metrics) fusedStep(scheme string, d time.Duration) {
 	m.mu.Lock()
 	h := m.fusedStepMs[scheme]
@@ -308,9 +307,9 @@ type Snapshot struct {
 	PrefixEvictions      int64 `json:"prefix_evictions"`
 	PrefillTokens        int64 `json:"prefill_tokens"`
 	DecodeTokens         int64 `json:"decode_tokens"`
-	// FusedDecodeTokens counts the decode tokens produced by fused batched
-	// passes (the rest came from prefill logits or row-coupled engines'
-	// one-request decode steps).
+	// FusedDecodeTokens counts the decode tokens produced by fused passes:
+	// decode steps on row-independent engines (the rest came from prefill
+	// logits or row-coupled engines' one-request decode steps).
 	FusedDecodeTokens int64 `json:"fused_decode_tokens"`
 	// TokensPerSec is the lifetime decode rate (decode tokens / uptime);
 	// TokensPerSec10s averages over the trailing rateWindowSecs seconds,
@@ -335,8 +334,9 @@ type Snapshot struct {
 	StagePreempted     obs.HistogramSnapshot `json:"stage_preempted"`
 	LatencyHist        obs.HistogramSnapshot `json:"latency_hist"`
 	TTFTHist           obs.HistogramSnapshot `json:"ttft_hist"`
-	// FusedStep times each fused batched decode forward pass, per engine
-	// spec (empty until a fused step runs).
+	// FusedStep times each work item's forward pass on a row-independent
+	// engine — its requests' prefill chunks and decode tokens together —
+	// per engine spec (empty until such a step runs).
 	FusedStep map[string]obs.HistogramSnapshot `json:"fused_step_per_scheme"`
 }
 
@@ -474,7 +474,7 @@ func writeSnapshotProm(p *obs.PromWriter, s Snapshot) {
 			st.snap, obs.Label{Name: "stage", Value: st.stage})
 	}
 	for _, scheme := range sortedHistKeys(s.FusedStep) {
-		p.Histogram("tender_fused_step_seconds", "Fused batched decode forward-pass time.",
+		p.Histogram("tender_fused_step_seconds", "Forward-pass time of one fused work item.",
 			s.FusedStep[scheme], obs.Label{Name: "scheme", Value: scheme})
 	}
 }

@@ -84,7 +84,7 @@ func TestPrefixServeBitIdenticalEveryScheme(t *testing.T) {
 			})
 			runTwice(t, srv, trace, ref, name, 0, 11)
 			snap := srv.Metrics().Snapshot()
-			if m.PrefixShareable(engines[name]) {
+			if m.RowIndependent(engines[name]) {
 				if snap.PrefixHits == 0 || snap.PrefillTokensSkipped == 0 {
 					t.Fatalf("no prefix hits on a shared-prefix workload: %+v", snap)
 				}

@@ -90,13 +90,15 @@ func (s *Server) releasePrefix(scheme string, e *model.PrefixEntry) {
 	}
 }
 
-// reclaimKV evicts unreferenced cached prefixes, least recently used
-// first, until the pool has need pages free or nothing evictable remains —
+// reclaimKV evicts unpinned cached prefixes, least recently used first,
+// until the pool has need pages free or no eviction would free a page —
 // cache memory yields to live sessions before the scheduler holds
-// admission or preempts anyone.
+// admission or preempts anyone. Each eviction is traced with the pages it
+// freed.
 func (s *Server) reclaimKV(need int) {
 	for _, spec := range s.prefixOrder {
-		for need > s.kvPool.Free() && s.prefixCaches[spec].EvictLRU() {
+		for free := s.kvPool.Free(); need > free && s.prefixCaches[spec].EvictLRU(); free = s.kvPool.Free() {
+			s.tracer.Record(obs.KindEvict, 0, s.iter, int64(s.kvPool.Free()-free), 0)
 		}
 	}
 }
@@ -416,15 +418,18 @@ func (s *Server) runIteration() {
 	var prefill, decode, fused int64
 	perScheme := make(map[string]int64, 1)
 	for _, a := range batch {
-		if a.lastStepPrefill > 0 {
-			prefill += int64(a.lastStepPrefill)
+		// A fused decode token is a decode step's (not a finished
+		// prefill's) on a row-independent engine, whose passes stack
+		// several requests.
+		var fusedTok int64
+		if a.lastStepDecoded && a.lastStepPrefill == 0 && s.fuses[a.scheme] {
+			fusedTok = 1
 		}
+		fused += fusedTok
+		prefill += int64(a.lastStepPrefill)
 		if a.lastStepDecoded {
 			decode++
 			perScheme[a.scheme]++
-			if a.lastStepFused {
-				fused++
-			}
 		}
 		if !traced {
 			continue
@@ -443,11 +448,7 @@ func (s *Server) runIteration() {
 			}
 		}
 		if a.lastStepDecoded {
-			var f int64
-			if a.lastStepFused {
-				f = 1
-			}
-			s.tracer.Record(obs.KindDecode, a.p.id, s.iter, int64(len(a.out)), f)
+			s.tracer.Record(obs.KindDecode, a.p.id, s.iter, int64(len(a.out)), fusedTok)
 		}
 	}
 	if traced {
@@ -473,51 +474,82 @@ func (s *Server) insertPrefix(a *activeReq) {
 	}
 }
 
-// workItem is one unit of an iteration's model work: a fused decode of
-// every decode-ready request on one row-independent engine (bs set), or
-// one request's prefill chunk or row-coupled decode step. Each request's
-// rows for the step are its stepRows.
+// workItem is one unit of an iteration's model work: requests of one
+// engine, stepped by one model.Step over their segments — each request's
+// stepRows rows of prefill or its one decode token.
 type workItem struct {
-	reqs []*activeReq
-	bs   *model.BatchStepper
+	scheme string
+	reqs   []*activeReq
 }
 
 // plan assigns every request of the batch to this iteration's work items,
-// on the scheduler goroutine. Decode-ready requests on an engine with a
-// fused stepper share one item per engine, listed first in order of first
-// appearance; prefill chunks and decodes on row-coupled engines get an
-// item each, in batch order.
+// on the scheduler goroutine. A row-independent engine's requests, prefill
+// and decode alike, are taken in batch order and cut into at most
+// s.workers contiguous items of balanced rows, so the worker pool runs
+// prefill chunks in parallel; a row-coupled engine (s.fuses false) gets
+// one item per request, listed after the fused ones.
 func (s *Server) plan(batch []*activeReq) []*workItem {
-	var groups, rest []*workItem
+	var items, solo []*workItem
+	var schemes []string
+	group := make(map[string][]*activeReq)
 	for _, a := range batch {
 		a.stepRows = s.chunkLen(a)
-		bs := s.stepper(a.scheme, a.eng)
-		if a.consumed < len(a.seq) || bs == nil {
-			rest = append(rest, &workItem{reqs: []*activeReq{a}})
+		if !s.fuses[a.scheme] {
+			solo = append(solo, &workItem{scheme: a.scheme, reqs: []*activeReq{a}})
 			continue
 		}
-		var g *workItem
-		for _, cand := range groups {
-			if cand.bs == bs {
-				g = cand
-				break
-			}
+		if group[a.scheme] == nil {
+			schemes = append(schemes, a.scheme)
 		}
-		if g == nil {
-			g = &workItem{bs: bs}
-			groups = append(groups, g)
-		}
-		g.reqs = append(g.reqs, a)
+		group[a.scheme] = append(group[a.scheme], a)
 	}
-	return append(groups, rest...)
+	for _, scheme := range schemes {
+		for _, run := range cut(group[scheme], s.workers) {
+			items = append(items, &workItem{scheme: scheme, reqs: run})
+		}
+	}
+	return append(items, solo...)
+}
+
+// cut splits reqs into contiguous runs of balanced rows, each request
+// whole: one run per prefilling request plus one for all the decode tokens,
+// at most n. Decode tokens get no more runs: that lifts decode throughput,
+// but the extra requests a closed loop then sends queue behind
+// single-threaded prefill chunks. A run closes before a request when that
+// lands nearer its share of the rows, or when the requests left only just
+// cover the later runs.
+func cut(reqs []*activeReq, n int) [][]*activeReq {
+	total, units, decoding := 0, 0, 0
+	for _, a := range reqs {
+		total += a.stepRows
+		if a.consumed < len(a.seq) {
+			units++
+		} else {
+			decoding = 1
+		}
+	}
+	k := min(n, units+decoding)
+	runs := make([][]*activeReq, 0, k)
+	start, rows := 0, 0
+	for i, a := range reqs {
+		// Scaled by k: closing here falls share − rows·k short of the
+		// share, taking a overshoots it by (rows + a.stepRows)·k − share.
+		share := total * (len(runs) + 1)
+		later := k - len(runs) - 1
+		if i > start && later > 0 && (len(reqs)-i == later || 2*share < (2*rows+a.stepRows)*k) {
+			runs = append(runs, reqs[start:i])
+			start = i
+		}
+		rows += a.stepRows
+	}
+	return append(runs, reqs[start:])
 }
 
 // stepAll steps every item on the worker pool — GOMAXPROCS goroutines,
 // fewer when there are fewer items, none for a single item — and returns
-// once all have finished. Items touch disjoint requests and sessions, and
-// each fused stepper belongs to exactly one item, so they run
-// concurrently; the pool is where the single-threaded integer GEMM gets
-// its prefill parallelism.
+// once all have finished. Items touch disjoint requests and sessions, so
+// they run concurrently; this is where the single-threaded GEMMs get their
+// parallelism.
 func (s *Server) stepAll(items []*workItem) {
 	workers := min(s.workers, len(items))
 	if workers <= 1 {
@@ -546,16 +578,16 @@ func (s *Server) stepAll(items []*workItem) {
 
 // chunkLen is the rows a's next step appends: the next chunk of its
 // pending sequence (the prompt, or after a preemption prompt +
-// regenerated tokens), or 1 for a decode step. A row-coupled engine — one
-// without a fused stepper — is exact only for the Append calls
-// DecodeUnbatched makes, so its prefill takes the rest of the prompt in
-// one piece and a resume re-prefills generated tokens one at a time.
+// regenerated tokens), or 1 for a decode step. A row-coupled engine is
+// exact only for the pieces DecodeUnbatched appends, so its prefill takes
+// the rest of the prompt in one piece and a resume re-prefills generated
+// tokens one at a time.
 func (s *Server) chunkLen(a *activeReq) int {
 	rest := len(a.seq) - a.consumed
 	switch {
 	case rest == 0:
 		return 1
-	case s.stepper(a.scheme, a.eng) != nil:
+	case s.fuses[a.scheme]:
 		return min(rest, s.cfg.PrefillChunk)
 	case a.consumed < len(a.p.req.Prompt):
 		return len(a.p.req.Prompt) - a.consumed
@@ -564,44 +596,22 @@ func (s *Server) chunkLen(a *activeReq) int {
 	}
 }
 
-// stepper returns the fused stepper for eng, creating it on first use.
-// Engines that fail the row-independence audit (model.NewBatchStepper
-// errors, e.g. OliVe's row-coupled encoding) are cached as nil: they step
-// one request at a time and take no prefix cache.
-// Only the scheduler goroutine touches the cache. New steppers get a step
-// hook feeding the per-spec fused-step timing histogram (the spec of the
-// first request that reached the engine names the series).
-func (s *Server) stepper(scheme string, eng model.Engine) *model.BatchStepper {
-	if bs, seen := s.steppers[eng]; seen {
-		return bs
-	}
-	bs, err := s.cfg.Model.NewBatchStepper(eng)
-	if err != nil {
-		bs = nil
-	}
-	if bs != nil {
-		bs.SetStepHook(func(batch int, d time.Duration) {
-			s.metrics.fusedStep(scheme, d)
-		})
-	}
-	s.steppers[eng] = bs
-	return bs
-}
+// logitsArena recycles the work items' logits matrices across iterations.
+var logitsArena = tensor.NewArena()
 
-// stepItem advances every request of one work item by one iteration, with
-// panic isolation: a panic in the model step (or an injected chaos panic)
-// is recovered into a.failed for every request of the item, which retire
-// then fails with ErrInternal, releasing its KV pages and prefix pin. A
-// fused step interleaves its members' KV writes, so after a mid-pass
-// panic no member's session can be trusted — the blast radius is the
-// item, never the server. Runs on worker goroutines; only the item's
-// requests are written, and the scheduler reads them after the pool
-// joins.
+// stepItem advances every request of one work item by one iteration — one
+// model.Step over the requests' segments — with panic isolation: a panic
+// in the model step (or an injected chaos panic) is recovered into
+// a.failed for every request of the item, which retire then fails with
+// ErrInternal, releasing its KV pages and prefix pin. A step interleaves
+// its members' KV writes, so after a mid-pass panic no member's session
+// can be trusted — the blast radius is the item, never the server. Runs
+// on worker goroutines; only the item's requests are written, and the
+// scheduler reads them after the pool joins.
 func (s *Server) stepItem(it *workItem) {
 	for _, a := range it.reqs {
 		a.lastStepPrefill = 0
 		a.lastStepDecoded = false
-		a.lastStepFused = false
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -614,25 +624,24 @@ func (s *Server) stepItem(it *workItem) {
 	if s.cfg.Chaos.StepPanic() {
 		panic("chaos: injected step panic")
 	}
-	var logits *tensor.Matrix
-	if it.bs != nil {
-		sessions := make([]*model.Session, len(it.reqs))
-		tokens := make([]int, len(it.reqs))
-		for i, a := range it.reqs {
-			sessions[i], tokens[i] = a.sess, a.out[len(a.out)-1]
+	segs := make([]model.Segment, len(it.reqs))
+	for i, a := range it.reqs {
+		if a.consumed < len(a.seq) {
+			segs[i] = model.Segment{S: a.sess, Tokens: a.seq[a.consumed : a.consumed+a.stepRows]}
+		} else {
+			segs[i] = model.Segment{S: a.sess, Tokens: a.out[len(a.out)-1:]}
 		}
-		logits = it.bs.Step(sessions, tokens)
-	} else if a := it.reqs[0]; a.consumed < len(a.seq) {
-		logits = a.sess.Append(a.seq[a.consumed : a.consumed+a.stepRows])
-	} else {
-		logits = a.sess.Append(a.out[len(a.out)-1:])
 	}
-	// Each request's rows follow the previous one's; a finished prefill
-	// (unless it re-derives already-emitted tokens after a resume) and
-	// every decode step emit from their last row.
-	row := 0
-	for _, a := range it.reqs {
-		row += a.stepRows
+	logits := logitsArena.GetUninit(len(segs), s.cfg.Model.Cfg.Vocab)
+	defer logitsArena.Put(logits)
+	t0 := time.Now()
+	model.Step(segs, logits)
+	if s.fuses[it.scheme] {
+		s.metrics.fusedStep(it.scheme, time.Since(t0))
+	}
+	// A finished prefill (unless it re-derives already-emitted tokens after
+	// a resume) and every decode step emit from their segment's last row.
+	for i, a := range it.reqs {
 		if a.consumed < len(a.seq) {
 			a.consumed += a.stepRows
 			a.lastStepPrefill = a.stepRows
@@ -646,8 +655,7 @@ func (s *Server) stepItem(it *workItem) {
 		if len(a.out) == 0 {
 			a.firstTok = s.now()
 		}
-		a.emit(logits.Row(row - 1))
-		a.lastStepFused = it.bs != nil
+		a.emit(logits.Row(i))
 	}
 }
 

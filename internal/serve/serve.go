@@ -9,21 +9,23 @@
 // decode steps.
 //
 // Each iteration is a list of work items stepped on a GOMAXPROCS worker
-// pool by one function with one panic-isolation boundary: one item per
-// row-independent engine holding all its decode-ready requests — one
-// forward pass through model.BatchStepper, the sessions' current rows
-// stacked into a single [B × d_model] matrix, one Engine.MatMul per
-// weight site over the whole group, attention still per session against
-// its own KV cache and position offset — one item per prefill chunk, and
-// one per decode step on an engine whose quantization is not
-// row-independent (see schemes.RowIndependent; OliVe is the one registry
-// case). Such a row-coupled engine is exact only for the Append calls the
-// unbatched reference makes, so its prefill is the whole prompt and a
-// resume after preemption re-prefills generated tokens one at a time.
-// Every item computes exactly its requests' sequential model.Session
-// results, so per-request outputs stay bit-identical to the unbatched
-// single-threaded decode path for every scheme — batching and fusion
-// change wall-clock, never tokens.
+// pool by one function with one panic-isolation boundary, and every item
+// is one model.Step: one forward pass over its requests' segments —
+// prefill chunks, resumed tails and decode tokens stacked into one
+// activation matrix, one Engine.MatMul per weight site over all the rows,
+// attention per session against its own KV cache and position offset,
+// only each segment's last row unembedded. A row-independent engine's
+// requests are cut, in batch order, into one item per prefilling request
+// plus one for all its decode tokens, at most GOMAXPROCS, of balanced
+// rows; an engine whose quantization is not row-independent
+// (model.Model.RowIndependent; OliVe is the one registry case) gets one
+// item per request, and is exact only for the pieces the unbatched
+// reference appends, so its prefill is the whole prompt and a resume
+// after preemption re-prefills generated tokens one at a time. Every item
+// computes exactly its requests' sequential model.Session results, so
+// per-request outputs stay bit-identical to the unbatched single-threaded
+// decode path for every scheme — batching and fusion change wall-clock,
+// never tokens.
 //
 // KV memory is paged and budgeted, and the page pool is the one ledger:
 // sessions draw fixed-size pages lazily from one shared tensor.BlockPool
@@ -92,9 +94,9 @@ var (
 	ErrOverloaded = errors.New("serve: overloaded")
 	// ErrInternal means a scheduler step panicked while running this
 	// request. The panic is isolated to its work item: only that item's
-	// requests fail (one request, or every member of a fused decode
-	// group), their KV pages and prefix pins are released, and the rest
-	// of the batch keeps running.
+	// requests fail (one request, or every member of a fused pass), their
+	// KV pages and prefix pins are released, and the rest of the batch
+	// keeps running.
 	ErrInternal = errors.New("serve: internal error")
 )
 
@@ -296,14 +298,15 @@ type Server struct {
 	// now is the clock every scheduler decision, request timestamp and
 	// metrics window reads (time.Now outside tests).
 	now func() time.Time
-	// Scheduler-goroutine state: fused steppers per engine (nil = engine
-	// is row-coupled and steps one request at a time), the active batch in
-	// admission order, and the wait list — preempted requests in
-	// preemption order, then at most one request that left the queue but
-	// has not been admitted yet (held at the head of the line for KV).
-	steppers map[model.Engine]*model.BatchStepper
-	batch    []*activeReq
-	waiting  []*activeReq
+	// fuses maps engine spec → model.Model.RowIndependent: its requests
+	// share passes, prefill in chunks and take a prefix cache.
+	fuses map[string]bool
+	// Scheduler-goroutine state: the active batch in admission order, and
+	// the wait list — preempted requests in preemption order, then at most
+	// one request that left the queue but has not been admitted yet (held
+	// at the head of the line for KV).
+	batch   []*activeReq
+	waiting []*activeReq
 	// iter numbers scheduler iterations for trace events; only the
 	// scheduler goroutine touches it (client-side events carry iter 0).
 	iter int64
@@ -373,11 +376,10 @@ type activeReq struct {
 	preemptedFor       time.Duration
 	prefillStartTraced bool
 	// Per-iteration accounting, read by the scheduler after the worker
-	// pool joins: the rows the step prefilled, whether it emitted a token,
-	// and whether that token came from a fused step.
+	// pool joins: the rows the step prefilled and whether it emitted a
+	// token.
 	lastStepPrefill int
 	lastStepDecoded bool
-	lastStepFused   bool
 	// failed records a recovered step panic (wrapped in ErrInternal); the
 	// scheduler retires the request with it after the worker pool joins.
 	failed error
@@ -389,12 +391,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		stop:     make(chan struct{}),
-		tracer:   cfg.Tracer,
-		now:      time.Now,
-		workers:  runtime.GOMAXPROCS(0),
-		steppers: make(map[model.Engine]*model.BatchStepper),
+		cfg:     cfg,
+		stop:    make(chan struct{}),
+		tracer:  cfg.Tracer,
+		now:     time.Now,
+		workers: runtime.GOMAXPROCS(0),
+		fuses:   make(map[string]bool, len(cfg.Engines)),
 	}
 	// The pool is the one KV ledger: its bound is the page-aligned budget,
 	// one K and one V page per layer per page of positions (unbounded
@@ -403,14 +405,15 @@ func New(cfg Config) (*Server, error) {
 	s.kvPool = tensor.NewBlockPool(cfg.Model.Cfg.DModel, cfg.KVPageRows, maxPages)
 	if cfg.PrefixCache {
 		s.prefixCaches = make(map[string]*model.PrefixCache, len(cfg.Engines))
-		for spec, eng := range cfg.Engines {
-			if cfg.Model.PrefixShareable(eng) {
-				s.prefixCaches[spec] = model.NewPrefixCache(s.kvPool, cfg.Model.Cfg.Layers, cfg.PrefixCacheRows)
-				s.prefixOrder = append(s.prefixOrder, spec)
-			}
-		}
-		sort.Strings(s.prefixOrder)
 	}
+	for spec, eng := range cfg.Engines {
+		s.fuses[spec] = cfg.Model.RowIndependent(eng)
+		if cfg.PrefixCache && s.fuses[spec] {
+			s.prefixCaches[spec] = model.NewPrefixCache(s.kvPool, cfg.Model.Cfg.Layers, cfg.PrefixCacheRows)
+			s.prefixOrder = append(s.prefixOrder, spec)
+		}
+	}
+	sort.Strings(s.prefixOrder)
 	s.queue = make(chan *pending, cfg.QueueDepth)
 	pages := func() (int64, int64, int64) {
 		allocs, frees := s.kvPool.Counters()
@@ -608,8 +611,8 @@ func (s *Server) submit(ctx context.Context, req Request) (*pending, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownScheme, req.Scheme)
 	}
 	// Validation precedes admission: a malformed prompt is refused with a
-	// typed client error here instead of panicking model.Session.Append on
-	// a scheduler goroutine later.
+	// typed client error here instead of panicking model.Step on a
+	// scheduler goroutine later.
 	if err := ValidateRequest(s.cfg.Model.Cfg, req); err != nil {
 		s.metrics.invalidReject()
 		return nil, err

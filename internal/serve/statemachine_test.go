@@ -11,6 +11,7 @@ import (
 
 	"tender/internal/chaos"
 	"tender/internal/model"
+	"tender/internal/obs"
 	"tender/internal/tensor"
 	"tender/internal/workload"
 )
@@ -75,8 +76,9 @@ type smReq struct {
 // pin, every request gets exactly one Result and leaves the scheduler when
 // it does, no step fails but by an injected panic (a pool overrun would
 // surface as one), and every output is the unbatched reference's (a prefix
-// of it for a failed request). A stopped server holds no pages. A failing
-// run names its seed.
+// of it for a failed request). A stopped server holds no pages, and every
+// prefix the scheduler evicted to reclaim pool memory freed at least one
+// page (its traced pages_freed). A failing run names its seed.
 func TestSchedulerStateMachine(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	refs := make(map[string][]int)
@@ -91,9 +93,11 @@ func TestSchedulerStateMachine(t *testing.T) {
 		return out
 	}
 	var total Snapshot
+	var reclaims int
 	for seed := uint64(1); seed <= stateMachineSeeds; seed++ {
 		if !t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			snap := runStateMachine(t, m, seed, ref)
+			snap, n := runStateMachine(t, m, seed, ref)
+			reclaims += n
 			total.Completed += snap.Completed
 			total.Preemptions += snap.Preemptions
 			total.PrefixHits += snap.PrefixHits
@@ -106,14 +110,14 @@ func TestSchedulerStateMachine(t *testing.T) {
 		}
 	}
 	// The sequences must reach every path the invariants guard.
-	t.Logf("completed %d, preempted %d, prefix hits %d, evictions %d, expired %d, panicked %d, held %d",
-		total.Completed, total.Preemptions, total.PrefixHits, total.PrefixEvictions,
+	t.Logf("completed %d, preempted %d, prefix hits %d, evictions %d (%d reclaiming), expired %d, panicked %d, held %d",
+		total.Completed, total.Preemptions, total.PrefixHits, total.PrefixEvictions, reclaims,
 		total.Expired, total.InternalErrors, total.StageAdmissionHold.Count)
 	for name, n := range map[string]int64{
 		"completions": total.Completed, "preemptions": total.Preemptions,
 		"prefix hits": total.PrefixHits, "prefix evictions": total.PrefixEvictions,
 		"expiries": total.Expired, "step panics": total.InternalErrors,
-		"admission holds": total.StageAdmissionHold.Count,
+		"admission holds": total.StageAdmissionHold.Count, "reclaiming evictions": int64(reclaims),
 	} {
 		if n == 0 {
 			t.Errorf("no %s across the sequences", name)
@@ -121,11 +125,14 @@ func TestSchedulerStateMachine(t *testing.T) {
 	}
 }
 
-func runStateMachine(t *testing.T, m *model.Model, seed uint64, ref func(Request) []int) Snapshot {
+// runStateMachine runs one seed's sequence and returns the server's final
+// metrics and how many prefixes the scheduler evicted to reclaim memory.
+func runStateMachine(t *testing.T, m *model.Model, seed uint64, ref func(Request) []int) (Snapshot, int) {
 	srv, err := New(Config{
 		Model: m, Engines: map[string]model.Engine{"fp32": model.Exact{}},
 		MaxBatch: 3, QueueDepth: 6, PrefillChunk: 5,
 		KVBudgetRows: 48, KVPageRows: 8, PrefixCache: true,
+		Tracer: obs.NewTracer(0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +246,20 @@ func runStateMachine(t *testing.T, m *model.Model, seed uint64, ref func(Request
 	if n := srv.kvPool.InUse(); n != 0 {
 		t.Fatalf("stopped server holds %d pool pages", n)
 	}
-	return srv.Metrics().Snapshot()
+	if n := srv.tracer.Dropped(); n != 0 {
+		t.Fatalf("trace ring dropped %d events; the eviction check would miss some", n)
+	}
+	reclaims := 0
+	for _, e := range srv.tracer.Events() {
+		if e.Kind != obs.KindEvict {
+			continue
+		}
+		if e.A <= 0 {
+			t.Fatalf("iteration %d: a reclaiming prefix eviction freed %d pages", e.Iter, e.A)
+		}
+		reclaims++
+	}
+	return srv.Metrics().Snapshot(), reclaims
 }
 
 // checkScheduler asserts the scheduler's accounting invariants between

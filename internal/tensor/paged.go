@@ -152,6 +152,14 @@ func (p *BlockPool) Retain(pg *Page) {
 	pg.refs++
 }
 
+// Refs returns pg's current reference count: 1 means a single holder, so
+// that holder's Release returns the page to the pool.
+func (p *BlockPool) Refs(pg *Page) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return pg.refs
+}
+
 // Release drops one reference to pg, returning it to the freelist when no
 // holder remains. Stale contents are kept — PagedRows never reads past the
 // rows it appended, so recycled pages need no zeroing.
