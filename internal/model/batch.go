@@ -342,3 +342,31 @@ func Step(segs []Segment, logits *tensor.Matrix) {
 	tensor.MatMulInto(x, m.Unembed, logits)
 	scratch.Put(x)
 }
+
+// BatchStepper is Step with one decode token per session, in the
+// session-list form older callers (perfbench's kernel attribution) use.
+type BatchStepper struct{ m *Model }
+
+// NewBatchStepper returns a BatchStepper for m over eng, or an error when
+// eng is not RowIndependent.
+func (m *Model) NewBatchStepper(eng Engine) (*BatchStepper, error) {
+	if !m.RowIndependent(eng) {
+		return nil, fmt.Errorf("model: engine %T is row-dependent; fused decode would not be bit-identical", eng)
+	}
+	return &BatchStepper{m}, nil
+}
+
+// Step appends tokens[i] to sessions[i] in one Step and returns the
+// stacked logits.
+func (bs *BatchStepper) Step(sessions []*Session, tokens []int) *tensor.Matrix {
+	if len(tokens) != len(sessions) {
+		panic(fmt.Sprintf("model: BatchStepper.Step with %d sessions, %d tokens", len(sessions), len(tokens)))
+	}
+	segs := make([]Segment, len(sessions))
+	for i, s := range sessions {
+		segs[i] = Segment{s, tokens[i : i+1]}
+	}
+	logits := tensor.New(len(sessions), bs.m.Cfg.Vocab)
+	Step(segs, logits)
+	return logits
+}

@@ -90,6 +90,32 @@ func TestOliveRejectsFusedDecode(t *testing.T) {
 	})
 }
 
+// TestBatchStepperMatchesAppend: the session-list BatchStepper refuses a
+// row-dependent engine and steps one decode token per session exactly as
+// Session.Append does.
+func TestBatchStepperMatchesAppend(t *testing.T) {
+	m := model.New(model.TinyConfig())
+	engines := identtest.Engines(t, m, []string{"olive", "fp32"})
+	if _, err := m.NewBatchStepper(engines["olive"]); err == nil {
+		t.Fatal("NewBatchStepper accepted the row-dependent olive engine")
+	}
+	bs, err := m.NewBatchStepper(engines["fp32"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions, last := prefill(t, m, engines["fp32"], 3, 5)
+	refs, _ := prefill(t, m, engines["fp32"], 3, 5)
+	logits := bs.Step(sessions, last)
+	for i, ref := range refs {
+		want := ref.Append(last[i : i+1]).Row(0)
+		for j, v := range logits.Row(i) {
+			if v != want[j] {
+				t.Fatalf("session %d logit %d: %v, Append gives %v", i, j, v, want[j])
+			}
+		}
+	}
+}
+
 // TestFusedSteppersConcurrentOnSharedEngine: Steps over one packed engine
 // on disjoint sessions may run concurrently (run under -race in CI).
 // Outputs must still match the sequential reference.

@@ -47,9 +47,6 @@ const (
 	// KindIteration: one scheduler iteration ran (Req is 0).
 	// A = batch size, B = iteration wall-clock in nanoseconds.
 	KindIteration
-	// KindEvict: the scheduler evicted a cached prefix so live requests
-	// could have its pages (Req is 0). A = pool pages the eviction freed.
-	KindEvict
 )
 
 var kindNames = [...]string{
@@ -65,7 +62,6 @@ var kindNames = [...]string{
 	KindExpire:       "expire",
 	KindCancel:       "cancel",
 	KindIteration:    "iteration",
-	KindEvict:        "evict",
 }
 
 // String returns the stable lowercase event name used by both exports.
@@ -91,7 +87,6 @@ var argNames = [...][2]string{
 	KindExpire:       {"reason", "tokens_out"},
 	KindCancel:       {"reason", "tokens_out"},
 	KindIteration:    {"batch", "duration_ns"},
-	KindEvict:        {"pages_freed", ""},
 }
 
 // Reason codes carried in the A slot of reject/preempt/expire/cancel
@@ -391,12 +386,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				Name: "batch_size", Ph: "C", TS: us(e.TS),
 				PID: chromePIDScheduler, TID: 0,
 				Args: map[string]any{"batch": e.A},
-			})
-		case KindEvict:
-			out = append(out, chromeEvent{
-				Name: "evict", Ph: "i", TS: us(e.TS), S: "t",
-				PID: chromePIDScheduler, TID: 1,
-				Args: map[string]any{"pages_freed": e.A},
 			})
 		}
 	}

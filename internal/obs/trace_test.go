@@ -159,7 +159,7 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestKindAndReasonNames(t *testing.T) {
-	for k := KindEnqueue; k <= KindEvict; k++ {
+	for k := KindEnqueue; k <= KindIteration; k++ {
 		if s := k.String(); s == "" || strings.HasPrefix(s, "kind(") {
 			t.Fatalf("kind %d has no name", k)
 		}

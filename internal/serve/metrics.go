@@ -74,7 +74,7 @@ type Metrics struct {
 	stagePreempted obs.Histogram
 	latencyHist    obs.Histogram
 	ttftHist       obs.Histogram
-	// fusedStepMs times each fused work item's model.Step per engine spec.
+	// fusedStepMs times each fused decode item's model.Step per engine spec.
 	fusedStepMs map[string]*obs.Histogram
 }
 
@@ -176,7 +176,8 @@ func (m *Metrics) stages(queueWait, hold, prefill, decode, preempted time.Durati
 	m.mu.Unlock()
 }
 
-// fusedStep times one work item's model.Step on the given engine spec.
+// fusedStep times one fused decode item's model.Step on the given engine
+// spec.
 func (m *Metrics) fusedStep(scheme string, d time.Duration) {
 	m.mu.Lock()
 	h := m.fusedStepMs[scheme]
@@ -334,9 +335,8 @@ type Snapshot struct {
 	StagePreempted     obs.HistogramSnapshot `json:"stage_preempted"`
 	LatencyHist        obs.HistogramSnapshot `json:"latency_hist"`
 	TTFTHist           obs.HistogramSnapshot `json:"ttft_hist"`
-	// FusedStep times each work item's forward pass on a row-independent
-	// engine — its requests' prefill chunks and decode tokens together —
-	// per engine spec (empty until such a step runs).
+	// FusedStep times each fused batched decode forward pass, per engine
+	// spec (empty until a fused step runs).
 	FusedStep map[string]obs.HistogramSnapshot `json:"fused_step_per_scheme"`
 }
 
@@ -474,7 +474,7 @@ func writeSnapshotProm(p *obs.PromWriter, s Snapshot) {
 			st.snap, obs.Label{Name: "stage", Value: st.stage})
 	}
 	for _, scheme := range sortedHistKeys(s.FusedStep) {
-		p.Histogram("tender_fused_step_seconds", "Forward-pass time of one fused work item.",
+		p.Histogram("tender_fused_step_seconds", "Fused batched decode forward-pass time.",
 			s.FusedStep[scheme], obs.Label{Name: "scheme", Value: scheme})
 	}
 }

@@ -93,12 +93,14 @@ func (s *Server) releasePrefix(scheme string, e *model.PrefixEntry) {
 // reclaimKV evicts unpinned cached prefixes, least recently used first,
 // until the pool has need pages free or no eviction would free a page —
 // cache memory yields to live sessions before the scheduler holds
-// admission or preempts anyone. Each eviction is traced with the pages it
-// freed.
+// admission or preempts anyone.
 func (s *Server) reclaimKV(need int) {
 	for _, spec := range s.prefixOrder {
 		for free := s.kvPool.Free(); need > free && s.prefixCaches[spec].EvictLRU(); free = s.kvPool.Free() {
-			s.tracer.Record(obs.KindEvict, 0, s.iter, int64(s.kvPool.Free()-free), 0)
+			s.reclaims++
+			if s.kvPool.Free() == free {
+				s.idleReclaims++
+			}
 		}
 	}
 }
@@ -476,73 +478,35 @@ func (s *Server) insertPrefix(a *activeReq) {
 
 // workItem is one unit of an iteration's model work: requests of one
 // engine, stepped by one model.Step over their segments — each request's
-// stepRows rows of prefill or its one decode token.
+// stepRows rows of prefill or its one decode token. A fused item holds
+// every decode-ready request of a row-independent engine.
 type workItem struct {
 	scheme string
+	fused  bool
 	reqs   []*activeReq
 }
 
 // plan assigns every request of the batch to this iteration's work items,
-// on the scheduler goroutine. A row-independent engine's requests, prefill
-// and decode alike, are taken in batch order and cut into at most
-// s.workers contiguous items of balanced rows, so the worker pool runs
-// prefill chunks in parallel; a row-coupled engine (s.fuses false) gets
-// one item per request, listed after the fused ones.
+// on the scheduler goroutine: one fused item per row-independent engine
+// for its decode tokens, listed first in order of first appearance, then
+// one item per prefill chunk or row-coupled decode step, in batch order.
+// The worker pool runs the items in parallel.
 func (s *Server) plan(batch []*activeReq) []*workItem {
-	var items, solo []*workItem
-	var schemes []string
-	group := make(map[string][]*activeReq)
+	var fused, rest []*workItem
 	for _, a := range batch {
 		a.stepRows = s.chunkLen(a)
-		if !s.fuses[a.scheme] {
-			solo = append(solo, &workItem{scheme: a.scheme, reqs: []*activeReq{a}})
+		if a.consumed < len(a.seq) || !s.fuses[a.scheme] {
+			rest = append(rest, &workItem{scheme: a.scheme, reqs: []*activeReq{a}})
 			continue
 		}
-		if group[a.scheme] == nil {
-			schemes = append(schemes, a.scheme)
+		i := slices.IndexFunc(fused, func(it *workItem) bool { return it.scheme == a.scheme })
+		if i < 0 {
+			i = len(fused)
+			fused = append(fused, &workItem{scheme: a.scheme, fused: true})
 		}
-		group[a.scheme] = append(group[a.scheme], a)
+		fused[i].reqs = append(fused[i].reqs, a)
 	}
-	for _, scheme := range schemes {
-		for _, run := range cut(group[scheme], s.workers) {
-			items = append(items, &workItem{scheme: scheme, reqs: run})
-		}
-	}
-	return append(items, solo...)
-}
-
-// cut splits reqs into contiguous runs of balanced rows, each request
-// whole: one run per prefilling request plus one for all the decode tokens,
-// at most n. Decode tokens get no more runs: that lifts decode throughput,
-// but the extra requests a closed loop then sends queue behind
-// single-threaded prefill chunks. A run closes before a request when that
-// lands nearer its share of the rows, or when the requests left only just
-// cover the later runs.
-func cut(reqs []*activeReq, n int) [][]*activeReq {
-	total, units, decoding := 0, 0, 0
-	for _, a := range reqs {
-		total += a.stepRows
-		if a.consumed < len(a.seq) {
-			units++
-		} else {
-			decoding = 1
-		}
-	}
-	k := min(n, units+decoding)
-	runs := make([][]*activeReq, 0, k)
-	start, rows := 0, 0
-	for i, a := range reqs {
-		// Scaled by k: closing here falls share − rows·k short of the
-		// share, taking a overshoots it by (rows + a.stepRows)·k − share.
-		share := total * (len(runs) + 1)
-		later := k - len(runs) - 1
-		if i > start && later > 0 && (len(reqs)-i == later || 2*share < (2*rows+a.stepRows)*k) {
-			runs = append(runs, reqs[start:i])
-			start = i
-		}
-		rows += a.stepRows
-	}
-	return append(runs, reqs[start:])
+	return append(fused, rest...)
 }
 
 // stepAll steps every item on the worker pool — GOMAXPROCS goroutines,
@@ -636,7 +600,7 @@ func (s *Server) stepItem(it *workItem) {
 	defer logitsArena.Put(logits)
 	t0 := time.Now()
 	model.Step(segs, logits)
-	if s.fuses[it.scheme] {
+	if it.fused {
 		s.metrics.fusedStep(it.scheme, time.Since(t0))
 	}
 	// A finished prefill (unless it re-derives already-emitted tokens after

@@ -15,9 +15,9 @@
 // activation matrix, one Engine.MatMul per weight site over all the rows,
 // attention per session against its own KV cache and position offset,
 // only each segment's last row unembedded. A row-independent engine's
-// requests are cut, in batch order, into one item per prefilling request
-// plus one for all its decode tokens, at most GOMAXPROCS, of balanced
-// rows; an engine whose quantization is not row-independent
+// decode-ready requests share one fused item — their current rows stacked
+// into a single [B × d_model] matrix — and every prefill chunk is an item
+// of its own. An engine whose quantization is not row-independent
 // (model.Model.RowIndependent; OliVe is the one registry case) gets one
 // item per request, and is exact only for the pieces the unbatched
 // reference appends, so its prefill is the whole prompt and a resume
@@ -310,6 +310,9 @@ type Server struct {
 	// iter numbers scheduler iterations for trace events; only the
 	// scheduler goroutine touches it (client-side events carry iter 0).
 	iter int64
+	// reclaims counts reclaimKV's prefix evictions and idleReclaims those
+	// that freed no pool page (scheduler goroutine; tests read them).
+	reclaims, idleReclaims int
 	// prefixCaches maps engine spec → prefix index (nil map when the
 	// prefix cache is off; engines whose quantization couples activation
 	// rows get no cache and always cold-prefill). prefixOrder is the

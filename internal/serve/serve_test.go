@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -154,52 +153,6 @@ func TestMixedSchemeBatchesFused(t *testing.T) {
 	}
 	if snap := srv.Metrics().Snapshot(); snap.FusedDecodeTokens == 0 {
 		t.Fatal("mixed-scheme load never used the fused path")
-	}
-}
-
-// TestPlanCutsBalancedRuns: a row-independent engine's requests are cut,
-// in batch order and whole, into one item per prefilling request plus one
-// for the decode tokens, at most workers, with rows as even as whole
-// segments allow.
-func TestPlanCutsBalancedRuns(t *testing.T) {
-	for _, c := range []struct {
-		rows    []int // a request's step rows; > 1 prefills, 1 decodes
-		workers int
-		want    []int // rows per item
-	}{
-		{[]int{1, 1, 1, 1, 1, 1, 1, 1}, 2, []int{8}},
-		{[]int{1, 1, 1, 1, 1, 1, 1, 24}, 2, []int{7, 24}},
-		{[]int{32, 32, 32, 1, 1, 1, 1, 1}, 2, []int{64, 37}},
-		{[]int{1, 1, 1, 1, 1, 32, 32, 32}, 2, []int{37, 64}},
-		{[]int{1, 1, 1, 1, 1, 32, 32, 32}, 8, []int{5, 32, 32, 32}},
-		{[]int{32, 1, 1, 1}, 2, []int{32, 3}},
-		{[]int{2, 2, 4, 4}, 4, []int{2, 2, 4, 4}},
-		{[]int{2, 2, 2}, 1, []int{6}},
-		{[]int{5}, 8, []int{5}},
-	} {
-		reqs := make([]*activeReq, len(c.rows))
-		for i, r := range c.rows {
-			reqs[i] = &activeReq{stepRows: r}
-			if r > 1 {
-				reqs[i].seq = make([]int, r) // r tokens left to prefill
-			}
-		}
-		var got []int
-		next := 0
-		for _, run := range cut(reqs, c.workers) {
-			rows := 0
-			for _, a := range run {
-				if a != reqs[next] {
-					t.Fatalf("%v over %d workers: request %d out of order", c.rows, c.workers, next)
-				}
-				next++
-				rows += a.stepRows
-			}
-			got = append(got, rows)
-		}
-		if next != len(reqs) || !slices.Equal(got, c.want) {
-			t.Errorf("%v over %d workers: item rows %v (%d requests placed), want %v", c.rows, c.workers, got, next, c.want)
-		}
 	}
 }
 

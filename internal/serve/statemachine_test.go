@@ -11,7 +11,6 @@ import (
 
 	"tender/internal/chaos"
 	"tender/internal/model"
-	"tender/internal/obs"
 	"tender/internal/tensor"
 	"tender/internal/workload"
 )
@@ -78,7 +77,7 @@ type smReq struct {
 // surface as one), and every output is the unbatched reference's (a prefix
 // of it for a failed request). A stopped server holds no pages, and every
 // prefix the scheduler evicted to reclaim pool memory freed at least one
-// page (its traced pages_freed). A failing run names its seed.
+// page. A failing run names its seed.
 func TestSchedulerStateMachine(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	refs := make(map[string][]int)
@@ -132,7 +131,6 @@ func runStateMachine(t *testing.T, m *model.Model, seed uint64, ref func(Request
 		Model: m, Engines: map[string]model.Engine{"fp32": model.Exact{}},
 		MaxBatch: 3, QueueDepth: 6, PrefillChunk: 5,
 		KVBudgetRows: 48, KVPageRows: 8, PrefixCache: true,
-		Tracer: obs.NewTracer(0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,20 +244,10 @@ func runStateMachine(t *testing.T, m *model.Model, seed uint64, ref func(Request
 	if n := srv.kvPool.InUse(); n != 0 {
 		t.Fatalf("stopped server holds %d pool pages", n)
 	}
-	if n := srv.tracer.Dropped(); n != 0 {
-		t.Fatalf("trace ring dropped %d events; the eviction check would miss some", n)
+	if srv.idleReclaims != 0 {
+		t.Fatalf("%d of %d reclaiming prefix evictions freed no page", srv.idleReclaims, srv.reclaims)
 	}
-	reclaims := 0
-	for _, e := range srv.tracer.Events() {
-		if e.Kind != obs.KindEvict {
-			continue
-		}
-		if e.A <= 0 {
-			t.Fatalf("iteration %d: a reclaiming prefix eviction freed %d pages", e.Iter, e.A)
-		}
-		reclaims++
-	}
-	return srv.Metrics().Snapshot(), reclaims
+	return srv.Metrics().Snapshot(), srv.reclaims
 }
 
 // checkScheduler asserts the scheduler's accounting invariants between
