@@ -3,7 +3,10 @@
 //
 // Engines are named by EngineSpec strings — "fp32", "tender:bits=4,int",
 // "uniform:gran=column,dynamic" — resolved against the internal/engine
-// registry; -list-schemes prints every scheme and its options.
+// registry; -list-schemes prints every scheme and its options. Only
+// engines that pass the row-independence audit serve: a spec marked
+// offline only there (olive, msfp:ol, uniform:dynamic, tender:rowchunk=)
+// stops startup with model.ErrRowCoupled.
 //
 // Serve an HTTP JSON API:
 //
@@ -79,10 +82,9 @@ func main() {
 		defaultScheme = flag.String("default-scheme", "", "scheme used when a request names none")
 		bits          = flag.Int("bits", 8, "quantization bit width")
 		kernelFlag    = flag.String("kernel", "", "default float GEMM backend for hosted engines: naive (bit-exact reference) or blocked (register-tiled, cache-blocked, tolerance-gated); per-spec kernel= options override it. tender:int has one integer GEMM and rejects blocked")
-		qaa           = flag.Bool("qaa", false, "quantize activation-activation matmuls")
 		batch         = flag.Int("batch", 8, "max active requests per scheduler iteration")
 		queue         = flag.Int("queue", 0, "admission queue depth (0 = 4×batch)")
-		prefillChunk  = flag.Int("prefill-chunk", 32, "max prompt tokens per iteration per request (row-coupled engines such as olive prefill whole prompts)")
+		prefillChunk  = flag.Int("prefill-chunk", 32, "max prompt tokens per iteration per request")
 		kvPages       = flag.Int("kv-pages", 0, "total KV budget in pages across all active sessions (0 = unlimited); admission and preemption keep KV memory under pages×kv-page-rows positions")
 		kvPageRows    = flag.Int("kv-page-rows", 0, "rows per KV page (0 = default 16)")
 		prefixCache   = flag.Bool("prefix-cache", false, "share KV pages of common prompt prefixes across requests: completed prefills are indexed and later prompts mount the matched prefix instead of recomputing it (bit-identical)")
@@ -141,7 +143,7 @@ func main() {
 		// remote replicas calibrated theirs.
 		fmt.Fprintf(os.Stderr, "calibrating %v on %s (bits=%d)...\n", names, *modelName, *bits)
 		if engines, err = engine.BuildEngines(m, names, engine.BuildOptions{
-			Bits: *bits, QuantActAct: *qaa, Serving: true, Kernel: *kernelFlag,
+			Bits: *bits, Serving: true, Kernel: *kernelFlag,
 		}); err != nil {
 			fatalf("%v", err)
 		}

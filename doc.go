@@ -26,10 +26,11 @@
 // site over all the rows, per-session attention, only each segment's last
 // row unembedded, an arena-recycled zero-allocation hot path. It is the
 // same incremental block model.Session.Append runs, so fusion is
-// bit-identical to stepping each session alone for every scheme whose
-// quantization treats activation rows independently
-// (model.Model.RowIndependent; schemes.RowIndependent documents the
-// audit).
+// bit-identical to stepping each session alone for every engine served:
+// one rule decides what serves, the row-independence audit
+// (model.Model.AuditRows over every weight and attention site;
+// schemes.RowIndependent documents the per-scheme side), which
+// engine.BuildEngines and serve.New enforce.
 //
 // KV cache memory is paged: session caches are tensor.PagedRows stores of
 // fixed-size float64 pages acquired lazily from a shared, size-bounded
@@ -51,8 +52,7 @@
 // budget, and unreferenced cached prefixes are evicted LRU-first whenever
 // live sessions need the memory (serve.Config.PrefixCache, the
 // tenderserve -prefix-cache flag). Hits are bit-identical to cold
-// prefill for every engine whose quantization treats activation rows
-// independently; row-coupled engines keep the cold path automatically.
+// prefill for every engine served.
 //
 // Serving scales out by sharding: internal/router fronts N replicas
 // (in-process, or separate tenderserve processes over HTTP) and places

@@ -16,9 +16,11 @@
 // BuildEngines calibrates every requested engine against the same
 // recorded activation/weight samples and — for weight matmul sites — runs
 // the kernel's PrepareWeights once, so serving decode steps never
-// re-quantize weights. The Serving build option additionally rejects
-// configurations whose quantization metadata depends on absolute sequence
-// position (tender row chunking, msfp:ol): position-independence is the
-// precondition for chunked prefill, KV-cached decode and prefix-cache
-// mounts being bit-identical to one-shot evaluation.
+// re-quantize weights. With the Serving build option BuildEngines also
+// runs the row-independence audit (model.Model.AuditRows) on every engine
+// it calibrates and refuses the first that fails with a
+// *model.RowCoupledError (errors.Is model.ErrRowCoupled): row
+// independence is the precondition for chunked prefill, shared steps and
+// prefix-cache mounts being bit-identical to one-shot evaluation, and the
+// audit is the only rule for what serves.
 package engine

@@ -26,16 +26,16 @@ type BuildOptions struct {
 	// QuantActAct quantizes activation-activation matmuls (the paper's
 	// Tender (all) protocol).
 	QuantActAct bool
-	// Serving requires position-independent activation metadata: a
-	// KV-cached Session quantizes each Append by row index *within the
-	// step*, not by absolute sequence position, so any scheme whose
-	// quantization varies with the row position would make chunked prefill
-	// diverge from a one-shot prefill. Tender's row chunking (§III-B) is
-	// exactly such metadata, so serving builds disable it (bit-identical
-	// to the offline default for calibration streams no longer than the
-	// default RowChunk of 256, where chunking never engages) and
-	// "tender:rowchunk=" or "msfp:ol" (column-blocked exponents span row
-	// positions) are rejected.
+	// Serving builds engines for internal/serve, which chunks prefill,
+	// mounts cached prefixes and stacks sessions in one model.Step — all
+	// exact only when no row's result depends on which other rows share
+	// its call. So a serving build refuses, after calibration, every
+	// engine that fails the row-independence audit (model.Model.AuditRows)
+	// with a *model.RowCoupledError: the specs the registry marks offline
+	// only, and every engine but fp32 under QuantActAct. Tender without
+	// rowchunk= serves with row chunking off, bit-identical to the offline
+	// default for calibration streams no longer than its RowChunk of 256,
+	// where chunking never engages.
 	Serving bool
 	// Streams/StreamLen size BuildEngines' shared calibration pass
 	// (defaults 3×128).
@@ -95,7 +95,7 @@ var registry = []Entry{
 	{
 		Name:       "uniform",
 		Summary:    "plain uniform symmetric quantization (Table I)",
-		Options:    "gran=tensor|row|column (default column), dynamic",
+		Options:    "gran=tensor|row|column (default column), dynamic (per-call scales; offline only unless gran=row)",
 		optionKeys: []string{"gran", "dynamic"},
 		build: func(o *optset, b BuildOptions) (schemes.Scheme, error) {
 			gran, err := o.gran("gran", quant.PerColumn)
@@ -105,13 +105,6 @@ var registry = []Entry{
 			dyn, err := o.flag("dynamic")
 			if err != nil {
 				return nil, err
-			}
-			if dyn && b.Serving {
-				// Dynamic scales are computed over each Append tensor, so
-				// chunked prefill would diverge from one-shot prefill.
-				// (gran=row is per-token dynamic by construction and needs
-				// no flag.)
-				return nil, fmt.Errorf("engine: uniform:dynamic computes scales per step and cannot serve chunked prefill")
 			}
 			return schemes.Uniform{ActGran: gran, Dynamic: dyn}, nil
 		},
@@ -139,7 +132,7 @@ var registry = []Entry{
 		},
 	},
 	{
-		Name: "olive", Summary: "OliVe baseline: outlier-victim pair encoding",
+		Name: "olive", Summary: "OliVe baseline: outlier-victim pair encoding (couples rows; offline only)",
 		build: func(o *optset, _ BuildOptions) (schemes.Scheme, error) {
 			return olive.New(), nil
 		},
@@ -165,13 +158,10 @@ var registry = []Entry{
 		Summary:    "MSFP12 block floating point (Table VI)",
 		Options:    "ol (column-blocked MSFP12-OL variant; offline only)",
 		optionKeys: []string{"ol"},
-		build: func(o *optset, b BuildOptions) (schemes.Scheme, error) {
+		build: func(o *optset, _ BuildOptions) (schemes.Scheme, error) {
 			ol, err := o.flag("ol")
 			if err != nil {
 				return nil, err
-			}
-			if ol && b.Serving {
-				return nil, fmt.Errorf("engine: msfp:ol shares exponents across row positions and cannot serve chunked prefill")
 			}
 			if ol {
 				return msfp.NewOL(), nil
@@ -194,7 +184,7 @@ var registry = []Entry{
 	{
 		Name:       "tender",
 		Summary:    "the paper's decomposed quantization with implicit requantization",
-		Options:    "groups=<int>, alpha=<int>, rowchunk=<int>, norowchunk, int, cluster, nobias",
+		Options:    "groups=<int>, alpha=<int>, rowchunk=<int> (offline only), norowchunk, int, cluster, nobias",
 		optionKeys: []string{"groups", "alpha", "rowchunk", "norowchunk", "int", "cluster", "nobias"},
 		build: func(o *optset, b BuildOptions) (schemes.Scheme, error) {
 			t := schemes.Tender{}
@@ -220,6 +210,12 @@ var registry = []Entry{
 			if t.DisableBias, err = o.flag("nobias"); err != nil {
 				return nil, err
 			}
+			_, chunked := o.spec.Get("rowchunk")
+			if chunked && t.NoRowChunk {
+				// schemes.Tender lets norowchunk override any chunk size, so
+				// the pair would silently drop the rowchunk= the spec names.
+				return nil, fmt.Errorf("engine: tender cannot take rowchunk= with norowchunk")
+			}
 			if t.Integer && t.UseClustering {
 				// Clustered group scales are not powers of alpha apart, so the
 				// integer GEMM cannot requantize between them.
@@ -238,13 +234,10 @@ var registry = []Entry{
 			if _, set := o.spec.Get("alpha"); set && t.Alpha < 2 {
 				return nil, fmt.Errorf("engine: tender alpha=%d must be >= 2", t.Alpha)
 			}
-			if _, set := o.spec.Get("rowchunk"); set && t.RowChunk < 1 {
+			if chunked && t.RowChunk < 1 {
 				return nil, fmt.Errorf("engine: tender rowchunk=%d must be >= 1 (use norowchunk to disable chunking)", t.RowChunk)
 			}
-			if b.Serving {
-				if t.RowChunk > 0 {
-					return nil, fmt.Errorf("engine: tender:rowchunk quantizes by row position and cannot serve chunked prefill")
-				}
+			if b.Serving && !chunked {
 				t.NoRowChunk = true
 			}
 			return t, nil
@@ -422,7 +415,8 @@ func (r *Resolved) kernel() tensor.Kernel {
 // schemes costs one calibration forward, not N. The result maps each
 // spec's Canonical form to its engine — specs that only differ in
 // spelling ("FP16", "fp16", "tender-int" vs "tender:int") dedupe to one
-// engine under one key.
+// engine under one key. With opt.Serving it returns the first engine that
+// fails the row-independence audit as a *model.RowCoupledError instead.
 func BuildEngines(m *model.Model, specs []string, opt BuildOptions) (map[string]model.Engine, error) {
 	opt.fill()
 	resolved := make(map[string]*Resolved, len(specs))
@@ -454,6 +448,11 @@ func BuildEngines(m *model.Model, specs []string, opt BuildOptions) (map[string]
 			}
 		}
 		out[key] = r.Engine(rec)
+		if opt.Serving {
+			if err := m.AuditRows(key, out[key]); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return out, nil
 }

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
-
+	"strconv"
+	"strings"
 	"testing"
 
 	"tender/internal/model"
+	"tender/internal/schemes"
 	"tender/internal/tensor"
 	"tender/internal/workload"
 )
@@ -224,5 +228,108 @@ func TestKernelOption(t *testing.T) {
 	}
 	if set, total := se.SetGEMMKernel(tensor.KernelBlocked); total == 0 || set != total {
 		t.Fatalf("fp16 kernel audit: %d/%d sites accepted", set, total)
+	}
+}
+
+// servableSpecs enumerates every registry entry with every subset of its
+// flag options, plus the value options that decide servability.
+func servableSpecs() []string {
+	var out []string
+	for _, e := range registry {
+		var flags []string
+		for _, key := range e.optionKeys {
+			// A value option rejects "x" as its value type; a flag as a
+			// boolean.
+			if _, err := Resolve(e.Name+":"+key+"=x", BuildOptions{}); err != nil && strings.Contains(err.Error(), "not a boolean") {
+				flags = append(flags, key)
+			}
+		}
+		for mask := 0; mask < 1<<len(flags); mask++ {
+			var opts []string
+			for i, f := range flags {
+				if mask&(1<<i) != 0 {
+					opts = append(opts, f)
+				}
+			}
+			spec := e.Name
+			if len(opts) > 0 {
+				spec += ":" + strings.Join(opts, ",")
+			}
+			out = append(out, spec)
+		}
+	}
+	return append(out, "tender:rowchunk=64", "tender:rowchunk=64,norowchunk", "tender:int,rowchunk=8",
+		"uniform:gran=row", "uniform:gran=row,dynamic", "uniform:gran=tensor", "uniform:gran=tensor,dynamic",
+		"fp32:kernel=blocked", "fp16:kernel=blocked", "tender:bits=4,int")
+}
+
+// checkServable asserts the servability property for one spec: a spec the
+// offline build rejects stays rejected, and otherwise the serving build
+// either refuses it with a *model.RowCoupledError naming it, or yields an
+// engine whose 5-token-chunked prefill equals its one-shot prefill bit for
+// bit, every row, and whose Tender options are the ones the spec names.
+func checkServable(t *testing.T, m *model.Model, spec string, qaa bool) {
+	t.Helper()
+	opt := BuildOptions{QuantActAct: qaa, Streams: 1, StreamLen: 24}
+	r, err := Resolve(spec, opt)
+	if err != nil {
+		return
+	}
+	key := r.Spec.CanonicalString()
+	opt.Serving = true
+	engines, err := BuildEngines(m, []string{spec}, opt)
+	var rc *model.RowCoupledError
+	switch {
+	case errors.As(err, &rc) && errors.Is(err, model.ErrRowCoupled):
+		if rc.Spec != key {
+			t.Fatalf("%s: refusal names %q, want %q", spec, rc.Spec, key)
+		}
+		return
+	case err != nil:
+		t.Fatalf("%s: serving build failed without model.ErrRowCoupled: %v", spec, err)
+	}
+	eng := engines[key]
+	if se, ok := eng.(*model.SchemeEngine); ok {
+		if td, ok := se.Scheme.(schemes.Tender); ok {
+			for opt, got := range map[string]bool{"int": td.Integer, "cluster": td.UseClustering, "nobias": td.DisableBias} {
+				v, _ := r.Spec.Get(opt)
+				if want, _ := strconv.ParseBool(v); got != want {
+					t.Fatalf("%s: effective %s is %v", spec, opt, got)
+				}
+			}
+			// Chunking is the spec's rowchunk= when named, else off.
+			v, set := r.Spec.Get("rowchunk")
+			if set == td.NoRowChunk || (set && strconv.Itoa(td.RowChunk) != v) {
+				t.Fatalf("%s: effective rowchunk %d (norowchunk %v), spec names %q", spec, td.RowChunk, td.NoRowChunk, v)
+			}
+		}
+	}
+	prompt := workload.TokenStream(workload.Wiki, 7, 24, m.Cfg.Vocab)
+	one := m.NewSession(eng, 0).Append(prompt)
+	chunked := m.NewSession(eng, 0)
+	for at := 0; at < len(prompt); at += 5 {
+		got := chunked.Append(prompt[at:min(at+5, len(prompt))])
+		want := one.RowView(at, at+got.Rows)
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s (QuantActAct %v) served, but the chunk at row %d differs from one-shot prefill by %g",
+					spec, qaa, at, tensor.MaxAbsDiff(got, want))
+			}
+		}
+	}
+}
+
+// TestServableSpecTable is the servability rule over the registry: every
+// entry × every subset of its flag options × QuantActAct off and on is
+// either refused by the serving build with model.ErrRowCoupled, or serves
+// chunked prefill bit-identically to one-shot prefill.
+func TestServableSpecTable(t *testing.T) {
+	m := model.New(model.TinyConfig())
+	for _, spec := range servableSpecs() {
+		for _, qaa := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/qaa=%v", spec, qaa), func(t *testing.T) {
+				checkServable(t, m, spec, qaa)
+			})
+		}
 	}
 }

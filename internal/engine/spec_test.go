@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"tender/internal/model"
 	"tender/internal/schemes"
 )
 
@@ -83,6 +85,8 @@ func TestResolveMalformed(t *testing.T) {
 		{"tender:groups=0", "must be >= 1"},
 		{"tender:groups=-3", "must be >= 1"},
 		{"tender:rowchunk=0", "use norowchunk"},
+		{"tender:rowchunk=64,norowchunk", "rowchunk= with norowchunk"},
+		{"tender:norowchunk,rowchunk=1", "rowchunk= with norowchunk"},
 		{"uniform:dynamic=maybe", "not a boolean"},
 		{"tender-int:int", "conflicts with alias"},
 	}
@@ -180,8 +184,12 @@ func TestResolveBitsOption(t *testing.T) {
 	}
 }
 
+// TestServingPositionIndependence: a serving build leaves Tender's row
+// chunking off unless the spec names rowchunk=, and refuses every spec
+// whose quantization depends on the rows sharing a call — at build time,
+// by the row-independence audit, with model.ErrRowCoupled — while the
+// offline build keeps them for the accuracy tables.
 func TestServingPositionIndependence(t *testing.T) {
-	// Serving builds force whole-tensor Tender calibration.
 	r, err := Resolve("tender", BuildOptions{Serving: true})
 	if err != nil {
 		t.Fatal(err)
@@ -189,22 +197,20 @@ func TestServingPositionIndependence(t *testing.T) {
 	if !r.Scheme.(schemes.Tender).NoRowChunk {
 		t.Fatal("serving tender must disable row chunking")
 	}
-	if _, err := Resolve("tender:rowchunk=64", BuildOptions{Serving: true}); err == nil {
-		t.Fatal("serving must reject explicit row chunking")
+	r, err = Resolve("tender:rowchunk=64", BuildOptions{Serving: true})
+	if err != nil || r.Scheme.(schemes.Tender).NoRowChunk {
+		t.Fatalf("serving must keep an explicit rowchunk= for the audit to judge: %+v, %v", r, err)
 	}
-	if _, err := Resolve("msfp:ol", BuildOptions{Serving: true}); err == nil {
-		t.Fatal("serving must reject column-blocked msfp")
-	}
-	if _, err := Resolve("uniform:gran=tensor,dynamic", BuildOptions{Serving: true}); err == nil {
-		t.Fatal("serving must reject dynamic uniform scales")
-	}
-	if _, err := Resolve("uniform:gran=tensor,dynamic", BuildOptions{}); err != nil {
-		t.Fatalf("offline dynamic uniform must build: %v", err)
-	}
-	if _, err := Resolve("msfp:ol", BuildOptions{}); err != nil {
-		t.Fatalf("offline msfp:ol must build: %v", err)
-	}
-	if _, err := Resolve("tender:rowchunk=64", BuildOptions{}); err != nil {
-		t.Fatalf("offline row chunking must build: %v", err)
+	m := model.New(model.TinyConfig())
+	for _, spec := range []string{"tender:rowchunk=64", "msfp:ol", "uniform:gran=tensor,dynamic", "olive"} {
+		_, err := BuildEngines(m, []string{"fp32", spec}, BuildOptions{Serving: true, Streams: 1, StreamLen: 16})
+		key, _ := Canonical(spec)
+		var rc *model.RowCoupledError
+		if !errors.Is(err, model.ErrRowCoupled) || !errors.As(err, &rc) || rc.Spec != key {
+			t.Fatalf("serving build of %q: %v, want model.ErrRowCoupled naming it", spec, err)
+		}
+		if _, err := BuildEngines(m, []string{spec}, BuildOptions{Streams: 1, StreamLen: 16}); err != nil {
+			t.Fatalf("offline %q must build: %v", spec, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -268,27 +269,57 @@ func (p *pass) releaseSite(m *tensor.Matrix) {
 // weightSiteKinds are the matmul sites a pass runs over its stacked rows.
 var weightSiteKinds = [...]SiteKind{KindQ, KindK, KindV, KindOut, KindFC1, KindFC2}
 
-// RowIndependent is the row-independence audit: it reports whether eng
-// implements RowIndependentEngine and declares every weight site of the
-// model row-independent. Only such an engine may stack several sessions'
-// rows into one pass (Step) or re-chunk a prefill (a PrefixCache hit)
-// bit-identically; a row-coupled engine (OliVe's cross-row outlier-victim
-// pairing) must step one session at a time, in the pieces its reference
-// decode used.
-func (m *Model) RowIndependent(eng Engine) bool {
+// ErrRowCoupled is the sentinel every RowCoupledError matches (errors.Is).
+var ErrRowCoupled = errors.New("engine is row-coupled")
+
+// RowCoupledError reports an engine that fails the row-independence audit:
+// Spec names the engine and Site is the first site, in audit order, that
+// it does not declare row-independent.
+type RowCoupledError struct {
+	Spec string
+	Site Site
+}
+
+func (e *RowCoupledError) Error() string {
+	return fmt.Sprintf("engine %q is row-coupled at site %v: a row's result would depend on the rows sharing its call, so chunked prefill, prefix hits and shared steps could change its tokens", e.Spec, e.Site)
+}
+
+// Unwrap makes every RowCoupledError match ErrRowCoupled.
+func (e *RowCoupledError) Unwrap() error { return ErrRowCoupled }
+
+// AuditRows is the row-independence audit, the one rule for what may
+// serve: it walks every matmul site of the model — each layer's weight
+// sites and the score and value sites of every head — and returns nil when
+// eng implements RowIndependentEngine and declares them all
+// row-independent, else a *RowCoupledError for spec naming the first site
+// that fails (an engine without the interface fails at its first site).
+// Only an engine that passes may stack several sessions' rows into one
+// pass (Step) or re-chunk a prefill (chunked prefill, a PrefixCache hit)
+// bit-identically.
+func (m *Model) AuditRows(spec string, eng Engine) error {
 	rie, ok := eng.(RowIndependentEngine)
 	if !ok {
-		return false
+		return &RowCoupledError{spec, Site{0, KindQ, -1}}
 	}
 	for l := 0; l < m.Cfg.Layers; l++ {
 		for _, kind := range weightSiteKinds {
-			if !rie.RowIndependentMatMul(Site{l, kind, -1}) {
-				return false
+			if site := (Site{l, kind, -1}); !rie.RowIndependentMatMul(site) {
+				return &RowCoupledError{spec, site}
+			}
+		}
+		for h := 0; h < m.Cfg.Heads; h++ {
+			for _, kind := range [...]SiteKind{KindScore, KindValue} {
+				if site := (Site{l, kind, h}); !rie.RowIndependentMatMul(site) {
+					return &RowCoupledError{spec, site}
+				}
 			}
 		}
 	}
-	return true
+	return nil
 }
+
+// RowIndependent reports whether eng passes AuditRows.
+func (m *Model) RowIndependent(eng Engine) bool { return m.AuditRows("", eng) == nil }
 
 // Step appends every segment's tokens to its session in one forward pass
 // and writes the logits of each segment's last token into the matching row
@@ -302,7 +333,7 @@ func (m *Model) RowIndependent(eng Engine) bool {
 // allocations.
 //
 // Each session's logits are bit-identical to appending its segment alone
-// (Session.Append) as long as the engine is RowIndependent; Step panics
+// (Session.Append) as long as the engine passes AuditRows; Step panics
 // when several sessions would share a pass on an engine that is not. Every
 // session must belong to the same model and engine, appear at most once,
 // and have room for its segment.

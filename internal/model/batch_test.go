@@ -2,6 +2,7 @@ package model_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,26 +30,41 @@ func prefill(t *testing.T, m *model.Model, eng model.Engine, n int, seed uint64)
 	return sessions, last
 }
 
+// servable is every registry scheme a serving build accepts — all but
+// olive, which TestOliveRejectsFusedDecode covers — plus extra specs.
+func servable(extra ...string) []string {
+	names := slices.DeleteFunc(engine.SchemeNames(), func(n string) bool { return n == "olive" })
+	return append(names, extra...)
+}
+
+// offlineEngines is identtest.Engines without the Serving option, for the
+// engines a serving build refuses with model.ErrRowCoupled (olive,
+// quantized attention); the suites bind them only to one-session paths.
+func offlineEngines(t *testing.T, m *model.Model, names []string, qaa bool) map[string]model.Engine {
+	t.Helper()
+	engines, err := engine.BuildEngines(m, names, engine.BuildOptions{
+		Bits: 8, Streams: 2, StreamLen: 32, QuantActAct: qaa,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engines
+}
+
 // TestFusedStepBitIdentical is the fused-step invariant: for every
-// registry scheme whose engine admits fusion, model.Step produces logits
+// registry scheme a serving build accepts, model.Step produces logits
 // bit-identical to stepping each session alone through Session.Append —
 // greedy and sampled, with passes that mix prefill chunks of several
 // lengths and decode tokens, including after members finish mid-decode
 // (the harness staggers starts and emission budgets).
 func TestFusedStepBitIdentical(t *testing.T) {
 	m := model.New(model.TinyConfig())
-	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor", "uniform:gran=row",
+	names := servable("tender:int", "uniform:gran=tensor", "uniform:gran=row",
 		"fp16:kernel=blocked", "fp32:kernel=blocked")
-	fusable := make([]string, 0, len(names))
-	for _, n := range names {
-		if n != "olive" { // row-dependent: covered by TestOliveRejectsFusedDecode
-			fusable = append(fusable, n)
-		}
-	}
 	identtest.Matrix{
 		Model:   m,
 		Engines: identtest.Engines(t, m, names),
-		Schemes: fusable,
+		Schemes: names,
 		Temps:   []float64{0, 0.7},
 		Paths:   []identtest.Path{{Label: "fused", D: identtest.Fused(tensor.DefaultPageRows)}},
 	}.Run(t)
@@ -73,10 +89,11 @@ func mustPanic(t *testing.T, want string, f func()) {
 // TestOliveRejectsFusedDecode: OliVe's cross-row pair encoding is
 // row-dependent; fusing it would change tokens, so the audit must fail it
 // and Step must refuse to stack two of its sessions — while a single
-// session still steps.
+// session still steps. The serving build refuses it, so it is built
+// offline.
 func TestOliveRejectsFusedDecode(t *testing.T) {
 	m := model.New(model.TinyConfig())
-	engines := identtest.Engines(t, m, []string{"olive", "fp32"})
+	engines := offlineEngines(t, m, []string{"olive", "fp32"}, false)
 	if m.RowIndependent(engines["olive"]) {
 		t.Fatal("olive must not pass the row-independence audit")
 	}
@@ -95,7 +112,7 @@ func TestOliveRejectsFusedDecode(t *testing.T) {
 // Session.Append does.
 func TestBatchStepperMatchesAppend(t *testing.T) {
 	m := model.New(model.TinyConfig())
-	engines := identtest.Engines(t, m, []string{"olive", "fp32"})
+	engines := offlineEngines(t, m, []string{"olive", "fp32"}, false)
 	if _, err := m.NewBatchStepper(engines["olive"]); err == nil {
 		t.Fatal("NewBatchStepper accepted the row-dependent olive engine")
 	}

@@ -25,16 +25,18 @@
 // on the pages' reference counts — a trie of page-aligned token chunks
 // whose entries hold the K/V pages of cached prompt prefixes, mounted into
 // new sessions by NewSessionOn so covered tokens skip prefill entirely.
-// One audit, Model.RowIndependent, gates both features per engine: only
-// schemes whose activation quantization treats rows independently may
-// stack sessions in one Step or re-chunk prefill bit-identically (OliVe
-// fails it).
+// One audit, Model.AuditRows (Model.RowIndependent is its boolean form),
+// decides what may serve: it walks every weight site and the score and
+// value sites of every head, and only an engine that declares them all
+// row-independent may stack sessions in one Step or re-chunk prefill
+// bit-identically. OliVe fails it at its first weight site and every
+// engine that quantizes attention at its first score site;
+// engine.BuildEngines refuses both for serving with ErrRowCoupled.
 //
 // Throughout the package the contract is bit-identity: chunked prefill,
 // fused steps mixing prefill and decode, any KV page size, and prefix
-// mounts all
-// produce exactly the logits of a one-shot single-session run, for every
-// engine built with the Serving option whose weight sites treat rows
-// independently — the tests in session_test.go, paged_test.go,
-// batch_test.go and prefix_test.go enforce it per registry scheme.
+// mounts all produce exactly the logits of a one-shot single-session run,
+// for every engine that passes the audit — the tests in session_test.go,
+// paged_test.go, batch_test.go and prefix_test.go enforce it per registry
+// scheme.
 package model

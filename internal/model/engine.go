@@ -138,14 +138,14 @@ func (e *SchemeEngine) MatMul(site Site, x, w *tensor.Matrix) *tensor.Matrix {
 // RowIndependentMatMul implements RowIndependentEngine by consulting the
 // site's calibrated kernel (schemes.RowIndependent). Sites that fall back
 // to the exact GEMM — act-act sites when QuantActAct is off, sites unseen
-// during calibration — are row-independent by construction, as is the
-// generic value path (a static per-tensor scale applied elementwise).
+// during calibration — are row-independent by construction. Quantized
+// act-act sites are not: their right operand is the session's cached keys
+// or values, quantized per call (the value path's per-column V scale spans
+// every cached position), so a row's result depends on where its chunk
+// ends.
 func (e *SchemeEngine) RowIndependentMatMul(site Site) bool {
-	if site.Kind.IsActAct() && !e.QuantActAct {
-		return true
-	}
-	if site.Kind == KindValue {
-		return true
+	if site.Kind.IsActAct() {
+		return !e.QuantActAct
 	}
 	cs, ok := e.sites[site]
 	if !ok {

@@ -253,11 +253,11 @@ type EngineInto interface {
 
 // RowIndependentEngine is an optional Engine extension reporting whether a
 // site's MatMul treats every activation row independently — running the
-// site once over rows stacked from several sessions is bit-identical, row
-// for row, to running it on each row alone. Stacking several sessions in
-// one Step requires it of every weight-matmul site (Model.RowIndependent);
-// engines that do not implement the interface are treated as
-// row-dependent and served one request at a time.
+// site once over rows stacked from several sessions, or over a prefill cut
+// into chunks, is bit-identical, row for row, to running it on each row
+// alone. The row-independence audit (Model.AuditRows) requires it of every
+// site, attention included; engines that do not implement the interface
+// fail the audit and are not served.
 type RowIndependentEngine interface {
 	Engine
 	RowIndependentMatMul(site Site) bool

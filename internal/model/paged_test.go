@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"tender/internal/engine"
 	"tender/internal/model"
 	"tender/internal/model/identtest"
 	"tender/internal/tensor"
@@ -21,22 +20,15 @@ import (
 func TestPagedBitIdentical(t *testing.T) {
 	const pageRows = 8
 	m := model.New(model.TinyConfig())
-	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor",
+	names := servable("tender:int", "uniform:gran=tensor",
 		"fp16:kernel=blocked", "fp32:kernel=blocked")
 	prompts := make([][]int, 0, 4)
 	for _, plen := range []int{pageRows - 1, pageRows, pageRows + 1, 2*pageRows + 3} {
 		prompts = append(prompts, workload.TokenStream(workload.Wiki, 31+uint64(plen), plen, m.Cfg.Vocab))
 	}
-	fusable := make([]string, 0, len(names))
-	for _, n := range names {
-		if n != "olive" {
-			fusable = append(fusable, n)
-		}
-	}
-	engines := identtest.Engines(t, m, names)
 	identtest.Matrix{
-		Model: m, Engines: engines,
-		Schemes: fusable,
+		Model: m, Engines: identtest.Engines(t, m, names),
+		Schemes: names,
 		Prompts: prompts,
 		// Decode past another page boundary on every request.
 		NewTokens: []int{pageRows + 2, pageRows + 2, pageRows + 2, pageRows + 2},
@@ -47,9 +39,9 @@ func TestPagedBitIdentical(t *testing.T) {
 			{Label: "paged-chunked", D: identtest.PerRequest(pageRows, 3)},
 		},
 	}.Run(t)
-	// Olive cannot fuse but its paged sessions must still match.
+	// Olive cannot serve, but its paged sessions must still match.
 	identtest.Matrix{
-		Model: m, Engines: engines,
+		Model: m, Engines: offlineEngines(t, m, []string{"olive"}, false),
 		Schemes:   []string{"olive"},
 		Prompts:   prompts,
 		NewTokens: []int{pageRows + 2, pageRows + 2, pageRows + 2, pageRows + 2},

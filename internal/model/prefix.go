@@ -26,10 +26,10 @@ import (
 // only reclaims entries no active session uses. The cache keeps no budget
 // of its own: its pages are ordinary pool pages, so a serving scheduler
 // sees them in BlockPool.Free and evicts entries (EvictLRU) until the
-// pool covers what live sessions need. Only Model.RowIndependent engines
-// may serve hits: a hit re-chunks prefill (the covered rows are mounted,
-// only the tail is appended), which is exact only when every weight site
-// quantizes activation rows independently.
+// pool covers what live sessions need. Only engines that pass the
+// row-independence audit (Model.AuditRows) may serve hits: a hit re-chunks
+// prefill (the covered rows are mounted, only the tail is appended), which
+// is exact only when every site treats activation rows independently.
 //
 // All methods are safe for concurrent use, but the intended deployment is
 // single-writer: the serving scheduler goroutine does every Acquire /

@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"maps"
 	"testing"
 
 	"tender/internal/engine"
@@ -96,9 +97,9 @@ func TestPrefixCacheMatch(t *testing.T) {
 func TestPrefixMountBitIdenticalEveryScheme(t *testing.T) {
 	const pageRows = 8
 	m := model.New(model.TinyConfig())
-	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor")
-	engines := identtest.Engines(t, m, names)
-	for _, name := range names {
+	engines := identtest.Engines(t, m, servable("tender:int", "uniform:gran=tensor"))
+	maps.Copy(engines, offlineEngines(t, m, []string{"olive"}, false))
+	for _, name := range servable("tender:int", "uniform:gran=tensor", "olive") {
 		key, err := engine.Canonical(name)
 		if err != nil {
 			t.Fatal(err)
@@ -107,12 +108,12 @@ func TestPrefixMountBitIdenticalEveryScheme(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if !m.RowIndependent(eng) {
 				// Row-coupled quantization (OliVe) cannot re-chunk prefill
-				// bit-identically; the serving layer keeps such engines on
-				// the cold path, so there is no hit path to verify.
+				// bit-identically; the serving build refuses it, so there is
+				// no hit path to verify.
 				if key != "olive" {
 					t.Fatalf("%s unexpectedly not prefix-shareable", key)
 				}
-				t.Skip("row-coupled engine: prefix sharing gated off")
+				t.Skip("row-coupled engine: refused for serving")
 			}
 			// Prompt length L inserts a full entry of L−1 rows: choose L so
 			// the match lands at page−1, page and page+1 rows.

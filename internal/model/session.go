@@ -25,12 +25,11 @@ import (
 // engine whose quantization metadata varies by row position (e.g. Tender
 // row chunking calibrated over more rows than one step) would make
 // chunked prefill diverge from one-shot prefill. Incremental decode is
-// exact for engines whose per-row treatment is position-independent —
-// which engine.BuildEngines guarantees for every scheme built with the
-// Serving option — and whose activation rows are quantized independently
-// (RowIndependentEngine); a row-coupled engine (OliVe) is exact only for
-// the pieces it was given, which is why the serving scheduler feeds it the
-// whole prompt at once and then one token per step.
+// exact for engines that pass the row-independence audit
+// (Model.AuditRows) — which engine.BuildEngines requires of every engine
+// built with the Serving option; a row-coupled engine (OliVe, or any
+// engine quantizing attention) is exact only for the pieces it was given,
+// so it is evaluated offline and never served.
 type Session struct {
 	m    *Model
 	eng  Engine

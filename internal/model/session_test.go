@@ -1,10 +1,10 @@
 package model_test
 
 import (
+	"maps"
 	"runtime"
 	"testing"
 
-	"tender/internal/engine"
 	"tender/internal/model"
 	"tender/internal/model/identtest"
 	"tender/internal/schemes"
@@ -12,19 +12,14 @@ import (
 	"tender/internal/workload"
 )
 
-// forwardEngines is every registry scheme the identity suites serve, plus
-// tender with quantized attention (QuantActAct), keyed by label.
+// forwardEngines is every registry scheme — the servable ones built for
+// serving, olive offline — plus tender with quantized attention
+// (QuantActAct, offline: the serving build refuses it), keyed by label.
 func forwardEngines(t *testing.T, m *model.Model) map[string]model.Engine {
 	t.Helper()
-	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor", "uniform:gran=row")
-	engines := identtest.Engines(t, m, names)
-	actact, err := engine.BuildEngines(m, []string{"tender"}, engine.BuildOptions{
-		Bits: 8, Streams: 2, StreamLen: 32, Serving: true, QuantActAct: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines["tender+actact"] = actact["tender"]
+	engines := identtest.Engines(t, m, servable("tender:int", "uniform:gran=tensor", "uniform:gran=row"))
+	maps.Copy(engines, offlineEngines(t, m, []string{"olive"}, false))
+	engines["tender+actact"] = offlineEngines(t, m, []string{"tender"}, true)["tender"]
 	return engines
 }
 
@@ -49,17 +44,16 @@ func TestSessionPrefillMatchesForward(t *testing.T) {
 
 // TestSessionIncrementalMatchesForward: feeding tokens one at a time
 // through the KV cache must agree exactly with the full-sequence forward
-// for every engine whose weight sites treat rows independently and whose
-// attention is exact — every per-position computation is then row-local.
-// Row-coupled (olive) and quantized-attention engines are only bound to
-// their one-shot prefill, which TestSessionPrefillMatchesForward covers.
+// for every engine that passes the row-independence audit — every
+// per-position computation is then row-local. Row-coupled (olive) and
+// quantized-attention engines fail it and are only bound to their one-shot
+// prefill, which TestSessionPrefillMatchesForward covers.
 func TestSessionIncrementalMatchesForward(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	toks := workload.TokenStream(workload.Wiki, 12, 16, m.Cfg.Vocab)
 	ran := 0
 	for name, eng := range forwardEngines(t, m) {
-		exact, ok := eng.(interface{ ExactActAct() bool })
-		if !m.RowIndependent(eng) || !ok || !exact.ExactActAct() {
+		if !m.RowIndependent(eng) {
 			continue
 		}
 		ran++

@@ -48,18 +48,20 @@ type SiteKernel interface {
 // ApplyRowIndependent reports true promises that Apply treats every
 // activation row independently — Apply over a stacked matrix is bit-
 // identical, row for row, to Apply over each row alone. That is the
-// property fused batched decode relies on: the serving scheduler stacks
-// the current row of several sessions into one matrix and runs each weight
-// site once, which only preserves per-session outputs when no row's
+// property serving relies on: the scheduler chunks prefills and stacks
+// the rows of several sessions into one matrix, running each weight site
+// once, which only preserves per-session outputs when no row's
 // quantization depends on the other rows (runtime whole-tensor statistics,
 // cross-row encodings, or row-position metadata all break it).
 //
-// Kernels that do not implement the interface are treated as row-dependent
-// and served through the per-request path. The audit across the registry:
+// Kernels that do not implement the interface are treated as row-dependent.
+// The row-independence audit (model.Model.AuditRows) consults every site,
+// and the serving build refuses any engine with a dependent one; such
+// engines are evaluated offline only. The audit across the registry:
 //
 //   - fp32 / fp16: exact or elementwise rounding — independent.
 //   - uniform: static scales or per-row dynamic scales — independent;
-//     per-tensor dynamic scales are not (and are rejected for serving).
+//     per-tensor and per-column dynamic scales are not.
 //   - smoothquant / ant: calibrated static scales, elementwise — independent.
 //   - llmint8: static column split + per-row activation scales — independent.
 //   - msfp (row blocks) / mxfp4 / smx4: exponents shared along each row
@@ -68,6 +70,10 @@ type SiteKernel interface {
 //     chunk-0 metadata — independent; with chunking, metadata varies by row
 //     position — dependent.
 //   - olive: outlier-victim pairs couple adjacent rows — dependent.
+//
+// Quantized attention sites (QuantActAct) are dependent in every scheme:
+// the cached keys and values are quantized per call, so model.SchemeEngine
+// answers false for them without consulting a kernel.
 type RowIndependent interface {
 	// ApplyRowIndependent reports whether Apply is row-independent as
 	// configured.

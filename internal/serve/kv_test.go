@@ -145,44 +145,6 @@ func TestKVBudgetRejectsOversized(t *testing.T) {
 	}
 }
 
-// TestKVPreemptionRowCoupled is the preemption invariant for OliVe, whose
-// cross-row encoding makes every Append's result depend on the rows it is
-// given: the scheduler must prefill the whole prompt at once and, after a
-// preemption, re-prefill the generated tokens one at a time — exactly the
-// calls DecodeUnbatched makes — so preempted requests still match it.
-func TestKVPreemptionRowCoupled(t *testing.T) {
-	m := model.New(model.TinyConfig())
-	engines, err := buildEngines(m, []string{"olive"}, engine.BuildOptions{Bits: 8, Streams: 2, StreamLen: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := kvPressureTrace(m, 3)
-	// Greedy tokens on this model survive a wrongly chunked OliVe prefill;
-	// with this sampling seed, chunking either the prompt or the resumed
-	// tokens changes sampled ones.
-	const seed = 4
-	for _, temp := range []float64{0, 0.8} {
-		ref := DecodeUnbatched(m, engines["olive"], trace, temp, seed)
-		srv, err := New(Config{
-			Model: m, Engines: engines, MaxBatch: 4, QueueDepth: 8,
-			PrefillChunk: 4, KVBudgetRows: 48, KVPageRows: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outputs, snap := preloadAndRun(t, srv, trace, temp, seed)
-		identtest.Equal(t, "olive under KV pressure",
-			identtest.Output{Tokens: outputs}, identtest.Output{Tokens: ref})
-		if snap.Preemptions < 1 {
-			t.Fatalf("temp=%v: budget pressure never preempted (snapshot %+v)", temp, snap)
-		}
-		if snap.KVPagesInUse != 0 || snap.KVPageAllocs != snap.KVPageFrees {
-			t.Fatalf("temp=%v: pages leaked: %d in use, %d allocs vs %d frees",
-				temp, snap.KVPagesInUse, snap.KVPageAllocs, snap.KVPageFrees)
-		}
-	}
-}
-
 // TestPagedBeatsContiguousConcurrency mirrors the benchmark claim: under
 // a KV row budget of two worst-case (MaxSeq) sessions — all a contiguous
 // preallocating layout could ever admit — the paged scheduler runs at

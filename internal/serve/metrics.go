@@ -309,8 +309,7 @@ type Snapshot struct {
 	PrefillTokens        int64 `json:"prefill_tokens"`
 	DecodeTokens         int64 `json:"decode_tokens"`
 	// FusedDecodeTokens counts the decode tokens produced by fused passes:
-	// decode steps on row-independent engines (the rest came from prefill
-	// logits or row-coupled engines' one-request decode steps).
+	// each engine's decode item (the rest came from prefill logits).
 	FusedDecodeTokens int64 `json:"fused_decode_tokens"`
 	// TokensPerSec is the lifetime decode rate (decode tokens / uptime);
 	// TokensPerSec10s averages over the trailing rateWindowSecs seconds,

@@ -62,16 +62,11 @@ func runTwice(t *testing.T, srv *Server, trace []workload.RequestSpec, ref [][]i
 // TestPrefixServeBitIdenticalEveryScheme is the serving half of the
 // tentpole invariant: with the prefix cache on, every hosted scheme
 // produces exactly the tokens of the cold unbatched reference on a
-// shared-prefix workload — and the shareable schemes actually hit the
-// cache, while the row-coupled one (olive) transparently keeps the cold
-// path.
+// shared-prefix workload and actually hits the cache. The serving build
+// must refuse exactly row-coupled olive.
 func TestPrefixServeBitIdenticalEveryScheme(t *testing.T) {
 	m := model.New(model.TinyConfig())
-	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor")
-	engines, err := buildEngines(m, names, engine.BuildOptions{Bits: 8, Streams: 2, StreamLen: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	engines, names := servableEngines(t, m, append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor"))
 	trace := sharedPrefixTrace(m, 17, 6, 41)
 	for _, name := range names {
 		name := name
@@ -84,15 +79,11 @@ func TestPrefixServeBitIdenticalEveryScheme(t *testing.T) {
 			})
 			runTwice(t, srv, trace, ref, name, 0, 11)
 			snap := srv.Metrics().Snapshot()
-			if m.RowIndependent(engines[name]) {
-				if snap.PrefixHits == 0 || snap.PrefillTokensSkipped == 0 {
-					t.Fatalf("no prefix hits on a shared-prefix workload: %+v", snap)
-				}
-				if snap.PrefixCachedRows == 0 || snap.PrefixSharedPages == 0 {
-					t.Fatalf("cache retains nothing after hits: %+v", snap)
-				}
-			} else if snap.PrefixHits != 0 || snap.PrefixCachedRows != 0 {
-				t.Fatalf("row-coupled engine used the prefix cache: %+v", snap)
+			if snap.PrefixHits == 0 || snap.PrefillTokensSkipped == 0 {
+				t.Fatalf("no prefix hits on a shared-prefix workload: %+v", snap)
+			}
+			if snap.PrefixCachedRows == 0 || snap.PrefixSharedPages == 0 {
+				t.Fatalf("cache retains nothing after hits: %+v", snap)
 			}
 		})
 	}

@@ -73,8 +73,7 @@ func (s *Server) owed() int {
 }
 
 // acquirePrefix pins the longest cached prefix of prompt for the scheme's
-// engine (nil on a miss, with the cache off, or for engines without a
-// prefix index).
+// engine (nil on a miss or with the cache off).
 func (s *Server) acquirePrefix(scheme string, prompt []int) *model.PrefixEntry {
 	c := s.prefixCaches[scheme]
 	if c == nil {
@@ -420,11 +419,10 @@ func (s *Server) runIteration() {
 	var prefill, decode, fused int64
 	perScheme := make(map[string]int64, 1)
 	for _, a := range batch {
-		// A fused decode token is a decode step's (not a finished
-		// prefill's) on a row-independent engine, whose passes stack
-		// several requests.
+		// A fused decode token is a decode step's, not a finished
+		// prefill's: it came from its engine's decode item.
 		var fusedTok int64
-		if a.lastStepDecoded && a.lastStepPrefill == 0 && s.fuses[a.scheme] {
+		if a.lastStepDecoded && a.lastStepPrefill == 0 {
 			fusedTok = 1
 		}
 		fused += fusedTok
@@ -477,36 +475,34 @@ func (s *Server) insertPrefix(a *activeReq) {
 }
 
 // workItem is one unit of an iteration's model work: requests of one
-// engine, stepped by one model.Step over their segments — each request's
-// stepRows rows of prefill or its one decode token. A fused item holds
-// every decode-ready request of a row-independent engine.
+// engine, stepped by one model.Step over their segments — one request's
+// stepRows rows of prefill, or the one decode token of every decode-ready
+// request of the engine (the decode item).
 type workItem struct {
 	scheme string
-	fused  bool
 	reqs   []*activeReq
 }
 
 // plan assigns every request of the batch to this iteration's work items,
-// on the scheduler goroutine: one fused item per row-independent engine
-// for its decode tokens, listed first in order of first appearance, then
-// one item per prefill chunk or row-coupled decode step, in batch order.
-// The worker pool runs the items in parallel.
+// on the scheduler goroutine: one decode item per engine, listed first in
+// order of first appearance, then one item per prefill chunk, in batch
+// order. The worker pool runs the items in parallel.
 func (s *Server) plan(batch []*activeReq) []*workItem {
-	var fused, rest []*workItem
+	var decode, prefill []*workItem
 	for _, a := range batch {
 		a.stepRows = s.chunkLen(a)
-		if a.consumed < len(a.seq) || !s.fuses[a.scheme] {
-			rest = append(rest, &workItem{scheme: a.scheme, reqs: []*activeReq{a}})
+		if a.consumed < len(a.seq) {
+			prefill = append(prefill, &workItem{scheme: a.scheme, reqs: []*activeReq{a}})
 			continue
 		}
-		i := slices.IndexFunc(fused, func(it *workItem) bool { return it.scheme == a.scheme })
+		i := slices.IndexFunc(decode, func(it *workItem) bool { return it.scheme == a.scheme })
 		if i < 0 {
-			i = len(fused)
-			fused = append(fused, &workItem{scheme: a.scheme, fused: true})
+			i = len(decode)
+			decode = append(decode, &workItem{scheme: a.scheme})
 		}
-		fused[i].reqs = append(fused[i].reqs, a)
+		decode[i].reqs = append(decode[i].reqs, a)
 	}
-	return append(fused, rest...)
+	return append(decode, prefill...)
 }
 
 // stepAll steps every item on the worker pool — GOMAXPROCS goroutines,
@@ -542,22 +538,12 @@ func (s *Server) stepAll(items []*workItem) {
 
 // chunkLen is the rows a's next step appends: the next chunk of its
 // pending sequence (the prompt, or after a preemption prompt +
-// regenerated tokens), or 1 for a decode step. A row-coupled engine is
-// exact only for the pieces DecodeUnbatched appends, so its prefill takes
-// the rest of the prompt in one piece and a resume re-prefills generated
-// tokens one at a time.
+// regenerated tokens), or 1 for a decode step.
 func (s *Server) chunkLen(a *activeReq) int {
-	rest := len(a.seq) - a.consumed
-	switch {
-	case rest == 0:
-		return 1
-	case s.fuses[a.scheme]:
+	if rest := len(a.seq) - a.consumed; rest > 0 {
 		return min(rest, s.cfg.PrefillChunk)
-	case a.consumed < len(a.p.req.Prompt):
-		return len(a.p.req.Prompt) - a.consumed
-	default:
-		return 1
 	}
+	return 1
 }
 
 // logitsArena recycles the work items' logits matrices across iterations.
@@ -588,6 +574,8 @@ func (s *Server) stepItem(it *workItem) {
 	if s.cfg.Chaos.StepPanic() {
 		panic("chaos: injected step panic")
 	}
+	// plan never mixes prefill and decode in one item.
+	decode := it.reqs[0].consumed == len(it.reqs[0].seq)
 	segs := make([]model.Segment, len(it.reqs))
 	for i, a := range it.reqs {
 		if a.consumed < len(a.seq) {
@@ -600,7 +588,7 @@ func (s *Server) stepItem(it *workItem) {
 	defer logitsArena.Put(logits)
 	t0 := time.Now()
 	model.Step(segs, logits)
-	if it.fused {
+	if decode {
 		s.metrics.fusedStep(it.scheme, time.Since(t0))
 	}
 	// A finished prefill (unless it re-derives already-emitted tokens after

@@ -1,12 +1,13 @@
 // Package serve is a continuous-batching inference server over the
 // reproduction's quantized engines. Engines are built once — via
-// internal/engine with the Serving option, which guarantees
-// position-independent quantization metadata and prepared (compile-once)
-// weight packs — and shared read-only across requests. The server turns
-// the offline evaluation substrate (internal/model) into a serving path:
-// requests enter a bounded admission queue and an iteration-level
-// scheduler assembles batches that mix prefill chunks and single-token
-// decode steps.
+// internal/engine with the Serving option, which refuses every engine that
+// fails the row-independence audit (model.Model.AuditRows) and prepares
+// compile-once weight packs — and shared read-only across requests; New
+// refuses a row-coupled engine with the same model.ErrRowCoupled. The
+// server turns the offline evaluation substrate (internal/model) into a
+// serving path: requests enter a bounded admission queue and an
+// iteration-level scheduler assembles batches that mix prefill chunks and
+// single-token decode steps.
 //
 // Each iteration is a list of work items stepped on a GOMAXPROCS worker
 // pool by one function with one panic-isolation boundary, and every item
@@ -14,18 +15,14 @@
 // prefill chunks, resumed tails and decode tokens stacked into one
 // activation matrix, one Engine.MatMul per weight site over all the rows,
 // attention per session against its own KV cache and position offset,
-// only each segment's last row unembedded. A row-independent engine's
-// decode-ready requests share one fused item — their current rows stacked
-// into a single [B × d_model] matrix — and every prefill chunk is an item
-// of its own. An engine whose quantization is not row-independent
-// (model.Model.RowIndependent; OliVe is the one registry case) gets one
-// item per request, and is exact only for the pieces the unbatched
-// reference appends, so its prefill is the whole prompt and a resume
-// after preemption re-prefills generated tokens one at a time. Every item
-// computes exactly its requests' sequential model.Session results, so
-// per-request outputs stay bit-identical to the unbatched single-threaded
-// decode path for every scheme — batching and fusion change wall-clock,
-// never tokens.
+// only each segment's last row unembedded. An engine's decode-ready
+// requests share one fused item — their current rows stacked into a single
+// [B × d_model] matrix — and every prefill chunk is an item of its own.
+// Every engine passed the audit, so every item computes exactly its
+// requests' sequential model.Session results, and per-request outputs stay
+// bit-identical to the unbatched single-threaded decode path for every
+// engine served — batching, chunking and fusion change wall-clock, never
+// tokens.
 //
 // KV memory is paged and budgeted, and the page pool is the one ledger:
 // sessions draw fixed-size pages lazily from one shared tensor.BlockPool
@@ -40,8 +37,7 @@
 // sharing the prefix mount those refcounted pages instead of recomputing
 // them, needing pages only for the unshared tail. Unreferenced cached
 // prefixes are evicted LRU-first whenever live sessions need the memory.
-// Prefix hits are bit-identical to cold prefill for every row-independent
-// engine; row-coupled ones (OliVe) transparently keep the cold path.
+// Prefix hits are bit-identical to cold prefill for every engine served.
 //
 // See docs/ARCHITECTURE.md for the full design, the page-table diagram
 // and the metrics reference.
@@ -52,8 +48,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,7 +131,8 @@ type Config struct {
 	Model *model.Model
 	// Engines maps engine spec → calibrated engine (the map
 	// engine.BuildEngines returns). All requests for a scheme share the
-	// engine; engines are read-only at inference time.
+	// engine; engines are read-only at inference time. Every engine must
+	// pass the row-independence audit (model.Model.AuditRows).
 	Engines map[string]model.Engine
 	// DefaultScheme is used when a request names none. Defaults to the
 	// sole engine when exactly one is hosted.
@@ -146,7 +144,6 @@ type Config struct {
 	QueueDepth int
 	// PrefillChunk bounds prompt tokens consumed per iteration per
 	// request, so long prompts cannot starve decode steps (default 32).
-	// Row-coupled engines (OliVe) ignore it: they prefill whole prompts.
 	PrefillChunk int
 	// KVBudgetRows caps the total KV positions held in the shared page
 	// pool — by active sessions and cached prefixes alike (0 = unlimited).
@@ -171,9 +168,7 @@ type Config struct {
 	// recomputing them — admission needs pages only for the unshared tail,
 	// and unreferenced cached prefixes are evicted LRU-first under pool
 	// pressure before the scheduler holds or preempts anything. Hits are
-	// bit-identical to cold prefill for every engine whose quantization
-	// treats activation rows independently; row-coupled engines (OliVe)
-	// keep the cold path automatically.
+	// bit-identical to cold prefill for every engine served.
 	PrefixCache bool
 	// PrefixCacheRows caps the KV positions retained by cached prefixes
 	// (rounded up to KVPageRows). 0 defaults to KVBudgetRows when a budget
@@ -298,9 +293,6 @@ type Server struct {
 	// now is the clock every scheduler decision, request timestamp and
 	// metrics window reads (time.Now outside tests).
 	now func() time.Time
-	// fuses maps engine spec → model.Model.RowIndependent: its requests
-	// share passes, prefill in chunks and take a prefix cache.
-	fuses map[string]bool
 	// Scheduler-goroutine state: the active batch in admission order, and
 	// the wait list — preempted requests in preemption order, then at most
 	// one request that left the queue but has not been admitted yet (held
@@ -314,8 +306,7 @@ type Server struct {
 	// that freed no pool page (scheduler goroutine; tests read them).
 	reclaims, idleReclaims int
 	// prefixCaches maps engine spec → prefix index (nil map when the
-	// prefix cache is off; engines whose quantization couples activation
-	// rows get no cache and always cold-prefill). prefixOrder is the
+	// prefix cache is off). prefixOrder is the
 	// sorted spec list — reclaim walks it instead of the map so eviction
 	// order (and therefore every downstream scheduling decision) is
 	// deterministic. Only the scheduler goroutine mutates the caches;
@@ -399,24 +390,25 @@ func New(cfg Config) (*Server, error) {
 		tracer:  cfg.Tracer,
 		now:     time.Now,
 		workers: runtime.GOMAXPROCS(0),
-		fuses:   make(map[string]bool, len(cfg.Engines)),
 	}
 	// The pool is the one KV ledger: its bound is the page-aligned budget,
 	// one K and one V page per layer per page of positions (unbounded
 	// without a budget).
 	maxPages := cfg.KVBudgetRows / cfg.KVPageRows * s.posPages()
 	s.kvPool = tensor.NewBlockPool(cfg.Model.Cfg.DModel, cfg.KVPageRows, maxPages)
-	if cfg.PrefixCache {
-		s.prefixCaches = make(map[string]*model.PrefixCache, len(cfg.Engines))
-	}
-	for spec, eng := range cfg.Engines {
-		s.fuses[spec] = cfg.Model.RowIndependent(eng)
-		if cfg.PrefixCache && s.fuses[spec] {
-			s.prefixCaches[spec] = model.NewPrefixCache(s.kvPool, cfg.Model.Cfg.Layers, cfg.PrefixCacheRows)
-			s.prefixOrder = append(s.prefixOrder, spec)
+	specs := slices.Sorted(maps.Keys(cfg.Engines))
+	for _, spec := range specs {
+		if err := cfg.Model.AuditRows(spec, cfg.Engines[spec]); err != nil {
+			return nil, err
 		}
 	}
-	sort.Strings(s.prefixOrder)
+	if cfg.PrefixCache {
+		s.prefixCaches = make(map[string]*model.PrefixCache, len(specs))
+		for _, spec := range specs {
+			s.prefixCaches[spec] = model.NewPrefixCache(s.kvPool, cfg.Model.Cfg.Layers, cfg.PrefixCacheRows)
+		}
+		s.prefixOrder = specs
+	}
 	s.queue = make(chan *pending, cfg.QueueDepth)
 	pages := func() (int64, int64, int64) {
 		allocs, frees := s.kvPool.Counters()

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +27,31 @@ func tinyTrace(m *model.Model, n int, seed uint64) []workload.RequestSpec {
 func buildEngines(m *model.Model, specs []string, opt engine.BuildOptions) (map[string]model.Engine, error) {
 	opt.Serving = true
 	return engine.BuildEngines(m, specs, opt)
+}
+
+// servableEngines builds each spec for serving on its own and returns the
+// engines the build accepts and their specs, in order. It fails the test
+// unless the build refuses exactly olive, with model.ErrRowCoupled.
+func servableEngines(t *testing.T, m *model.Model, specs []string) (map[string]model.Engine, []string) {
+	t.Helper()
+	engines := make(map[string]model.Engine, len(specs))
+	var served, refused []string
+	for _, spec := range specs {
+		built, err := buildEngines(m, []string{spec}, engine.BuildOptions{Bits: 8, Streams: 2, StreamLen: 32})
+		switch {
+		case errors.Is(err, model.ErrRowCoupled):
+			refused = append(refused, spec)
+		case err != nil:
+			t.Fatal(err)
+		default:
+			maps.Copy(engines, built)
+			served = append(served, spec)
+		}
+	}
+	if !slices.Equal(refused, []string{"olive"}) {
+		t.Fatalf("serving build refused %v, want exactly [olive]", refused)
+	}
+	return engines, served
 }
 
 func startServer(t *testing.T, cfg Config) *Server {
@@ -86,23 +113,17 @@ func servePath(engines map[string]model.Engine, mut func(*Config), check func(*t
 // parallel workers, prefill chunks shorter than most prompts) produces
 // exactly the tokens of the unbatched single-threaded decode path —
 // greedy and sampled (the per-request seeded RNG makes sampled outputs
-// batch-stable). Row-coupled OliVe runs in the same matrix: the scheduler
-// prefills it whole instead of in chunks, and it never fuses.
+// batch-stable). Every registry scheme the serving build accepts runs in
+// the matrix; it must refuse exactly row-coupled OliVe.
 func TestBatchedBitIdenticalEveryScheme(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	// Every canonical registry scheme plus the spec'd variants the old
 	// name table carried (tender-int, uniform-tensor).
-	names := append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor")
-	engines, err := buildEngines(m, names, engine.BuildOptions{Bits: 8, Streams: 2, StreamLen: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	engines, names := servableEngines(t, m, append(engine.SchemeNames(), "tender:int", "uniform:gran=tensor"))
 	mut := func(cfg *Config) { cfg.PrefillChunk = 4 }
 	check := func(t *testing.T, srv *Server) {
-		fused := srv.Metrics().Snapshot().FusedDecodeTokens
-		if m.RowIndependent(engines[srv.cfg.DefaultScheme]) != (fused > 0) {
-			t.Fatalf("%s: %d fused decode tokens; want > 0 exactly for row-independent engines",
-				srv.cfg.DefaultScheme, fused)
+		if fused := srv.Metrics().Snapshot().FusedDecodeTokens; fused == 0 {
+			t.Fatalf("%s: no fused decode tokens", srv.cfg.DefaultScheme)
 		}
 	}
 	identtest.Matrix{
@@ -118,7 +139,7 @@ func TestBatchedBitIdenticalEveryScheme(t *testing.T) {
 // groups; every request must still match its unbatched reference.
 func TestMixedSchemeBatchesFused(t *testing.T) {
 	m := model.New(model.TinyConfig())
-	names := []string{"fp32", "tender", "llmint8", "olive"}
+	names := []string{"fp32", "tender", "llmint8"}
 	engines, err := buildEngines(m, names, engine.BuildOptions{Bits: 8, Streams: 2, StreamLen: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +174,22 @@ func TestMixedSchemeBatchesFused(t *testing.T) {
 	}
 	if snap := srv.Metrics().Snapshot(); snap.FusedDecodeTokens == 0 {
 		t.Fatal("mixed-scheme load never used the fused path")
+	}
+}
+
+// TestNewRefusesRowCoupledEngine: New applies the row-independence audit
+// to every hosted engine, so an engine the serving build would refuse —
+// olive, built offline — is refused with model.ErrRowCoupled, naming it.
+func TestNewRefusesRowCoupledEngine(t *testing.T) {
+	m := model.New(model.TinyConfig())
+	engines, err := engine.BuildEngines(m, []string{"fp32", "olive"}, engine.BuildOptions{Bits: 8, Streams: 2, StreamLen: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Config{Model: m, Engines: engines, DefaultScheme: "fp32"})
+	var rc *model.RowCoupledError
+	if !errors.Is(err, model.ErrRowCoupled) || !errors.As(err, &rc) || rc.Spec != "olive" {
+		t.Fatalf("New with an offline olive engine: %v, want model.ErrRowCoupled naming olive", err)
 	}
 }
 
