@@ -33,8 +33,7 @@ func main() {
 	case *modelName != "":
 		m := model.New(model.Registry(*modelName))
 		rec := model.NewRecorder()
-		toks := workload.TokenStream(workload.Wiki, *seed, 128, m.Cfg.Vocab)
-		m.Forward(toks, rec)
+		m.Record(rec, [][]int{workload.TokenStream(workload.Wiki, *seed, 128, m.Cfg.Vocab)})
 		x := rec.X[model.Site{Layer: *layer, Kind: model.KindQ, Head: -1}][0]
 		st = workload.Channels(x)
 		fmt.Printf("# attention input, %s layer %d (%dx%d)\n", *modelName, *layer, x.Rows, x.Cols)

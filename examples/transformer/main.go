@@ -17,11 +17,8 @@ func main() {
 		m.Cfg.Name, m.Cfg.Layers, m.Cfg.DModel, m.Cfg.Heads)
 
 	// Static PTQ calibration (the stand-in for 128 Pile samples).
-	calib := workload.CalibrationStreams(1, 3, 128, m.Cfg.Vocab)
 	rec := model.NewRecorder()
-	for _, toks := range calib {
-		m.Forward(toks, rec)
-	}
+	m.Record(rec, workload.CalibrationStreams(1, 3, 128, m.Cfg.Vocab))
 
 	// Evaluation stream + temperature anchored to the paper's FP16 base.
 	eval := workload.TokenStream(workload.Wiki, 7, 192, m.Cfg.Vocab)

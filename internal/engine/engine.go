@@ -439,13 +439,8 @@ func BuildEngines(m *model.Model, specs []string, opt BuildOptions) (map[string]
 		r := resolved[key]
 		if !r.Exact && rec == nil {
 			rec = model.NewRecorder()
-			n := opt.StreamLen
-			if n > m.Cfg.MaxSeq {
-				n = m.Cfg.MaxSeq
-			}
-			for _, toks := range workload.CalibrationStreams(m.Cfg.Seed, opt.Streams, n, m.Cfg.Vocab) {
-				m.Forward(toks, rec)
-			}
+			n := min(opt.StreamLen, m.Cfg.MaxSeq)
+			m.Record(rec, workload.CalibrationStreams(m.Cfg.Seed, opt.Streams, n, m.Cfg.Vocab))
 		}
 		out[key] = r.Engine(rec)
 		if opt.Serving {

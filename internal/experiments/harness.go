@@ -85,13 +85,7 @@ func (h *harness) recorder(name string) *model.Recorder {
 	}
 	count, length := h.opts.calibStreams()
 	rec := model.NewRecorder()
-	for _, toks := range workload.CalibrationStreams(1000+h.opts.Seed, count, length, m.Cfg.Vocab) {
-		if m.Cfg.Arch == model.Encoder {
-			m.ClassifyLogits(toks, rec)
-		} else {
-			m.Forward(toks, rec)
-		}
-	}
+	m.Record(rec, workload.CalibrationStreams(1000+h.opts.Seed, count, length, m.Cfg.Vocab))
 	h.recs[name] = rec
 	return rec
 }

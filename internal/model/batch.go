@@ -23,21 +23,22 @@ type Segment struct {
 	Tokens []int
 }
 
-// pass is the incremental transformer: the one block every KV-cached path
-// runs. Step is a pass over any mix of segments and Session.Append a pass
-// over one. Weight sites run one engine call over all stacked rows;
-// attention runs per segment against that session's cache. Model.block,
-// the full-sequence encoder/forward block, is the independent reference
-// the identity tests hold it to.
+// pass is the transformer: the one block every path runs. Step is a pass
+// over any mix of segments; Session.Append, Model.Forward,
+// Model.ClassifyLogits and Model.Record are passes over one. Weight sites
+// run one engine call over all stacked rows; attention runs per segment
+// against that session's cache — causal in a decoder, bidirectional in an
+// encoder, whose one segment is the whole sequence on an empty session.
 type pass struct {
 	m        *Model
 	eng      Engine
 	into     EngineInto // nil when the engine has no Into fast path
 	exactAtt bool       // act-act sites run the exact GEMM → direct loops
+	bidir    bool       // encoder: every row attends to every key
 }
 
 func newPass(m *Model, eng Engine) pass {
-	p := pass{m: m, eng: eng}
+	p := pass{m: m, eng: eng, bidir: m.Cfg.Arch == Encoder}
 	p.into, _ = eng.(EngineInto)
 	if ea, ok := eng.(exactActAct); ok {
 		p.exactAtt = ea.ExactActAct()
@@ -53,6 +54,9 @@ func (p *pass) forward(segs []Segment) *tensor.Matrix {
 	rows := 0
 	for _, sg := range segs {
 		n := len(sg.Tokens)
+		if n == 0 {
+			panic("model: empty segment")
+		}
 		if sg.S.pos+n > m.Cfg.MaxSeq {
 			panic(fmt.Sprintf("model: session length %d+%d exceeds max %d", sg.S.pos, n, m.Cfg.MaxSeq))
 		}
@@ -86,9 +90,9 @@ func (p *pass) forward(segs []Segment) *tensor.Matrix {
 	return x
 }
 
-// block is Model.block for the stacked segments against their cached
-// keys/values: in-place residual adds give the same values as the
-// reference's fresh Add results.
+// block runs one Transformer block (pre-LN residual structure) in place
+// over the stacked segments, appending their keys and values to each
+// session's cache before attending against it.
 func (p *pass) block(l int, segs []Segment, x *tensor.Matrix) {
 	m := p.m
 	lay := &m.Layers[l]
@@ -142,7 +146,9 @@ func (p *pass) block(l int, segs []Segment, x *tensor.Matrix) {
 
 // attend writes rows [r, r+n) of the attention output for one segment of
 // session s, whose cache already holds those rows' keys and values: row
-// r+i is the query at absolute position s.pos+i and sees keys 0..s.pos+i.
+// r+i is the query at absolute position s.pos+i. In a decoder it sees keys
+// 0..s.pos+i; in an encoder, whose segment is the whole sequence, every
+// key.
 func (p *pass) attend(l int, s *Session, xq, out *tensor.Matrix, r, n int) {
 	m := p.m
 	heads := m.Cfg.Heads
@@ -151,6 +157,13 @@ func (p *pass) attend(l int, s *Session, xq, out *tensor.Matrix, r, n int) {
 	invSqrt := 1 / math.Sqrt(float64(dh))
 	kst, vst := s.kv[l].k, s.kv[l].v
 	seq := kst.Rows()
+	// Row i sees keys [0, vis0+grow*i): its causal horizon s.pos+i+1 in a
+	// decoder, every key in an encoder. Either way the first row that sees
+	// key base is max(0, base+1-vis0).
+	vis0, grow := s.pos+1, 1
+	if p.bidir {
+		vis0, grow = seq, 0
+	}
 
 	if p.exactAtt {
 		// The engine's act-act sites are the exact GEMM, so score and
@@ -159,21 +172,21 @@ func (p *pass) attend(l int, s *Session, xq, out *tensor.Matrix, r, n int) {
 		// zero-skip for scores, keys ascending with zero-skip for values) —
 		// bit-identical, no per-head copies. Each cache page is read once
 		// per head for all the segment's rows. Keys past a row's causal
-		// horizon are never scored: in the reference they are masked to
-		// -Inf, add an exact 0 to the softmax sum and are zero-skipped by
+		// horizon are never scored: under the causal mask they would be
+		// -Inf, add an exact 0 to the softmax sum and be zero-skipped by
 		// the value product.
-		sc := scratch.GetUninit(n, seq) // row i uses its first s.pos+i+1 columns
+		sc := scratch.GetUninit(n, seq) // row i uses its first vis0+grow*i columns
 		for hd := 0; hd < heads; hd++ {
 			lo := hd * dh
 			for i := 0; i < n; i++ {
-				clear(sc.Row(i)[:s.pos+i+1])
+				clear(sc.Row(i)[:vis0+grow*i])
 			}
 			for base := 0; base < seq; {
 				data, run := kst.Span(base)
-				for i := max(0, base-s.pos); i < n; i++ {
+				for i := max(0, base+1-vis0); i < n; i++ {
 					srow := sc.Row(i)[base:]
 					qrow := xq.Row(r + i)[lo : lo+dh]
-					keys := min(run, s.pos+i+1-base)
+					keys := min(run, vis0+grow*i-base)
 					for k, av := range qrow {
 						if av == 0 {
 							continue
@@ -187,17 +200,17 @@ func (p *pass) attend(l int, s *Session, xq, out *tensor.Matrix, r, n int) {
 				base += run
 			}
 			for i := 0; i < n; i++ {
-				vis := s.pos + i + 1
+				vis := vis0 + grow*i
 				score := tensor.Matrix{Rows: 1, Cols: vis, Data: sc.Row(i)[:vis]}
 				score.Scale(invSqrt)
 				tensor.SoftmaxRows(&score)
 			}
 			for base := 0; base < seq; {
 				data, run := vst.Span(base)
-				for i := max(0, base-s.pos); i < n; i++ {
+				for i := max(0, base+1-vis0); i < n; i++ {
 					srow := sc.Row(i)[base:]
 					o := out.Row(r + i)[lo : lo+dh]
-					keys := min(run, s.pos+i+1-base)
+					keys := min(run, vis0+grow*i-base)
 					for k := 0; k < keys; k++ {
 						sv := srow[k]
 						if sv == 0 {
@@ -215,10 +228,10 @@ func (p *pass) attend(l int, s *Session, xq, out *tensor.Matrix, r, n int) {
 		return
 	}
 
-	// Quantized attention (QuantActAct engines): materialize the per-head
-	// operands of the segment's n rows against the whole cache and route
-	// both attention sites through the engine, exactly as Model.block
-	// does for a full sequence.
+	// Quantized attention (QuantActAct engines and the calibration
+	// Recorder): materialize the per-head operands of the segment's n rows
+	// against the whole cache and route both attention sites through the
+	// engine.
 	qh := scratch.GetUninit(n, dh)
 	khT := scratch.GetUninit(dh, seq)
 	vh := scratch.GetUninit(seq, dh)
@@ -235,7 +248,9 @@ func (p *pass) attend(l int, s *Session, xq, out *tensor.Matrix, r, n int) {
 		}
 		score := p.eng.MatMul(Site{l, KindScore, hd}, qh, khT)
 		score.Scale(invSqrt)
-		tensor.CausalMaskOffsetInPlace(score, s.pos)
+		if !p.bidir {
+			tensor.CausalMaskOffsetInPlace(score, s.pos)
+		}
 		tensor.SoftmaxRows(score)
 		av := p.eng.MatMul(Site{l, KindValue, hd}, score, vh)
 		for i := 0; i < n; i++ {
@@ -345,9 +360,6 @@ func Step(segs []Segment, logits *tensor.Matrix) {
 	for _, sg := range segs {
 		if sg.S.m != m || sg.S.eng != eng {
 			panic("model: Step session bound to a different model or engine")
-		}
-		if len(sg.Tokens) == 0 {
-			panic("model: Step with an empty segment")
 		}
 	}
 	if len(segs) > 1 && !m.RowIndependent(eng) {

@@ -6,18 +6,17 @@
 //
 // Every matmul routes through the Engine interface, which is how exact
 // FP32 (Exact), the paper's Tender algorithm and all baseline schemes
-// execute the same model. The transformer block exists twice: Model.block
-// behind Model.Forward (full-sequence evaluation and the encoder), and
-// one incremental block behind every KV-cached path — Step (one forward
-// pass over the stacked segments of many sessions, each a prefill chunk
-// of any length or one decode token, attention still per session, only
-// each segment's last row unembedded) and Session.Append (one segment,
-// every row's logits: the oracle). The full-sequence block is the
-// independent reference the identity tests hold the incremental one to.
-// Calibrate records
-// per-site operands with a Recorder and compiles a SchemeEngine whose
-// weight packs are prepared once (the compile-once split internal/engine
-// exposes).
+// execute the same model. The transformer block exists once, pass: Step
+// runs it over the stacked segments of many sessions (each a prefill
+// chunk of any length or one decode token, attention still per session,
+// only each segment's last row unembedded), and Session.Append,
+// Model.Forward, Model.ClassifyLogits and Model.Record over one segment —
+// Forward on a throwaway session, ClassifyLogits as one bidirectional pass
+// on an internal encoder session. The tests keep the former full-sequence
+// block as an independent oracle (oracle_test.go) to hold pass to.
+// Calibrate compiles a SchemeEngine from the per-site operands
+// Model.Record collects in a Recorder, preparing weight packs once (the
+// compile-once split internal/engine exposes).
 //
 // KV state is one tensor.PagedRows per layer side, drawing float64 pages
 // from a tensor.BlockPool: a private one for NewSession, the server's

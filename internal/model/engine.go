@@ -11,8 +11,6 @@ import (
 type Recorder struct {
 	X map[Site][]*tensor.Matrix
 	W map[Site][]*tensor.Matrix
-	// MaxSamplesPerSite bounds memory; 0 means unbounded.
-	MaxSamplesPerSite int
 }
 
 // NewRecorder returns an empty Recorder.
@@ -23,13 +21,27 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// MatMul implements Engine.
+// MatMul implements Engine. A weight site's right operand is a model
+// parameter, the same matrix at every call, so it is recorded by reference
+// instead of copied once per calibration stream; activation operands are
+// copied.
 func (r *Recorder) MatMul(site Site, x, w *tensor.Matrix) *tensor.Matrix {
-	if r.MaxSamplesPerSite == 0 || len(r.X[site]) < r.MaxSamplesPerSite {
-		r.X[site] = append(r.X[site], x.Clone())
-		r.W[site] = append(r.W[site], w.Clone())
+	if site.Kind.IsActAct() {
+		w = w.Clone()
 	}
+	r.X[site] = append(r.X[site], x.Clone())
+	r.W[site] = append(r.W[site], w)
 	return tensor.MatMul(x, w)
+}
+
+// Record runs every stream through m on rec, one whole-sequence pass each
+// (causal in a decoder, bidirectional in an encoder), so rec holds one
+// operand sample per stream at every site. Nothing is unembedded or
+// classified: calibration reads only the block's sites.
+func (m *Model) Record(rec *Recorder, streams [][]int) {
+	for _, toks := range streams {
+		scratch.Put(m.prefill(rec, toks))
+	}
 }
 
 // SchemeEngine routes every matmul site through a calibrated SiteKernel of
@@ -105,13 +117,7 @@ func Calibrate(s schemes.Scheme, bits int, quantActAct bool, rec *Recorder) *Sch
 // and returns the calibrated engine.
 func CalibrateModel(m *Model, s schemes.Scheme, bits int, quantActAct bool, streams [][]int) *SchemeEngine {
 	rec := NewRecorder()
-	for _, toks := range streams {
-		if m.Cfg.Arch == Encoder {
-			m.ClassifyLogits(toks, rec)
-		} else {
-			m.Forward(toks, rec)
-		}
-	}
+	m.Record(rec, streams)
 	return Calibrate(s, bits, quantActAct, rec)
 }
 

@@ -275,9 +275,9 @@ type exactActAct interface {
 
 // Exact is the engine with no quantization. Kernel optionally routes
 // weight-matmul GEMMs through a pluggable backend (tensor.KernelBlocked);
-// activation-activation sites always run the reference GEMM so the
-// incremental block's direct attention loops stay bit-identical to
-// Model.Forward, and a nil Kernel is the bit-exact reference everywhere.
+// activation-activation sites always run the reference GEMM, whose
+// accumulation order the block's direct attention loops reproduce, and a
+// nil Kernel is the bit-exact reference everywhere.
 type Exact struct {
 	Kernel tensor.Kernel
 }
@@ -307,86 +307,17 @@ func (Exact) RowIndependentMatMul(Site) bool { return true }
 func (Exact) ExactActAct() bool { return true }
 
 // Forward runs the transformer over tokens and returns the logits
-// (len(tokens) × vocab). Matmuls are routed through eng; softmax,
-// LayerNorm, activation functions and residual adds stay in floating
-// point, matching the paper's VPU split (§IV-C).
+// (len(tokens) × vocab): one whole-sequence pass on a throwaway session,
+// the same block every KV-cached path runs. Matmuls are routed through
+// eng; softmax, LayerNorm, activation functions and residual adds stay in
+// floating point, matching the paper's VPU split (§IV-C). The unembedding
+// stays in full precision, as in all the PTQ works the paper compares
+// against.
 func (m *Model) Forward(tokens []int, eng Engine) *tensor.Matrix {
-	n := len(tokens)
-	if n == 0 {
-		panic("model: empty token sequence")
-	}
-	if n > m.Cfg.MaxSeq {
-		panic(fmt.Sprintf("model: sequence length %d exceeds max %d", n, m.Cfg.MaxSeq))
-	}
-	d := m.Cfg.DModel
-	x := tensor.New(n, d)
-	for i, t := range tokens {
-		if t < 0 || t >= m.Cfg.Vocab {
-			panic(fmt.Sprintf("model: token %d out of vocab", t))
-		}
-		copy(x.Row(i), m.Embed.Row(t))
-		row := x.Row(i)
-		pos := m.Pos.Row(i)
-		for c := range row {
-			row[c] += pos[c]
-		}
-	}
-	for l := range m.Layers {
-		x = m.block(l, x, eng)
-	}
-	tensor.LayerNormRows(x, m.LNFGain, m.LNFBias)
-	// The unembedding stays in full precision (as in all the PTQ works
-	// the paper compares against).
-	return tensor.MatMul(x, m.Unembed)
-}
-
-// block runs one Transformer block (pre-LN residual structure).
-func (m *Model) block(l int, x *tensor.Matrix, eng Engine) *tensor.Matrix {
-	lay := &m.Layers[l]
-	n := x.Rows
-	d := m.Cfg.DModel
-	heads := m.Cfg.Heads
-	dh := m.Cfg.HeadDim()
-
-	// --- Attention sub-layer ---
-	h := x.Clone()
-	tensor.LayerNormRows(h, lay.LN1Gain, lay.LN1Bias) // outliers appear here
-	xq := eng.MatMul(Site{l, KindQ, -1}, h, lay.WQ)
-	xk := eng.MatMul(Site{l, KindK, -1}, h, lay.WK)
-	xv := eng.MatMul(Site{l, KindV, -1}, h, lay.WV)
-
-	attnOut := tensor.New(n, d)
-	invSqrt := 1 / math.Sqrt(float64(dh))
-	for hd := 0; hd < heads; hd++ {
-		lo, hi := hd*dh, (hd+1)*dh
-		qh := xq.SubColsRange(lo, hi)
-		kh := xk.SubColsRange(lo, hi)
-		vh := xv.SubColsRange(lo, hi)
-		score := eng.MatMul(Site{l, KindScore, hd}, qh, kh.Transpose())
-		score.Scale(invSqrt)
-		if m.Cfg.Arch == Decoder {
-			tensor.CausalMaskInPlace(score)
-		}
-		tensor.SoftmaxRows(score)
-		av := eng.MatMul(Site{l, KindValue, hd}, score, vh)
-		for r := 0; r < n; r++ {
-			copy(attnOut.Row(r)[lo:hi], av.Row(r))
-		}
-	}
-	xo := eng.MatMul(Site{l, KindOut, -1}, attnOut, lay.WO)
-	x = tensor.Add(x, xo)
-
-	// --- Feed-forward sub-layer ---
-	h = x.Clone()
-	tensor.LayerNormRows(h, lay.LN2Gain, lay.LN2Bias)
-	f := eng.MatMul(Site{l, KindFC1, -1}, h, lay.WFC1)
-	if m.Cfg.UseGELU {
-		tensor.GELU(f)
-	} else {
-		tensor.ReLU(f)
-	}
-	f = eng.MatMul(Site{l, KindFC2, -1}, f, lay.WFC2)
-	return tensor.Add(x, f)
+	x := m.prefill(eng, tokens)
+	logits := tensor.MatMul(x, m.Unembed)
+	scratch.Put(x)
+	return logits
 }
 
 // ClassifyLogits runs the encoder and returns the classifier logits from
@@ -395,23 +326,19 @@ func (m *Model) ClassifyLogits(tokens []int, eng Engine) []float64 {
 	if m.Cfg.Arch != Encoder {
 		panic("model: ClassifyLogits requires an encoder model")
 	}
-	n := len(tokens)
-	d := m.Cfg.DModel
-	x := tensor.New(n, d)
-	for i, t := range tokens {
-		copy(x.Row(i), m.Embed.Row(t))
-		row := x.Row(i)
-		pos := m.Pos.Row(i)
-		for c := range row {
-			row[c] += pos[c]
-		}
-	}
-	for l := range m.Layers {
-		x = m.block(l, x, eng)
-	}
-	tensor.LayerNormRows(x, m.LNFGain, m.LNFBias)
+	x := m.prefill(eng, tokens)
 	cls := tensor.MatMul(x.RowView(0, 1), m.Cls)
-	out := make([]float64, m.Cfg.NumClasses)
-	copy(out, cls.Row(0))
-	return out
+	scratch.Put(x)
+	return cls.Data
+}
+
+// prefill runs tokens as one segment on a throwaway session over a private
+// pool — causal in a decoder, bidirectional in an encoder, whose sessions
+// exist only here — and returns the hidden rows after the final LayerNorm,
+// a scratch matrix the caller puts back.
+func (m *Model) prefill(eng Engine, tokens []int) *tensor.Matrix {
+	s := m.sessionOn(eng, m.privatePool(len(tokens)), len(tokens), nil)
+	defer s.ReleaseKV()
+	p := newPass(m, eng)
+	return p.forward([]Segment{{s, tokens}})
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"tender/internal/quant"
@@ -11,6 +12,14 @@ import (
 )
 
 func tinyModel() *Model { return New(TinyConfig()) }
+
+// tinyEncoder is TinyConfig as a two-class encoder.
+func tinyEncoder() *Model {
+	cfg := TinyConfig()
+	cfg.Arch = Encoder
+	cfg.NumClasses = 2
+	return New(cfg)
+}
 
 func tinyTokens(seed uint64, n int) []int {
 	return workload.TokenStream(workload.Wiki, seed, n, TinyConfig().Vocab)
@@ -64,17 +73,26 @@ func TestForwardShapeAndFiniteness(t *testing.T) {
 	}
 }
 
+// TestForwardValidation: an empty sequence, an out-of-vocab token and an
+// over-long sequence are refused with the model's own message, not a
+// runtime error from deep inside the pass — by Forward and ClassifyLogits.
 func TestForwardValidation(t *testing.T) {
-	m := tinyModel()
-	for _, toks := range [][]int{{}, {9999}, make([]int, m.Cfg.MaxSeq+1)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("tokens %v should panic", len(toks))
-				}
+	dec, enc := tinyModel(), tinyEncoder()
+	for name, run := range map[string]func([]int){
+		"Forward":        func(toks []int) { dec.Forward(toks, Exact{}) },
+		"ClassifyLogits": func(toks []int) { enc.ClassifyLogits(toks, Exact{}) },
+	} {
+		for _, toks := range [][]int{{}, {dec.Cfg.Vocab}, {-1}, make([]int, dec.Cfg.MaxSeq+1)} {
+			func() {
+				defer func() {
+					msg, ok := recover().(string)
+					if !ok || !strings.HasPrefix(msg, "model: ") {
+						t.Fatalf("%s of %d tokens: panic %q, want a model: message", name, len(toks), msg)
+					}
+				}()
+				run(toks)
 			}()
-			m.Forward(toks, Exact{})
-		}()
+		}
 	}
 }
 
@@ -144,23 +162,21 @@ func TestSitesEnumeration(t *testing.T) {
 	}
 }
 
+// TestRecorderCapturesAllSites: Record leaves one sample per stream at
+// every site — the score and value sites of every head included — for a
+// decoder and for an encoder.
 func TestRecorderCapturesAllSites(t *testing.T) {
-	m := tinyModel()
-	rec := NewRecorder()
-	m.Forward(tinyTokens(4, 16), rec)
-	for _, s := range m.Sites() {
-		if len(rec.X[s]) != 1 || len(rec.W[s]) != 1 {
-			t.Fatalf("site %v not recorded", s)
+	for name, m := range map[string]*Model{"decoder": tinyModel(), "encoder": tinyEncoder()} {
+		rec := NewRecorder()
+		m.Record(rec, [][]int{tinyTokens(4, 16), tinyTokens(5, 8)})
+		for _, s := range m.Sites() {
+			if len(rec.X[s]) != 2 || len(rec.W[s]) != 2 {
+				t.Fatalf("%s: site %v recorded %d times, want 2", name, s, len(rec.X[s]))
+			}
 		}
-	}
-	// Sample cap respected.
-	capped := NewRecorder()
-	capped.MaxSamplesPerSite = 2
-	for i := 0; i < 5; i++ {
-		m.Forward(tinyTokens(uint64(i), 8), capped)
-	}
-	if n := len(capped.X[Site{0, KindQ, -1}]); n != 2 {
-		t.Fatalf("cap ignored: %d samples", n)
+		if len(rec.X) != len(m.Sites()) {
+			t.Fatalf("%s: %d sites recorded, model has %d", name, len(rec.X), len(m.Sites()))
+		}
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 // Session is an incremental-decode view of a decoder Model: it carries a
 // per-request KV cache so each new token costs one row of compute per
 // matmul site instead of a full-sequence forward. All matmuls route
-// through the same Engine interface as Model.Forward, so Tender, every
-// baseline scheme, and exact FP serve through one code path.
+// through the Engine interface, so Tender, every baseline scheme, and
+// exact FP serve through one code path.
 //
-// Append and Step run the same incremental block (pass), so a session
+// Append, Step and Model.Forward run the same block (pass), so a session
 // advanced alone or inside a fused pass computes the same values.
 //
 // A Session is owned by a single request and is not safe for concurrent
@@ -50,21 +50,27 @@ type kvCache struct {
 // front, so decoding within it allocates no KV memory; otherwise pages are
 // acquired as the cache grows — never the full MaxSeq worst case.
 func (m *Model) NewSession(eng Engine, capHint int) *Session {
-	capHint = min(capHint, m.Cfg.MaxSeq)
+	return m.NewSessionOn(eng, m.privatePool(capHint), capHint, nil)
+}
+
+// privatePool returns an unbounded KV pool for one session, with pages
+// reserved for capHint positions (at most MaxSeq).
+func (m *Model) privatePool(capHint int) *tensor.BlockPool {
 	pool := tensor.NewBlockPool(m.Cfg.DModel, tensor.DefaultPageRows, 0)
-	if capHint > 0 {
+	if capHint = min(capHint, m.Cfg.MaxSeq); capHint > 0 {
 		pool.Reserve(2 * len(m.Layers) * ((capHint + tensor.DefaultPageRows - 1) / tensor.DefaultPageRows))
 	}
-	return m.NewSessionOn(eng, pool, capHint, nil)
+	return pool
 }
 
 // NewSessionOn returns a decode session whose per-layer K/V stores draw
 // pages from pool, which must be d_model wide. capHint, if positive,
-// pre-sizes each store's page table for that many positions. A non-nil
-// prefix (a pinned entry of a PrefixCache over the same pool) is mounted
-// instead of prefilled: every layer's stores start with the entry's shared
-// pages, the session's position starts at prefix.Rows(), and the first
-// Append must continue the same prompt from that position.
+// pre-sizes each store's page table for that many positions (at most
+// MaxSeq). A non-nil prefix (a pinned entry of a PrefixCache over the same
+// pool) is mounted instead of prefilled: every layer's stores start with
+// the entry's shared pages, the session's position starts at
+// prefix.Rows(), and the first Append must continue the same prompt from
+// that position.
 //
 // Because causal attention makes each cached row depend only on the tokens
 // before it, and serving engines quantize rows position-independently, a
@@ -74,9 +80,16 @@ func (m *Model) NewSessionOn(eng Engine, pool *tensor.BlockPool, capHint int, pr
 	if m.Cfg.Arch != Decoder {
 		panic("model: sessions require a decoder model")
 	}
+	return m.sessionOn(eng, pool, capHint, prefix)
+}
+
+// sessionOn is NewSessionOn for either architecture: an encoder's session
+// is internal to Model.prefill.
+func (m *Model) sessionOn(eng Engine, pool *tensor.BlockPool, capHint int, prefix *PrefixEntry) *Session {
 	if c := pool.Cols(); c != m.Cfg.DModel {
 		panic(fmt.Sprintf("model: KV pool is %d columns wide, model is %d", c, m.Cfg.DModel))
 	}
+	capHint = min(capHint, m.Cfg.MaxSeq)
 	s := &Session{m: m, eng: eng, pool: pool, kv: make([]kvCache, len(m.Layers))}
 	for l := range s.kv {
 		s.kv[l] = kvCache{k: tensor.NewPagedRows(pool, capHint), v: tensor.NewPagedRows(pool, capHint)}
@@ -123,14 +136,11 @@ func (s *Session) Len() int { return s.pos }
 // Append runs the incremental block over the next tokens (absolute
 // positions Len()..Len()+n-1), extends the KV cache, and returns the
 // logits for every appended position (n × vocab) in a fresh matrix the
-// caller owns. Appending the whole prompt in one call is the prefill step
-// and is bit-identical to Model.Forward; subsequent single-token calls are
-// decode steps. Serving runs Step, which unembeds only each segment's last
-// row; Append is the all-rows oracle the references and tests read.
+// caller owns. Appending the whole prompt in one call is the prefill step,
+// the pass Model.Forward runs; subsequent single-token calls are decode
+// steps. Serving runs Step, which unembeds only each segment's last row;
+// Append is the all-rows form the references and tests read.
 func (s *Session) Append(tokens []int) *tensor.Matrix {
-	if len(tokens) == 0 {
-		panic("model: Session.Append with no tokens")
-	}
 	p := newPass(s.m, s.eng)
 	x := p.forward([]Segment{{s, tokens}})
 	logits := tensor.MatMul(x, s.m.Unembed)

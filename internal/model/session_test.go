@@ -1,10 +1,13 @@
 package model_test
 
 import (
+	"fmt"
 	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
+	"tender/internal/engine"
 	"tender/internal/model"
 	"tender/internal/model/identtest"
 	"tender/internal/schemes"
@@ -23,28 +26,47 @@ func forwardEngines(t *testing.T, m *model.Model) map[string]model.Engine {
 	return engines
 }
 
-// TestSessionPrefillMatchesForward: appending the whole prompt in one call
-// runs the incremental block over one segment and must reproduce
-// Model.Forward — the independent full-sequence block — bit for bit, for
-// every engine: same row-wise computation, empty cache, offset-0 mask,
-// and the engine sees exactly Forward's operands at every site.
+// TestSessionPrefillMatchesForward: Model.Forward and appending the whole
+// prompt in one call both run pass over one segment and must reproduce
+// the oracle — the independent full-sequence block of oracle_test.go — bit
+// for bit, for every engine: same row-wise computation, empty cache,
+// offset-0 mask, and the engine sees exactly the oracle's operands at
+// every site. The encoder's bidirectional pass (ClassifyLogits) is held to
+// the oracle the same way, for every registry scheme with attention exact
+// and quantized.
 func TestSessionPrefillMatchesForward(t *testing.T) {
 	m := model.New(model.TinyConfig())
 	toks := workload.TokenStream(workload.Wiki, 11, 24, m.Cfg.Vocab)
 	for name, eng := range forwardEngines(t, m) {
 		t.Run(name, func(t *testing.T) {
-			ref := m.Forward(toks, eng)
+			ref := m.OracleForward(toks, eng)
+			if d := tensor.MaxAbsDiff(ref, m.Forward(toks, eng)); d != 0 {
+				t.Fatalf("Forward logits differ from the oracle by %g", d)
+			}
 			got := m.NewSession(eng, len(toks)).Append(toks)
 			if d := tensor.MaxAbsDiff(ref, got); d != 0 {
-				t.Fatalf("prefill logits differ from Forward by %g", d)
+				t.Fatalf("prefill logits differ from the oracle by %g", d)
 			}
 		})
+	}
+	cfg := model.TinyConfig()
+	cfg.Arch, cfg.NumClasses = model.Encoder, 2
+	enc := model.New(cfg)
+	for _, qaa := range []bool{false, true} {
+		for name, eng := range offlineEngines(t, enc, engine.SchemeNames(), qaa) {
+			t.Run(fmt.Sprintf("encoder/%s/qaa=%v", name, qaa), func(t *testing.T) {
+				ref, got := enc.OracleClassifyLogits(toks, eng), enc.ClassifyLogits(toks, eng)
+				if !slices.Equal(ref, got) {
+					t.Fatalf("classifier logits %v, oracle %v", got, ref)
+				}
+			})
+		}
 	}
 }
 
 // TestSessionIncrementalMatchesForward: feeding tokens one at a time
-// through the KV cache must agree exactly with the full-sequence forward
-// for every engine that passes the row-independence audit — every
+// through the KV cache must agree exactly with the oracle's full-sequence
+// forward for every engine that passes the row-independence audit — every
 // per-position computation is then row-local. Row-coupled (olive) and
 // quantized-attention engines fail it and are only bound to their one-shot
 // prefill, which TestSessionPrefillMatchesForward covers.
@@ -58,7 +80,7 @@ func TestSessionIncrementalMatchesForward(t *testing.T) {
 		}
 		ran++
 		t.Run(name, func(t *testing.T) {
-			ref := m.Forward(toks, eng)
+			ref := m.OracleForward(toks, eng)
 			sess := m.NewSession(eng, len(toks))
 			for i, tok := range toks {
 				logits := sess.Append([]int{tok})
